@@ -304,6 +304,35 @@ void BM_IngestBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestBatch);
 
+void BM_StreamingStats(benchmark::State& state) {
+  // One Stats pass over every stream of full W-sample windows: the
+  // per-stream fingerprint read a control step's drift scan pays. Items
+  // processed counts streams.
+  const size_t window = static_cast<size_t>(state.range(0));
+  online::StreamingProfileBuilder builder(kIngestStreams, window, 300.0);
+  const auto base = MakeIngestStep(kIngestStreams);
+  auto step = base;
+  util::Rng rng(19);
+  for (size_t t = 0; t < window; ++t) {
+    for (int w = 0; w < kIngestStreams; ++w) {
+      const double f = rng.Uniform(0.9, 1.1);
+      step[w].cpu_cores = base[w].cpu_cores * f;
+      step[w].ram_bytes = base[w].ram_bytes * f;
+      step[w].update_rows_per_sec = base[w].update_rows_per_sec * f;
+    }
+    builder.IngestBatch(step.data(), 0, kIngestStreams);
+    builder.CommitStep();
+  }
+  for (auto _ : state) {
+    for (int w = 0; w < kIngestStreams; ++w) {
+      benchmark::DoNotOptimize(builder.Stats(w));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kIngestStreams);
+  state.SetLabel("W=" + std::to_string(window));
+}
+BENCHMARK(BM_StreamingStats)->Arg(12)->Arg(288);
+
 void BM_IngestBatchStriped(benchmark::State& state) {
   online::StreamingProfileBuilder builder(kIngestStreams, kIngestWindow, 300.0);
   online::IngestOptions options;

@@ -4,6 +4,7 @@
 #ifndef KAIROS_MONITOR_PROFILE_H_
 #define KAIROS_MONITOR_PROFILE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -65,7 +66,22 @@ struct ProfileStats {
   double working_set_bytes = 0;
 };
 
-/// Computes the summary fingerprint of a profile.
+/// Mutable view of one signal's window samples, oldest first.
+struct WindowSpan {
+  double* data = nullptr;
+  size_t size = 0;
+};
+
+/// The fingerprint kernel: mean (summed oldest first, like
+/// util::TimeSeries::Mean) and peak of each span, then each p95 selected in
+/// place — the spans come back reordered. Summarize and the streaming
+/// builder's Stats both call it, so the fingerprint has one definition.
+ProfileStats SummarizeWindow(WindowSpan cpu_cores, WindowSpan ram_bytes,
+                             WindowSpan update_rows_per_sec,
+                             double working_set_bytes);
+
+/// Computes the summary fingerprint of a profile (SummarizeWindow over a
+/// scratch copy of its series).
 ProfileStats Summarize(const WorkloadProfile& profile);
 
 }  // namespace kairos::monitor

@@ -8,11 +8,14 @@
 //
 // Determinism contract: a track must never be written concurrently by two
 // threads (each solver runs its whole trajectory on one thread; the engine
-// and controller are internally single-threaded), so (track, seq) is a
-// total order that does not depend on thread scheduling. MergedTrace()
-// sorts by (track, seq): for a deterministic workload the merged trace is
-// identical across runs and thread counts in everything except the
-// wall_seconds stamps, which are explicitly excluded from the guarantee.
+// and controller are internally single-threaded), so seq orders a track's
+// events independently of thread scheduling. For a deterministic workload,
+// each track *name*'s event sequence is identical across runs and thread
+// counts in everything except the wall_seconds stamps, which are
+// explicitly excluded from the guarantee. Track ids are not: they are
+// handed out in first-intern order, which depends on scheduling when
+// several threads intern tracks. MergedTrace() sorts by (track id, seq),
+// so compare traces per track name, not by position.
 //
 // Overflow: a full ring drops the incoming event (drop-newest) and counts
 // it in dropped_events(); instrument at probe/iteration-improvement

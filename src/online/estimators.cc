@@ -151,32 +151,18 @@ void RollingWindowBank::CommitStep() {
   write_row_ = values_.data() + next_slot * static_cast<size_t>(streams_);
 }
 
-double RollingWindowBank::Mean(int w) const {
-  if (size_ == 0) return 0.0;
-  // Storage (slot) order, like RollingWindow::Mean iterating values_ —
-  // identical FP summation order.
-  double sum = 0;
-  for (size_t i = 0; i < size_; ++i) {
-    sum += values_[i * static_cast<size_t>(streams_) + w];
-  }
-  return sum / static_cast<double>(size_);
-}
-
-double RollingWindowBank::Max(int w) const {
-  if (size_ == 0) return 0.0;
-  double best = values_[w];
-  for (size_t i = 1; i < size_; ++i) {
-    best = std::max(best, values_[i * static_cast<size_t>(streams_) + w]);
-  }
-  return best;
+void RollingWindowBank::CopyOrdered(int w, double* out) const {
+  // Oldest first: slots [start_, size_) then [0, start_). start_ stays 0
+  // until the ring is full, so a filling window is one segment.
+  const size_t stride = static_cast<size_t>(streams_);
+  const double* column = values_.data() + w;
+  for (size_t slot = start_; slot < size_; ++slot) *out++ = column[slot * stride];
+  for (size_t slot = 0; slot < start_; ++slot) *out++ = column[slot * stride];
 }
 
 util::TimeSeries RollingWindowBank::ToSeries(int w) const {
   std::vector<double> ordered(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    const size_t slot = (start_ + i) % size_;
-    ordered[i] = values_[slot * static_cast<size_t>(streams_) + w];
-  }
+  CopyOrdered(w, ordered.data());
   return util::TimeSeries(interval_seconds_, std::move(ordered));
 }
 

@@ -107,10 +107,11 @@ class RollingWindowBank {
   size_t size() const { return size_; }
   bool full() const { return size_ == capacity_; }
 
-  /// Bit-identical to the matching RollingWindow accessor (same summation
-  /// and comparison order).
-  double Mean(int w) const;
-  double Max(int w) const;
+  /// Writes stream w's size() window samples to `out`, oldest first — the
+  /// order RollingWindow::ToSeries exports. Allocation-free.
+  void CopyOrdered(int w, double* out) const;
+
+  /// CopyOrdered into a fresh TimeSeries.
   util::TimeSeries ToSeries(int w) const;
 
  private:

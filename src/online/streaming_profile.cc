@@ -56,9 +56,22 @@ monitor::WorkloadProfile StreamingProfileBuilder::Profile(int w) const {
 }
 
 monitor::ProfileStats StreamingProfileBuilder::Stats(int w) const {
-  // One fingerprint definition for the whole system: the drift detector
-  // compares exactly what monitor::Summarize says about the rolling profile.
-  return monitor::Summarize(Profile(w));
+  // One fingerprint definition for the whole system: the window is gathered
+  // oldest first and handed to the kernel behind monitor::Summarize, so the
+  // drift detector compares exactly what Summarize(Profile(w)) would say.
+  // The scratch is per thread because Stats is const and runs concurrently
+  // on disjoint stripes; after its first growth no call allocates.
+  thread_local std::vector<double> scratch;
+  const size_t n = cpu_.size();
+  scratch.resize(3 * n);
+  double* cpu = scratch.data();
+  double* ram = cpu + n;
+  double* rate = ram + n;
+  cpu_.CopyOrdered(w, cpu);
+  ram_.CopyOrdered(w, ram);
+  rate_.CopyOrdered(w, rate);
+  return monitor::SummarizeWindow({cpu, n}, {ram, n}, {rate, n},
+                                  working_set_.value(w));
 }
 
 }  // namespace kairos::online

@@ -51,7 +51,9 @@ class StreamingProfileBuilder {
   /// metadata stay with the caller's problem template).
   monitor::WorkloadProfile Profile(int w) const;
 
-  /// Window fingerprint of workload `w` (p95/mean over the last W samples).
+  /// Window fingerprint of workload `w` (p95/mean over the last W samples);
+  /// bit-identical to monitor::Summarize(Profile(w)) without building the
+  /// profile. Safe to call concurrently.
   monitor::ProfileStats Stats(int w) const;
 
   /// Lifetime p95 CPU of workload `w` from the P² estimator (reporting).

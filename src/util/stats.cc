@@ -32,16 +32,59 @@ double Accumulator::Variance() const {
 
 double Accumulator::Stddev() const { return std::sqrt(Variance()); }
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  if (p <= 0.0) return values.front();
-  if (p >= 100.0) return values.back();
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+namespace {
+
+/// Upper tails up to this many values are kept by one insertion pass;
+/// longer ones go through std::nth_element.
+constexpr size_t kInsertionTail = 8;
+
+}  // namespace
+
+double PercentileInPlace(double* first, double* last, double p) {
+  const size_t n = static_cast<size_t>(last - first);
+  if (n == 0) return 0.0;
+  if (p <= 0.0) return *std::min_element(first, last);
+  if (p >= 100.0) return *std::max_element(first, last);
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
   const size_t lo = static_cast<size_t>(rank);
   const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) return values.back();
-  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
+  if (lo + 1 >= n) return *std::max_element(first, last);
+
+  // The interpolation reads only the order statistics lo and lo + 1, i.e.
+  // the two smallest values of the upper tail of n - lo values.
+  const size_t tail = n - lo;
+  double at_lo = 0.0;
+  double at_next = 0.0;
+  if (tail <= kInsertionTail) {
+    // [first, first + tail) holds the tail largest values seen so far,
+    // ascending; each later value larger than the smallest kept one
+    // evicts it and sinks into place.
+    double* kept_end = first + tail;
+    for (double* it = first + 1; it != kept_end; ++it) {
+      const double x = *it;
+      double* hole = it;
+      for (; hole != first && x < hole[-1]; --hole) *hole = hole[-1];
+      *hole = x;
+    }
+    for (double* it = kept_end; it != last; ++it) {
+      const double x = *it;
+      if (!(first[0] < x)) continue;
+      double* hole = first;
+      for (; hole + 1 != kept_end && hole[1] < x; ++hole) *hole = hole[1];
+      *hole = x;
+    }
+    at_lo = first[0];
+    at_next = first[1];
+  } else {
+    std::nth_element(first, first + lo, last);
+    at_lo = first[lo];
+    at_next = *std::min_element(first + lo + 1, last);
+  }
+  return at_lo * (1.0 - frac) + at_next * frac;
+}
+
+double Percentile(std::vector<double> values, double p) {
+  return PercentileInPlace(values.data(), values.data() + values.size(), p);
 }
 
 double Rmse(const std::vector<double>& a, const std::vector<double>& b) {

@@ -39,8 +39,13 @@ class Accumulator {
   Accumulator();
 };
 
-/// Returns the p-th percentile (p in [0, 100]) by linear interpolation over
-/// a copy of `values`. Returns 0 for an empty input.
+/// Returns the p-th percentile (p in [0, 100]) of [first, last) by linear
+/// interpolation between the two order statistics around rank
+/// p/100 * (n - 1). Selects only those two values — no sort — and leaves
+/// the range in an unspecified order. Returns 0 for an empty range.
+double PercentileInPlace(double* first, double* last, double p);
+
+/// PercentileInPlace over a copy of `values`.
 double Percentile(std::vector<double> values, double p);
 
 /// Root-mean-squared error between two equally sized series.

@@ -4,6 +4,7 @@
 // vs detached, at every portfolio thread count.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -241,7 +242,7 @@ TEST(SinkIdentityTest, CountersAndCurvesStableAcrossThreadCounts) {
   const auto specs = solve::PortfolioRunner::DefaultSpecs(17);
 
   std::vector<obs::MetricsSnapshot> snapshots;
-  std::vector<std::string> curve_signatures;
+  std::vector<std::map<std::string, std::string>> curve_signatures;
   for (int threads : {1, 2, 4}) {
     obs::Sink sink;
     solve::PortfolioOptions options;
@@ -251,17 +252,18 @@ TEST(SinkIdentityTest, CountersAndCurvesStableAcrossThreadCounts) {
     solve::PortfolioRunner(options).Run(prob, specs);
     snapshots.push_back(sink.metrics().Snapshot());
 
-    // Signature of the deterministic event payloads: track/name/kind/seq
-    // and the data fields, wall-clock excluded.
+    // Per-track signature of the deterministic event payloads: name/kind/
+    // seq and the data fields, wall-clock excluded. Keyed by track name:
+    // interned track ids follow which portfolio thread registers first.
     const std::vector<obs::TraceEvent> merged = sink.trace().MergedTrace();
     const std::vector<std::string> tracks = sink.trace().TrackNames();
     const std::vector<std::string> names = sink.trace().EventNames();
-    std::string signature;
+    std::map<std::string, std::string> signature;
     for (const obs::TraceEvent& e : merged) {
-      signature += tracks[e.track] + "|" + names[e.name] + "|" +
-                   std::to_string(static_cast<int>(e.kind)) + "|" +
-                   std::to_string(e.seq) + "|" + std::to_string(e.i0) + "|" +
-                   std::to_string(e.i1) + "|" + std::to_string(e.d0) + ";";
+      signature[tracks[e.track]] +=
+          names[e.name] + "|" + std::to_string(static_cast<int>(e.kind)) + "|" +
+          std::to_string(e.seq) + "|" + std::to_string(e.i0) + "|" +
+          std::to_string(e.i1) + "|" + std::to_string(e.d0) + ";";
     }
     curve_signatures.push_back(signature);
   }

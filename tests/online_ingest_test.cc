@@ -1,19 +1,24 @@
 // Striped parallel ingestion: the StripeMap layout, bit-identity of the SoA
 // estimator banks against the scalar estimators, thread-count independence
-// of the IngestPlane, the sharded drift scan, and byte-identical controller
-// transcripts at 1/2/4/8 ingest threads.
+// of the IngestPlane, the Stats fingerprint against a sort-based reference,
+// the sharded drift scan, and byte-identical controller transcripts at
+// 1/2/4/8 ingest threads.
 #include "online/ingest.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "monitor/profile.h"
 #include "obs/sink.h"
 #include "online/controller.h"
 #include "online/drift.h"
 #include "online/estimators.h"
 #include "online/streaming_profile.h"
 #include "online/telemetry.h"
+#include "tests/sorted_percentile.h"
 #include "trace/scenario.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -81,14 +86,14 @@ TEST(EstimatorBankTest, RollingWindowBankMatchesScalarBitExact) {
     }
     bank.CommitStep();
     for (int w = 0; w < kStreams; ++w) {
-      // EXPECT_EQ, not NEAR: the bank must run the identical FP operations
-      // in the identical order, at every prefix including the ring wrap.
-      EXPECT_EQ(bank.Mean(w), scalar[w].Mean()) << "t=" << t << " w=" << w;
-      EXPECT_EQ(bank.Max(w), scalar[w].Max()) << "t=" << t << " w=" << w;
+      // EXPECT_EQ, not NEAR: the bank must export the identical samples in
+      // the identical order, at every prefix including the ring wrap.
       const util::TimeSeries a = bank.ToSeries(w);
       const util::TimeSeries b = scalar[w].ToSeries();
       ASSERT_EQ(a.size(), b.size());
       for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.at(i), b.at(i));
+      EXPECT_EQ(a.Mean(), b.Mean()) << "t=" << t << " w=" << w;
+      EXPECT_EQ(a.Max(), b.Max()) << "t=" << t << " w=" << w;
     }
   }
   EXPECT_TRUE(bank.full());
@@ -226,6 +231,109 @@ TEST(IngestPlaneTest, CountsStepsAndStripeBatches) {
   EXPECT_EQ(sink.metrics().counter("ingest.stripe_batches")->Value(), 18);
   EXPECT_EQ(sink.metrics().gauge("ingest.stripes")->Value(), 3.0);
   EXPECT_EQ(sink.metrics().gauge("ingest.threads")->Value(), 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Stats fingerprint: byte-identical to the sort-based Summarize(Profile(w))
+// ---------------------------------------------------------------------------
+
+/// The fingerprint with every p95 taken by copy-and-sort over the exported
+/// rolling profile.
+monitor::ProfileStats SortedSummarize(const monitor::WorkloadProfile& p) {
+  monitor::ProfileStats s;
+  s.mean_cpu_cores = p.cpu_cores.Mean();
+  s.p95_cpu_cores = oracle::SortedPercentile(p.cpu_cores.values(), 95.0);
+  s.peak_cpu_cores = p.cpu_cores.Max();
+  s.mean_ram_bytes = p.ram_bytes.Mean();
+  s.p95_ram_bytes = oracle::SortedPercentile(p.ram_bytes.values(), 95.0);
+  s.peak_ram_bytes = p.ram_bytes.Max();
+  s.p95_update_rows_per_sec =
+      oracle::SortedPercentile(p.update_rows_per_sec.values(), 95.0);
+  s.working_set_bytes = p.working_set_bytes;
+  return s;
+}
+
+bool SameBytes(const monitor::ProfileStats& a, const monitor::ProfileStats& b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/// Streams cycle through four kinds: continuous, tied small integers,
+/// constant, and integer-valued over a wide range.
+std::vector<TelemetrySample> MixedStep(util::Rng* rng, int streams) {
+  const double gib = static_cast<double>(util::kGiB);
+  std::vector<TelemetrySample> step(streams);
+  for (int w = 0; w < streams; ++w) {
+    TelemetrySample& s = step[w];
+    switch (w % 4) {
+      case 0:
+        s.cpu_cores = rng->Exponential(0.8);
+        s.ram_bytes = rng->Uniform(1.0, 8.0) * gib;
+        s.update_rows_per_sec = rng->Exponential(50.0);
+        break;
+      case 1:
+        s.cpu_cores = static_cast<double>(rng->UniformInt(0, 3));
+        s.ram_bytes = static_cast<double>(rng->UniformInt(1, 2)) * gib;
+        s.update_rows_per_sec = static_cast<double>(rng->UniformInt(0, 5));
+        break;
+      case 2:
+        s.cpu_cores = 1.5;
+        s.ram_bytes = 4.0 * gib;
+        s.update_rows_per_sec = 10.0;
+        break;
+      default:
+        s.cpu_cores = static_cast<double>(rng->UniformInt(0, 1000));
+        s.ram_bytes = static_cast<double>(rng->UniformInt(1, 64)) * gib;
+        s.update_rows_per_sec = static_cast<double>(rng->UniformInt(0, 500));
+        break;
+    }
+    s.working_set_bytes = rng->Uniform(1.0, 6.0) * gib;
+  }
+  return step;
+}
+
+TEST(StreamingStatsTest, ByteIdenticalToSortedSummarizeWhileFillingAndWrapped) {
+  constexpr int kStreams = 8;
+  for (size_t window : {1, 2, 3, 5, 12, 20, 288}) {
+    SCOPED_TRACE("W=" + std::to_string(window));
+    StreamingProfileBuilder builder(kStreams, window, 300.0);
+    ASSERT_TRUE(SameBytes(builder.Stats(0), SortedSummarize(builder.Profile(0))));
+    util::Rng rng(53 + window);
+    // size < W for the first W - 1 steps, then the ring wraps twice.
+    const size_t steps = 2 * window + 3;
+    for (size_t t = 0; t < steps; ++t) {
+      builder.Ingest(MixedStep(&rng, kStreams));
+      for (int w = 0; w < kStreams; ++w) {
+        const monitor::WorkloadProfile profile = builder.Profile(w);
+        const monitor::ProfileStats want = SortedSummarize(profile);
+        ASSERT_TRUE(SameBytes(builder.Stats(w), want)) << "t=" << t << " w=" << w;
+        ASSERT_TRUE(SameBytes(monitor::Summarize(profile), want))
+            << "t=" << t << " w=" << w;
+      }
+    }
+  }
+}
+
+TEST(StreamingStatsTest, StatsFromConcurrentStripesMatchSortedSummarize) {
+  // Stats is const and runs on every ingest worker at once, each with its
+  // own scratch buffer.
+  constexpr int kStreams = 203;
+  StreamingProfileBuilder builder(kStreams, 12, 300.0);
+  IngestOptions options;
+  options.threads = 4;
+  options.stripes = 7;
+  IngestPlane plane(&builder, options);
+  util::Rng rng(59);
+  std::vector<monitor::ProfileStats> stats(kStreams);
+  for (int t = 0; t < 30; ++t) {
+    plane.IngestStep(MixedStep(&rng, kStreams));
+    plane.ForEachStripe([&](int, int begin, int end) {
+      for (int w = begin; w < end; ++w) stats[w] = builder.Stats(w);
+    });
+    for (int w = 0; w < kStreams; ++w) {
+      ASSERT_TRUE(SameBytes(stats[w], SortedSummarize(builder.Profile(w))))
+          << "t=" << t << " w=" << w;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

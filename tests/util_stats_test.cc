@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "tests/sorted_percentile.h"
+#include "util/rng.h"
 
 namespace kairos::util {
 namespace {
@@ -43,6 +48,29 @@ TEST(PercentileTest, Interpolates) {
 
 TEST(PercentileTest, UnsortedInput) {
   EXPECT_DOUBLE_EQ(Percentile({5, 1, 3}, 50), 3);
+}
+
+TEST(PercentileTest, SelectionMatchesCopyAndSortBitExact) {
+  // Every n up to 40 crosses both selection paths: an upper tail of at most
+  // 8 values (insertion) and longer tails (nth_element).
+  Rng rng(7);
+  for (size_t n = 1; n <= 40; ++n) {
+    for (int kind = 0; kind < 3; ++kind) {  // continuous, tied integers, constant
+      std::vector<double> values(n);
+      for (double& x : values) {
+        x = kind == 0   ? rng.Exponential(3.0)
+            : kind == 1 ? static_cast<double>(rng.UniformInt(0, 4))
+                        : 2.5;
+      }
+      for (double p : {0.0, 5.0, 25.0, 50.0, 95.0, 99.0, 100.0}) {
+        const double got = Percentile(values, p);
+        const double want = oracle::SortedPercentile(values, p);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+            << "n=" << n << " kind=" << kind << " p=" << p << ": " << got
+            << " vs " << want;
+      }
+    }
+  }
 }
 
 TEST(RmseTest, Basics) {
