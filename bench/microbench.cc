@@ -200,6 +200,38 @@ void BM_EvaluatorApplyMove(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluatorApplyMove);
 
+void BM_EvaluatorSwapRollback(benchmark::State& state) {
+  // The anneal/LocalSearch swap path on the BM_EvaluatorMoveDeltaDisk
+  // problem: two ApplyMoves that swap two slots' servers, then the two
+  // that roll the swap back. Items processed counts swap+rollback rounds
+  // (four applied moves each).
+  auto prob = MakeProblem(196, 288);
+  static const model::DiskModel disk_model = model::BuildAnalyticModel(
+      sim::DiskSpec::Raid10(), model::AnalyticConfig{}, 96e9, 2000);
+  prob.disk_model = &disk_model;
+  core::Evaluator ev(prob, 24);
+  util::Rng rng(3);
+  std::vector<int> assignment(ev.num_slots());
+  for (auto& a : assignment) a = static_cast<int>(rng.UniformInt(0, 23));
+  ev.Load(assignment);
+  for (auto _ : state) {
+    const int a = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
+    int b = a;
+    while (ev.assignment()[b] == ev.assignment()[a]) {
+      b = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
+    }
+    const int sa = ev.assignment()[a];
+    const int sb = ev.assignment()[b];
+    ev.ApplyMove(a, sb);
+    ev.ApplyMove(b, sa);
+    ev.ApplyMove(b, sb);
+    ev.ApplyMove(a, sa);
+    benchmark::DoNotOptimize(ev.current_cost());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EvaluatorSwapRollback);
+
 // --- Observability substrate: the null-sink branch and the attached-sink
 // --- write path must both be negligible next to a DIRECT probe (the
 // --- granularity the engine instruments at).

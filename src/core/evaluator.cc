@@ -316,11 +316,13 @@ void Evaluator::ApplyMove(int slot, int to) {
   ++tl_eval_ops.apply_move_ops;
   const int from = assignment_[slot];
   if (to == from) return;
-  const double delta = MoveDelta(slot, to);
   const double affinity_delta = SlotAffinity(slot, to) - SlotAffinity(slot, from);
+  const double migration_delta =
+      SlotMigrationCost(slot, to) - SlotMigrationCost(slot, from);
+  const double old_from = server_cost_[from];
+  const double old_to = server_cost_[to];
 
-  current_cost_ += delta;
-  migration_cost_ += SlotMigrationCost(slot, to) - SlotMigrationCost(slot, from);
+  migration_cost_ += migration_delta;
   total_violation_ -= server_violation_[from] + server_violation_[to];
 
   acct_.Apply(from, slot, -1.0);
@@ -330,6 +332,26 @@ void Evaluator::ApplyMove(int slot, int to) {
   RecomputeServer(to);
   total_violation_ += server_violation_[from] + server_violation_[to];
   total_violation_ += affinity_delta * kAffinityUnit;
+
+  // Each server is priced once, after the rows change. Apply's
+  // `row + sign * slot` is the FP operation WhatIfCost composes, and the
+  // terms are summed in MoveDelta's order, so for an unpinned slot the
+  // cached cost moves by exactly MoveDelta(slot, to).
+  double delta = ((server_cost_[from] - old_from) + server_cost_[to]) - old_to;
+  delta += affinity_delta * (kViolationBase + kViolationScale * kAffinityUnit);
+  delta += migration_delta;
+  // MoveDelta prices any move off a pin as a flat kPinPenalty sentinel;
+  // the cache keeps Load's accounting instead: one penalty and one
+  // violation unit while the slot sits away from its pin.
+  const int pin = acct_.PinOfSlot(slot);
+  if (pin == from) {
+    delta += kPinPenalty;
+    total_violation_ += 1.0;
+  } else if (pin == to) {
+    delta -= kPinPenalty;
+    total_violation_ -= 1.0;
+  }
+  current_cost_ += delta;
 }
 
 Evaluator::ServerLoad Evaluator::GetServerLoad(int j) const {

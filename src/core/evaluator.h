@@ -40,8 +40,10 @@ namespace kairos::core {
 /// bumps a plain thread-local integer — no atomics, no sink branch — and an
 /// instrumented region brackets the work with ResetEvalOps() before and
 /// FlushEvalOps(sink) after (portfolio workers flush per member, the
-/// controller per resolve, the engine per Solve). ApplyMove computes its
-/// delta through MoveDelta, so one applied move also counts one delta op.
+/// controller per resolve, the engine per Solve). move_delta_ops counts
+/// candidate moves scored (one per MoveDelta, one per MoveDeltaBatch
+/// target); an ApplyMove prices its two servers itself and counts only as
+/// an apply op.
 struct EvalOpCounts {
   int64_t evaluate_ops = 0;
   int64_t move_delta_ops = 0;
@@ -89,7 +91,9 @@ class Evaluator {
   /// costs one pass over the accountant's SoA rows instead of two.
   void MoveDeltaBatch(int slot, const std::vector<int>& targets,
                       std::vector<double>* deltas) const;
-  /// Applies a move and updates the cache.
+  /// Applies a move and updates the cache, pricing each of the two servers
+  /// once. For an unpinned slot current_cost() moves by exactly
+  /// MoveDelta(slot, to), bit for bit.
   void ApplyMove(int slot, int to);
   /// True when the loaded assignment violates no constraint.
   bool IsFeasible() const { return total_violation_ <= 0.0; }

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace kairos::obs {
 
@@ -20,6 +21,20 @@ struct RingCacheEntry {
 };
 
 thread_local std::vector<RingCacheEntry> tl_ring_cache;
+
+/// Chunk index and offset of a track id: chunk k starts at id
+/// first * (2^k - 1) and holds first << k counters.
+std::pair<int, uint32_t> SeqChunkOf(uint32_t track, uint32_t first) {
+  int chunk = 0;
+  uint64_t begin = 0;
+  uint64_t size = first;
+  while (track >= begin + size) {
+    begin += size;
+    size <<= 1;
+    ++chunk;
+  }
+  return {chunk, static_cast<uint32_t>(track - begin)};
+}
 
 }  // namespace
 
@@ -46,10 +61,23 @@ uint32_t TraceSink::InternTrack(const std::string& name) {
   const auto it = track_ids_.find(name);
   if (it != track_ids_.end()) return it->second;
   const uint32_t id = static_cast<uint32_t>(track_names_.size());
+  const auto [chunk, offset] = SeqChunkOf(id, kFirstSeqChunk);
+  if (offset == 0) {
+    // First track of a new chunk; make_unique value-initializes the
+    // counters to 0.
+    seq_chunk_owner_[chunk] =
+        std::make_unique<SeqCounter[]>(size_t{kFirstSeqChunk} << chunk);
+    seq_chunks_[chunk].store(seq_chunk_owner_[chunk].get(),
+                             std::memory_order_release);
+  }
   track_ids_.emplace(name, id);
   track_names_.push_back(name);
-  track_seq_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
   return id;
+}
+
+TraceSink::SeqCounter& TraceSink::TrackSeq(uint32_t track) {
+  const auto [chunk, offset] = SeqChunkOf(track, kFirstSeqChunk);
+  return seq_chunks_[chunk].load(std::memory_order_acquire)[offset];
 }
 
 uint32_t TraceSink::InternName(const std::string& name) {
@@ -76,7 +104,7 @@ void TraceSink::Emit(uint32_t track, uint32_t name, EventKind kind, int64_t i0,
   // The track's sequence counter is only incremented for events that are
   // actually stored somewhere (a dropped event burns no seq on other
   // threads' rings because a track has a single writer at a time).
-  event.seq = track_seq_[track]->fetch_add(1, std::memory_order_relaxed);
+  event.seq = TrackSeq(track).fetch_add(1, std::memory_order_relaxed);
   event.wall_seconds = WallSeconds();
   event.i0 = i0;
   event.i1 = i1;

@@ -95,7 +95,18 @@ class TraceSink {
     std::vector<TraceEvent> events;  ///< Append-only up to capacity.
   };
 
+  // Per-track seq counters live in chunks that never move, so Emit reads
+  // them without the mutex while InternTrack adds tracks. Chunk k holds
+  // kFirstSeqChunk << k counters; kNumSeqChunks chunks cover every uint32
+  // track id. InternTrack allocates a chunk under the mutex and publishes
+  // it with a release store that Emit's acquire load pairs with.
+  static constexpr uint32_t kFirstSeqChunk = 64;
+  static constexpr int kNumSeqChunks = 27;
+  using SeqCounter = std::atomic<uint64_t>;
+
   Ring* LocalRing();
+  /// The seq counter of an interned track.
+  SeqCounter& TrackSeq(uint32_t track);
 
   const size_t ring_capacity_;
   const uint64_t sink_id_;  ///< Unique per sink; keys the thread-local cache.
@@ -105,7 +116,8 @@ class TraceSink {
   std::vector<std::unique_ptr<Ring>> rings_;
   std::map<std::string, uint32_t> track_ids_;
   std::vector<std::string> track_names_;
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> track_seq_;
+  std::unique_ptr<SeqCounter[]> seq_chunk_owner_[kNumSeqChunks];
+  std::atomic<SeqCounter*> seq_chunks_[kNumSeqChunks] = {};
   std::map<std::string, uint32_t> name_ids_;
   std::vector<std::string> event_names_;
 

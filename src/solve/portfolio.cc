@@ -117,6 +117,12 @@ PortfolioResult PortfolioRunner::Run(
       result.winner = result.members[i].solver;
     }
   }
+  // `best` holds the winner's per-server load snapshots; the members' copies
+  // (a series per axis per used server, most of a result's memory) are
+  // released so callers that keep many results do not hold them all.
+  for (PortfolioMemberResult& member : result.members) {
+    member.plan.server_loads = {};
+  }
 
   result.early_stopped = incumbent.ShouldStop();
   result.incumbent_improvements = incumbent.improvements();

@@ -87,14 +87,21 @@ core::ConsolidationPlan TabuSolver::Solve(
   const long max_evals = budget.max_iterations;
   int since_improvement = 0;
 
+  // Per-slot scan scratch, reused across iterations.
+  std::vector<int> scan_targets;
+  std::vector<double> scan_deltas;
+  scan_targets.reserve(mask.targets.size());
+
   bool out_of_budget = false;
   while (evals < max_evals && !out_of_budget) {
     ++iteration;
 
     // Best-improvement scan over all (unpinned slot, server) relocations.
-    // Budget and the shared stop flag are checked inside the scan too: one
-    // scan costs ~slots*cap evaluations, which can dwarf the whole budget
-    // on large problems.
+    // Budget and the shared stop flag are checked per slot: one scan costs
+    // ~slots*cap evaluations, which can dwarf the whole budget on large
+    // problems. Each slot scores its whole target row in one
+    // MoveDeltaBatch call (bit-identical to per-target MoveDelta), so the
+    // from-side what-if is priced once per slot.
     double best_delta = std::numeric_limits<double>::infinity();
     int best_slot = -1, best_to = -1;
     for (int slot = 0; slot < slots && !out_of_budget; ++slot) {
@@ -106,10 +113,15 @@ core::ConsolidationPlan TabuSolver::Solve(
       }
       if (ev.PinOfSlot(slot) >= 0) continue;
       const int from = ev.assignment()[slot];
+      scan_targets.clear();
       for (int to : mask.targets) {
-        if (to == from) continue;
-        const double d = ev.MoveDelta(slot, to);
-        ++evals;
+        if (to != from) scan_targets.push_back(to);
+      }
+      ev.MoveDeltaBatch(slot, scan_targets, &scan_deltas);
+      evals += static_cast<long>(scan_targets.size());
+      for (size_t i = 0; i < scan_targets.size(); ++i) {
+        const int to = scan_targets[i];
+        const double d = scan_deltas[i];
         const bool is_tabu = tabu_until[slot * cap + to] > iteration;
         // Aspiration: a tabu move is allowed when it beats the best-ever.
         if (is_tabu && ev.current_cost() + d >= best_cost) continue;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "model/analytic.h"
+#include "sim/disk.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -123,18 +125,120 @@ TEST(EvaluatorTest, MoveDeltaMatchesFullRecompute) {
 }
 
 TEST(EvaluatorTest, ApplyMoveKeepsCostConsistent) {
-  ConsolidationProblem prob = SmallProblem(5, 0.8, 6.0);
-  Evaluator ev(prob, 3);
-  util::Rng rng(4);
-  std::vector<int> assignment(ev.num_slots(), 0);
-  ev.Load(assignment);
-  for (int i = 0; i < 100; ++i) {
-    const int slot = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
-    const int to = static_cast<int>(rng.UniformInt(0, 2));
-    ev.ApplyMove(slot, to);
+  // Without pins, and with workload 1 pinned to server 1 so the random
+  // walk moves its slot onto and off the pin: the cached cost and
+  // feasibility must track a fresh evaluation after every move.
+  for (const bool pinned : {false, true}) {
+    SCOPED_TRACE(pinned ? "pinned" : "free");
+    ConsolidationProblem prob = SmallProblem(5, 0.8, 6.0);
+    if (pinned) prob.workloads[1].pinned_server = 1;
+    Evaluator ev(prob, 3);
+    util::Rng rng(4);
+    std::vector<int> assignment(ev.num_slots(), 0);
+    ev.Load(assignment);
+    int onto_pin = 0, off_pin = 0;
+    for (int i = 0; i < 100; ++i) {
+      const int slot = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
+      const int to = static_cast<int>(rng.UniformInt(0, 2));
+      const int pin = ev.PinOfSlot(slot);
+      const int from = ev.assignment()[slot];
+      if (pin >= 0 && from != to) {
+        if (to == pin) ++onto_pin;
+        if (from == pin) ++off_pin;
+      }
+      ev.ApplyMove(slot, to);
+      Evaluator fresh(prob, 3);
+      fresh.Load(ev.assignment());
+      ASSERT_NEAR(ev.current_cost(), fresh.current_cost(),
+                  1e-6 * std::max(1.0, fresh.current_cost()))
+          << "move " << i;
+      ASSERT_EQ(ev.IsFeasible(), fresh.IsFeasible()) << "move " << i;
+    }
+    if (pinned) {
+      EXPECT_GT(onto_pin, 0);
+      EXPECT_GT(off_pin, 0);
+    }
   }
-  EXPECT_NEAR(ev.current_cost(), ev.Evaluate(ev.assignment()),
-              1e-6 * std::max(1.0, ev.current_cost()));
+}
+
+TEST(EvaluatorTest, ApplyMoveMatchesMoveDeltaBitwise) {
+  // Every delta term at once — a nonlinear disk axis, replicas, an
+  // anti-affinity pair, a pin, and a weighted migration term. An applied
+  // unpinned move must change the cached cost by exactly what MoveDelta
+  // predicted (the property that keeps every solver trajectory fixed), and
+  // a swap followed by its rollback must restore feasibility.
+  static const model::DiskModel disk_model = model::BuildAnalyticModel(
+      sim::DiskSpec::Raid10(), model::AnalyticConfig{}, 96e9, 2000);
+  util::Rng rng(11);
+  ConsolidationProblem prob;
+  prob.disk_model = &disk_model;
+  for (int i = 0; i < 10; ++i) {
+    const int samples = 24;
+    std::vector<double> cpu(samples), ram(samples), rows(samples);
+    for (int t = 0; t < samples; ++t) {
+      cpu[t] = rng.Uniform(0.1, 1.5);
+      ram[t] = rng.Uniform(1e9, 12e9);
+      rows[t] = rng.Uniform(10, 250);
+    }
+    monitor::WorkloadProfile p;
+    p.name = "w" + std::to_string(i);
+    p.cpu_cores = util::TimeSeries(300, cpu);
+    p.ram_bytes = util::TimeSeries(300, ram);
+    p.update_rows_per_sec = util::TimeSeries(300, rows);
+    p.working_set_bytes = rng.Uniform(1e9, 12e9);
+    prob.workloads.push_back(p);
+  }
+  prob.workloads[2].replicas = 2;
+  prob.workloads[5].replicas = 3;
+  prob.workloads[7].pinned_server = 3;
+  prob.anti_affinity = {{0, 1}, {3, 4}};
+  const int cap = 5;
+  const int slots = prob.TotalSlots();
+  for (const monitor::WorkloadProfile& w : prob.workloads) {
+    for (int r = 0; r < w.replicas; ++r) {
+      prob.current_assignment.push_back(
+          w.pinned_server >= 0 ? w.pinned_server
+                               : static_cast<int>(rng.UniformInt(0, cap - 1)));
+    }
+  }
+  prob.migration_cost_weight = 25.0;
+  for (int i = 0; i < 10; ++i) {
+    prob.migration_move_cost.push_back(rng.Uniform(0.5, 2.0));
+  }
+
+  Evaluator ev(prob, cap);
+  ev.Load(prob.current_assignment);
+  int swaps = 0, feasible_seen = 0, infeasible_seen = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int slot = static_cast<int>(rng.UniformInt(0, slots - 1));
+    if (ev.PinOfSlot(slot) >= 0) continue;
+    const int to = static_cast<int>(rng.UniformInt(0, cap - 1));
+    const double before = ev.current_cost();
+    const double delta = ev.MoveDelta(slot, to);
+    ev.ApplyMove(slot, to);
+    ASSERT_EQ(before + delta, ev.current_cost()) << "trial " << trial;
+    ++(ev.IsFeasible() ? feasible_seen : infeasible_seen);
+
+    const int a = static_cast<int>(rng.UniformInt(0, slots - 1));
+    const int b = static_cast<int>(rng.UniformInt(0, slots - 1));
+    if (ev.PinOfSlot(a) >= 0 || ev.PinOfSlot(b) >= 0) continue;
+    const int sa = ev.assignment()[a];
+    const int sb = ev.assignment()[b];
+    if (a == b || sa == sb) continue;
+    const bool feasible = ev.IsFeasible();
+    const std::vector<int> placed = ev.assignment();
+    ev.ApplyMove(a, sb);
+    ev.ApplyMove(b, sa);
+    ev.ApplyMove(b, sb);
+    ev.ApplyMove(a, sa);
+    ASSERT_EQ(ev.assignment(), placed);
+    ASSERT_EQ(ev.IsFeasible(), feasible) << "trial " << trial;
+    ++swaps;
+  }
+  EXPECT_GT(swaps, 50);
+  // The walk crossed the constraint boundary, so violation terms moved.
+  EXPECT_GT(feasible_seen, 0);
+  EXPECT_GT(infeasible_seen, 0);
 }
 
 TEST(EvaluatorTest, ServerLoadSnapshot) {

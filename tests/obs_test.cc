@@ -148,6 +148,39 @@ TEST(TraceSinkTest, PerThreadRingsMergeWithoutLoss) {
   }
 }
 
+TEST(TraceSinkTest, TracksInternedWhileOtherThreadsEmit) {
+  // Each thread interns its own tracks one at a time and emits on each
+  // right away, so interning (which crosses several seq-counter chunks at
+  // this track count) runs concurrently with other threads' Emit calls.
+  obs::TraceSink trace;
+  const uint32_t name = trace.InternName("e");
+  constexpr int kThreads = 4;
+  constexpr int kTracksPerThread = 100;
+  constexpr int kEventsPerTrack = 3;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&trace, name, t] {
+      for (int k = 0; k < kTracksPerThread; ++k) {
+        const uint32_t track = trace.InternTrack(
+            "thread/" + std::to_string(t) + "/" + std::to_string(k));
+        for (int i = 0; i < kEventsPerTrack; ++i) {
+          trace.Emit(track, name, obs::EventKind::kPoint, i);
+        }
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  const std::vector<obs::TraceEvent> merged = trace.MergedTrace();
+  ASSERT_EQ(merged.size(), size_t{kThreads} * kTracksPerThread * kEventsPerTrack);
+  // Every track's events carry seqs 0, 1, 2 in emission order.
+  for (size_t idx = 0; idx < merged.size(); ++idx) {
+    const int i = static_cast<int>(idx % kEventsPerTrack);
+    ASSERT_EQ(merged[idx].track, idx / kEventsPerTrack);
+    ASSERT_EQ(merged[idx].seq, static_cast<uint64_t>(i));
+    ASSERT_EQ(merged[idx].i0, i);
+  }
+}
+
 TEST(TraceSinkTest, BoundedRingDropsNewestAndCounts) {
   obs::TraceSink trace(/*ring_capacity=*/8);
   const uint32_t track = trace.InternTrack("t");

@@ -187,6 +187,12 @@ TEST(PortfolioTest, BeatsOrMatchesSingleEngine) {
   EXPECT_TRUE(result.best.feasible);
   EXPECT_LE(result.best.objective, engine_plan.objective);
   EXPECT_EQ(result.members.size(), 4u);
+  // Only the winner's per-server load snapshots are kept.
+  EXPECT_EQ(result.best.server_loads.size(),
+            static_cast<size_t>(result.best.servers_used));
+  for (const PortfolioMemberResult& member : result.members) {
+    EXPECT_TRUE(member.plan.server_loads.empty()) << member.solver;
+  }
 }
 
 TEST(PortfolioTest, DeterministicForFixedSeeds) {
