@@ -168,7 +168,7 @@ bool RunIngestSweep(bench::BenchReporter* reporter, bool smoke) {
       fp.push_back(stats.p95_cpu_cores);
       fp.push_back(stats.mean_cpu_cores);
       fp.push_back(stats.p95_ram_bytes);
-      fp.push_back(builder.LifetimeP95Cpu(w));
+      fp.push_back(stats.peak_cpu_cores);
     }
     return fp;
   };

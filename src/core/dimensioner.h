@@ -65,7 +65,7 @@ class FleetDimensioner {
  private:
   const ConsolidationProblem& problem_;
   ConsolidationEngine& engine_;
-  const EngineOptions& options_;
+  EngineOptions options_;
 };
 
 }  // namespace kairos::core

@@ -66,22 +66,32 @@ struct ProfileStats {
   double working_set_bytes = 0;
 };
 
-/// Mutable view of one signal's window samples, oldest first.
-struct WindowSpan {
-  double* data = nullptr;
+/// Read-only view of one signal's window held in a ring of `size` slots
+/// spaced `stride` doubles apart from `base`. Oldest first, the samples sit
+/// in slots oldest, oldest + 1, ..., size - 1, then 0, ..., oldest - 1; a
+/// plain array of n samples is the view {data, 1, 0, n}.
+struct WindowView {
+  const double* base = nullptr;
+  size_t stride = 1;
+  size_t oldest = 0;
   size_t size = 0;
 };
 
-/// The fingerprint kernel: mean (summed oldest first, like
-/// util::TimeSeries::Mean) and peak of each span, then each p95 selected in
-/// place — the spans come back reordered. Summarize and the streaming
-/// builder's Stats both call it, so the fingerprint has one definition.
-ProfileStats SummarizeWindow(WindowSpan cpu_cores, WindowSpan ram_bytes,
-                             WindowSpan update_rows_per_sec,
+/// The fingerprint kernel. One oldest-first pass reads the three windows
+/// side by side and, per window, sums for the mean (in
+/// util::TimeSeries::Mean's order), keeps the peak (std::max_element's
+/// first largest) and keeps the p95's upper tail in a util::UpperTail.
+/// Windows whose p95 tail is longer than util::kInsertionTail (W >= 142),
+/// or of unequal sizes, are gathered into per-thread scratch for
+/// util::PercentileInPlace instead. The views are only read. Summarize and
+/// the streaming builder's Stats both call it, so the fingerprint has one
+/// definition, byte-identical to sorting each window.
+ProfileStats SummarizeWindow(WindowView cpu_cores, WindowView ram_bytes,
+                             WindowView update_rows_per_sec,
                              double working_set_bytes);
 
-/// Computes the summary fingerprint of a profile (SummarizeWindow over a
-/// scratch copy of its series).
+/// Computes the summary fingerprint of a profile (SummarizeWindow over
+/// views of its series).
 ProfileStats Summarize(const WorkloadProfile& profile);
 
 }  // namespace kairos::monitor

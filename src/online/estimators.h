@@ -1,39 +1,17 @@
-// Incremental statistics for streaming telemetry: a P² quantile estimator
-// (Jain & Chlamtac), a fixed-capacity rolling window, and a decaying peak
-// tracker for working sets. These let the online controller maintain
-// per-workload profile statistics in O(1) per sample instead of re-scanning
-// history.
+// Incremental statistics for streaming telemetry: a fixed-capacity rolling
+// window and a decaying peak tracker for working sets. These let the online
+// controller maintain per-workload profile statistics in O(1) per sample
+// instead of re-scanning history.
 #ifndef KAIROS_ONLINE_ESTIMATORS_H_
 #define KAIROS_ONLINE_ESTIMATORS_H_
 
 #include <cstddef>
 #include <vector>
 
+#include "monitor/profile.h"
 #include "util/timeseries.h"
 
 namespace kairos::online {
-
-/// Streaming quantile estimation with the P² algorithm: five markers whose
-/// heights approximate the q-quantile without storing samples. Exact for
-/// the first five observations, O(1) memory and time per update.
-class P2Quantile {
- public:
-  /// `q` in (0, 1), e.g. 0.95 for the p95.
-  explicit P2Quantile(double q);
-
-  void Add(double x);
-  /// Current estimate (exact below 5 samples; 0 when empty).
-  double Estimate() const;
-  size_t count() const { return count_; }
-
- private:
-  double q_;
-  size_t count_ = 0;
-  double heights_[5];
-  double positions_[5];
-  double desired_[5];
-  double increments_[5];
-};
 
 /// Last-W samples of one signal, with window statistics and export to the
 /// profile time-series format. Push is O(1) (ring buffer); the statistics
@@ -84,7 +62,7 @@ class DecayingMax {
 // CommitStep() to advance the shared step counters. Because each stream's
 // update reads and writes only that stream's slice plus shared read-only
 // step state, the bank's contents after k committed steps are bit-identical
-// to k Push/Add calls on N independent scalar estimator objects — no matter
+// to k Push calls on N independent scalar estimator objects — no matter
 // how the streams were partitioned across threads. The scalar classes are
 // the reference semantics; the banks are the hot path.
 // ---------------------------------------------------------------------------
@@ -107,11 +85,15 @@ class RollingWindowBank {
   size_t size() const { return size_; }
   bool full() const { return size_ == capacity_; }
 
-  /// Writes stream w's size() window samples to `out`, oldest first — the
-  /// order RollingWindow::ToSeries exports. Allocation-free.
-  void CopyOrdered(int w, double* out) const;
+  /// Stream w's size() window samples in place: its column of the ring,
+  /// read oldest first from slot start_ (what monitor::SummarizeWindow
+  /// takes).
+  monitor::WindowView Window(int w) const {
+    return {values_.data() + w, static_cast<size_t>(streams_), start_, size_};
+  }
 
-  /// CopyOrdered into a fresh TimeSeries.
+  /// Stream w's window, oldest first — the order RollingWindow::ToSeries
+  /// exports.
   util::TimeSeries ToSeries(int w) const;
 
  private:
@@ -122,36 +104,6 @@ class RollingWindowBank {
   size_t start_ = 0;  ///< oldest slot once full (== scalar start_)
   std::vector<double> values_;  ///< [slot * streams + w]
   double* write_row_;           ///< &values_[write_slot * streams]
-};
-
-/// N P² estimators for the same quantile. Marker heights/positions are
-/// per-stream; the sample count and the desired-position ladder are shared
-/// (they depend only on q and the step count, which lockstep makes common
-/// to every stream) and advance by the same single FP addition per step
-/// that the scalar estimator performs — keeping the math bit-identical.
-class P2QuantileBank {
- public:
-  P2QuantileBank(int streams, double q);
-
-  /// Stream w's value for the current step (one per stream per step;
-  /// disjoint streams may be updated concurrently).
-  void Add(int w, double x);
-
-  /// Call exactly once per step, after every stream was added.
-  void CommitStep();
-
-  double Estimate(int w) const;
-  size_t count() const { return count_; }  ///< committed samples per stream
-
- private:
-  int streams_;
-  double q_;
-  size_t count_ = 0;
-  double increments_[5];
-  double desired_[5];       ///< ladder after count_ committed samples
-  double desired_step_[5];  ///< ladder Add() must see for the current step
-  std::vector<double> heights_;    ///< [w * 5 + i]
-  std::vector<double> positions_;  ///< [w * 5 + i]
 };
 
 /// N DecayingMax trackers. Stateless across streams: no commit needed.

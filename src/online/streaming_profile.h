@@ -1,8 +1,8 @@
 // StreamingProfileBuilder: turns a telemetry stream into rolling
 // monitor::WorkloadProfiles the consolidation solver can re-solve against.
-// Each workload keeps the last W samples (the solver's time-varying view),
-// a P² estimator for the lifetime p95, and a decaying-max working-set
-// estimate — all O(1) per sample.
+// Each workload keeps the last W samples (the solver's time-varying view)
+// and a decaying-max working-set estimate, both O(1) per sample; the
+// rolling profile and its drift fingerprint read nothing else.
 //
 // State lives in SoA estimator banks (online/estimators.h): flat per-signal
 // arrays updated by a batch hot loop, not per-workload objects. The batch
@@ -51,19 +51,16 @@ class StreamingProfileBuilder {
   /// metadata stay with the caller's problem template).
   monitor::WorkloadProfile Profile(int w) const;
 
-  /// Window fingerprint of workload `w` (p95/mean over the last W samples);
-  /// bit-identical to monitor::Summarize(Profile(w)) without building the
-  /// profile. Safe to call concurrently.
+  /// Window fingerprint of workload `w` (p95/mean/peak over the last W
+  /// samples), read from the window banks in place; bit-identical to
+  /// monitor::Summarize(Profile(w)) without building the profile. Safe to
+  /// call concurrently.
   monitor::ProfileStats Stats(int w) const;
-
-  /// Lifetime p95 CPU of workload `w` from the P² estimator (reporting).
-  double LifetimeP95Cpu(int w) const { return p95_cpu_.Estimate(w); }
 
  private:
   int num_workloads_;
   size_t samples_seen_ = 0;
   RollingWindowBank cpu_, ram_, rate_;
-  P2QuantileBank p95_cpu_;
   DecayingMaxBank working_set_;
 };
 

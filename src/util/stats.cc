@@ -32,55 +32,26 @@ double Accumulator::Variance() const {
 
 double Accumulator::Stddev() const { return std::sqrt(Variance()); }
 
-namespace {
-
-/// Upper tails up to this many values are kept by one insertion pass;
-/// longer ones go through std::nth_element.
-constexpr size_t kInsertionTail = 8;
-
-}  // namespace
-
 double PercentileInPlace(double* first, double* last, double p) {
   const size_t n = static_cast<size_t>(last - first);
   if (n == 0) return 0.0;
   if (p <= 0.0) return *std::min_element(first, last);
   if (p >= 100.0) return *std::max_element(first, last);
-  const double rank = p / 100.0 * static_cast<double>(n - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= n) return *std::max_element(first, last);
-
-  // The interpolation reads only the order statistics lo and lo + 1, i.e.
-  // the two smallest values of the upper tail of n - lo values.
-  const size_t tail = n - lo;
-  double at_lo = 0.0;
-  double at_next = 0.0;
-  if (tail <= kInsertionTail) {
-    // [first, first + tail) holds the tail largest values seen so far,
-    // ascending; each later value larger than the smallest kept one
-    // evicts it and sinks into place.
-    double* kept_end = first + tail;
-    for (double* it = first + 1; it != kept_end; ++it) {
-      const double x = *it;
-      double* hole = it;
-      for (; hole != first && x < hole[-1]; --hole) *hole = hole[-1];
-      *hole = x;
-    }
-    for (double* it = kept_end; it != last; ++it) {
-      const double x = *it;
-      if (!(first[0] < x)) continue;
-      double* hole = first;
-      for (; hole + 1 != kept_end && hole[1] < x; ++hole) *hole = hole[1];
-      *hole = x;
-    }
-    at_lo = first[0];
-    at_next = first[1];
-  } else {
-    std::nth_element(first, first + lo, last);
-    at_lo = first[lo];
-    at_next = *std::min_element(first + lo + 1, last);
+  const PercentileRank rank(n, p);
+  if (rank.tail < 2) return *std::max_element(first, last);
+  if (rank.tail <= kInsertionTail) {
+    return WithUpperTail(rank.tail, [&](auto k) {
+      constexpr size_t kTail = decltype(k)::value;
+      UpperTail<kTail> top;
+      const double* it = first;
+      for (; it != first + kTail; ++it) top.Sink(*it);
+      for (; it != last; ++it) top.Rise(*it);
+      return rank.Interpolate(top[0], top[1]);
+    });
   }
-  return at_lo * (1.0 - frac) + at_next * frac;
+  std::nth_element(first, first + rank.lo, last);
+  return rank.Interpolate(first[rank.lo],
+                          *std::min_element(first + rank.lo + 1, last));
 }
 
 double Percentile(std::vector<double> values, double p) {

@@ -22,28 +22,6 @@ namespace {
 // Streaming estimators
 // ---------------------------------------------------------------------------
 
-TEST(EstimatorsTest, P2QuantileApproximatesExactP95) {
-  util::Rng rng(7);
-  std::vector<double> samples;
-  P2Quantile p2(0.95);
-  for (int i = 0; i < 4000; ++i) {
-    const double x = rng.Exponential(10.0);
-    samples.push_back(x);
-    p2.Add(x);
-  }
-  std::sort(samples.begin(), samples.end());
-  const double exact = samples[static_cast<size_t>(0.95 * samples.size())];
-  EXPECT_NEAR(p2.Estimate(), exact, 0.10 * exact);
-}
-
-TEST(EstimatorsTest, P2QuantileExactForFewSamples) {
-  P2Quantile p2(0.5);
-  p2.Add(3.0);
-  p2.Add(1.0);
-  p2.Add(2.0);
-  EXPECT_DOUBLE_EQ(p2.Estimate(), 2.0);
-}
-
 TEST(EstimatorsTest, RollingWindowKeepsLastW) {
   RollingWindow window(3, 1.0);
   for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) window.Push(v);
@@ -78,7 +56,8 @@ TEST(EstimatorsTest, StreamingProfileBuilderWindowsAndStats) {
   const monitor::ProfileStats stats = builder.Stats(0);
   EXPECT_DOUBLE_EQ(stats.peak_cpu_cores, 10.0);
   EXPECT_DOUBLE_EQ(stats.mean_cpu_cores, (7.0 + 8.0 + 9.0 + 10.0) / 4.0);
-  EXPECT_GT(builder.LifetimeP95Cpu(0), builder.Stats(1).p95_cpu_cores);
+  // Rank 0.95 * 3 = 2.85 over {7, 8, 9, 10}: 9 * 0.15 + 10 * 0.85.
+  EXPECT_DOUBLE_EQ(stats.p95_cpu_cores, 9.85);
 }
 
 // ---------------------------------------------------------------------------
