@@ -157,31 +157,76 @@ BENCHMARK(BM_EvaluatorMoveDeltaDisk);
 
 void BM_EvaluatorMoveDeltaBatched(benchmark::State& state) {
   // The batched counterpart of BM_EvaluatorMoveDeltaDisk: one slot scored
-  // against all 24 candidate targets per MoveDeltaBatch call (the
+  // against every server of the fleet per MoveDeltaBatch call (the
   // cross-shard rebalancer's access pattern). Items processed counts
   // *candidate moves*, directly comparable to the scalar bench's rate —
   // the batch amortizes the slot-removal half of the delta across the
-  // whole target row.
+  // whole target row. Args: fleet size, servers [0, used) the slots spread
+  // over (24 of 24 overloads most of them; 72 of 96 keeps all but one
+  // within capacity and leaves 24 targets empty), and whether the batch
+  // passes LocalSearch's -1e-9 cutoff, under which an empty target whose
+  // floor cannot improve is not priced.
+  const int servers = static_cast<int>(state.range(0));
+  const int used = static_cast<int>(state.range(1));
+  const bool cutoff = state.range(2) != 0;
   auto prob = MakeProblem(196, 288);
   static const model::DiskModel disk_model = model::BuildAnalyticModel(
       sim::DiskSpec::Raid10(), model::AnalyticConfig{}, 96e9, 2000);
   prob.disk_model = &disk_model;
-  core::Evaluator ev(prob, 24);
+  core::Evaluator ev(prob, servers);
   util::Rng rng(3);
   std::vector<int> assignment(ev.num_slots());
-  for (auto& a : assignment) a = static_cast<int>(rng.UniformInt(0, 23));
+  for (auto& a : assignment) a = static_cast<int>(rng.UniformInt(0, used - 1));
   ev.Load(assignment);
-  std::vector<int> targets(24);
-  for (int j = 0; j < 24; ++j) targets[j] = j;
+  std::vector<int> targets(servers);
+  for (int j = 0; j < servers; ++j) targets[j] = j;
   std::vector<double> deltas;
   for (auto _ : state) {
     const int slot = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
-    ev.MoveDeltaBatch(slot, targets, &deltas);
+    if (cutoff) {
+      ev.MoveDeltaBatch(slot, targets, &deltas, -1e-9);
+    } else {
+      ev.MoveDeltaBatch(slot, targets, &deltas);
+    }
     benchmark::DoNotOptimize(deltas.data());
   }
   state.SetItemsProcessed(state.iterations() * targets.size());
 }
-BENCHMARK(BM_EvaluatorMoveDeltaBatched);
+BENCHMARK(BM_EvaluatorMoveDeltaBatched)
+    ->Args({24, 24, 0})
+    ->Args({96, 72, 0})
+    ->Args({96, 72, 1});
+
+void BM_EvaluateDirectWalk(benchmark::State& state) {
+  // One DIRECT-like run: 4000 assignments, each one slot away from an
+  // earlier one, evaluated in order — without (arg 0) or with (arg 1) a
+  // ServerCostMemo that lives for the run, as in the engine's RunDirect.
+  // Items processed counts evaluations.
+  const bool use_memo = state.range(0) != 0;
+  const auto prob = MakeProblem(64, 288);
+  const int servers = 12;
+  core::Evaluator ev(prob, servers);
+  util::Rng rng(5);
+  std::vector<std::vector<int>> walk(1, std::vector<int>(ev.num_slots()));
+  for (auto& a : walk[0]) a = static_cast<int>(rng.UniformInt(0, servers - 1));
+  while (walk.size() < 4000) {
+    std::vector<int> next = walk[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(walk.size()) - 1))];
+    next[static_cast<size_t>(rng.UniformInt(0, ev.num_slots() - 1))] =
+        static_cast<int>(rng.UniformInt(0, servers - 1));
+    walk.push_back(std::move(next));
+  }
+  for (auto _ : state) {
+    core::ServerCostMemo memo;
+    double sum = 0;
+    for (const std::vector<int>& a : walk) {
+      sum += ev.Evaluate(a, use_memo ? &memo : nullptr);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * walk.size());
+}
+BENCHMARK(BM_EvaluateDirectWalk)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_EvaluatorApplyMove(benchmark::State& state) {
   const auto prob = MakeProblem(196, 288);

@@ -121,16 +121,10 @@ Evaluator* ConsolidationEngine::EvaluatorFor(int k,
   return owned->get();
 }
 
-Assignment ConsolidationEngine::RunDirect(int k, int budget, double target_value,
-                                          int* evals_out,
-                                          const std::vector<int>* targets_override,
-                                          Evaluator* reuse_ev) {
-  std::unique_ptr<Evaluator> owned_ev;
-  Evaluator* ev = reuse_ev;
-  if (ev == nullptr) {
-    owned_ev = std::make_unique<Evaluator>(problem_, k);
-    ev = owned_ev.get();
-  }
+Assignment ConsolidationEngine::RunDirect(Evaluator* ev, int budget,
+                                          double target_value, int* evals_out,
+                                          const std::vector<int>* targets_override) {
+  const int k = ev->max_servers();
   const sim::FleetSpec::PlacementMask mask = problem_.fleet.PlacementTargets(k);
   const std::vector<int>* targets =
       targets_override != nullptr ? targets_override
@@ -141,8 +135,11 @@ Assignment ConsolidationEngine::RunDirect(int k, int budget, double target_value
   opts.max_evaluations = budget;
   opts.epsilon = options_.direct_epsilon;
   opts.target_value = target_value;
+  // Each DIRECT point moves one coordinate of an evaluated centre, so most
+  // of its servers hold a slot set the run has already priced.
+  ServerCostMemo memo;
   const auto objective = [&](const std::vector<double>& x) {
-    return ev->Evaluate(DecodePoint(x, k, targets).server_of_slot);
+    return ev->Evaluate(DecodePoint(x, k, targets).server_of_slot, &memo);
   };
   const opt::DirectResult res = direct.Minimize(objective, dims, opts);
   if (evals_out) *evals_out = res.evaluations;
@@ -200,7 +197,9 @@ void ConsolidationEngine::LocalSearch(Evaluator* ev, int max_sweeps, util::Rng* 
         if (j != cur) batch_targets.push_back(j);
       }
       if (batch_targets.empty()) continue;
-      ev->MoveDeltaBatch(slot, batch_targets, &batch_deltas);
+      // Only a delta below -1e-9 can win, so an empty target whose floor
+      // is already at or above that needs no pricing.
+      ev->MoveDeltaBatch(slot, batch_targets, &batch_deltas, -1e-9);
       double best_delta = -1e-9;
       int best_to = -1;
       for (size_t i = 0; i < batch_targets.size(); ++i) {
@@ -268,7 +267,7 @@ bool ConsolidationEngine::ProbeKImpl(int k, int direct_budget, Assignment* out) 
   const double feasible_threshold =
       BoundEngine::PrefixFeasibleThreshold(problem_, ev.accountant(), k);
   int evals = 0;
-  Assignment candidate = RunDirect(k, direct_budget, feasible_threshold, &evals);
+  Assignment candidate = RunDirect(&ev, direct_budget, feasible_threshold, &evals);
   evaluations_ += evals;
   ev.Load(candidate.server_of_slot);
   if (!ev.IsFeasible()) {
@@ -324,7 +323,7 @@ bool ConsolidationEngine::ProbeServersImpl(const std::vector<int>& servers,
       BoundEngine::SubsetFeasibleThreshold(ev->accountant(), servers);
   int evals = 0;
   Assignment candidate =
-      RunDirect(k, direct_budget, feasible_threshold, &evals, &servers, ev);
+      RunDirect(ev, direct_budget, feasible_threshold, &evals, &servers);
   evaluations_ += evals;
   ev->Load(candidate.server_of_slot);
   if (!ev->IsFeasible()) {
@@ -445,11 +444,11 @@ ConsolidationPlan ConsolidationEngine::Solve() {
   } else {
     // Ablation: one full-space solve (no bounding of K).
     int evals = 0;
-    const Assignment direct_a = RunDirect(hard_cap, options_.direct_evaluations,
-                                          -1e300, &evals);
+    Evaluator ev(problem_, hard_cap);
+    const Assignment direct_a =
+        RunDirect(&ev, options_.direct_evaluations, -1e300, &evals);
     evaluations_ += evals;
     util::Rng rng(options_.seed);
-    Evaluator ev(problem_, hard_cap);
     ev.Load(direct_a.server_of_slot);
     LocalSearch(&ev, options_.local_search_max_sweeps, &rng);
     best.server_of_slot = ev.assignment();
@@ -548,7 +547,7 @@ ConsolidationPlan ConsolidationEngine::PolishPlan(const Assignment& incumbent, i
       !(options_.should_stop && options_.should_stop())) {
     int evals = 0;
     Assignment polished =
-        RunDirect(k, options_.direct_evaluations, -1e300, &evals, targets, ev);
+        RunDirect(ev, options_.direct_evaluations, -1e300, &evals, targets);
     evaluations_ += evals;
     ev->Load(polished.server_of_slot);
     LocalSearch(ev, options_.local_search_max_sweeps, &rng, targets);

@@ -190,14 +190,14 @@ class ConsolidationEngine {
   void LocalSearch(Evaluator* ev, int max_sweeps, util::Rng* rng,
                    const std::vector<int>* targets = nullptr);
 
-  /// DIRECT over the slot->server encoding with `k` servers. A non-null
-  /// `targets` overrides the fleet placement mask with an explicit subset.
-  /// A non-null `reuse_ev` (which must be sized for `k` servers) serves
-  /// the objective evaluations instead of a freshly built Evaluator; only
-  /// its scratch is touched, never its Load state.
-  Assignment RunDirect(int k, int budget, double target_value, int* evals_out,
-                       const std::vector<int>* targets = nullptr,
-                       Evaluator* reuse_ev = nullptr);
+  /// DIRECT over the slot->server encoding with `ev->max_servers()`
+  /// servers, scored by `ev`'s one-shot Evaluate: only its scratch is
+  /// touched, never its Load state, so the caller's probe or polish
+  /// evaluator serves. A non-null `targets` overrides the fleet placement
+  /// mask with an explicit subset.
+  Assignment RunDirect(Evaluator* ev, int budget, double target_value,
+                       int* evals_out,
+                       const std::vector<int>* targets = nullptr);
 
   /// An Evaluator sized for `k` servers: the cached full-cap instance when
   /// probe-context reuse is on and `k` is the problem's cap (the

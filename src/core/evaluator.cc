@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "obs/sink.h"
 
@@ -35,8 +36,75 @@ void FlushEvalOps(obs::Sink* sink) {
       sink->metrics().counter("evaluator.apply_move_ops")
           ->Add(tl_eval_ops.apply_move_ops);
     }
+    if (tl_eval_ops.floor_skips > 0) {
+      sink->metrics().counter("evaluator.floor_skips")
+          ->Add(tl_eval_ops.floor_skips);
+    }
+    if (tl_eval_ops.memo_hits > 0) {
+      sink->metrics().counter("evaluator.memo_hits")->Add(tl_eval_ops.memo_hits);
+    }
   }
   tl_eval_ops = EvalOpCounts{};
+}
+
+void CountFloorSkip() {
+  ++tl_eval_ops.move_delta_ops;
+  ++tl_eval_ops.floor_skips;
+}
+
+uint64_t ServerCostMemo::Hash(int klass, const int* slots, int count) {
+  uint64_t h = 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(klass) + 1);
+  for (int i = 0; i < count; ++i) {
+    h = (h ^ static_cast<uint32_t>(slots[i])) * 0x100000001B3ULL;
+  }
+  // Fold the high bits down: the index masks the low ones.
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  return h;
+}
+
+size_t ServerCostMemo::Probe(uint64_t hash, int klass, const int* slots,
+                             int count) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t b = hash & mask;; b = (b + 1) & mask) {
+    if (index_[b] == 0) return b;
+    const Entry& e = entries_[index_[b] - 1];
+    if (e.hash == hash && e.klass == klass && e.count == count &&
+        std::memcmp(pool_.data() + e.offset, slots,
+                    static_cast<size_t>(count) * sizeof(int)) == 0) {
+      return b;
+    }
+  }
+}
+
+const double* ServerCostMemo::Find(int klass, const int* slots,
+                                   int count) const {
+  if (index_.empty()) return nullptr;
+  const uint32_t e =
+      index_[Probe(Hash(klass, slots, count), klass, slots, count)];
+  return e == 0 ? nullptr : &entries_[e - 1].cost;
+}
+
+void ServerCostMemo::Insert(int klass, const int* slots, int count,
+                            double cost) {
+  // Keep the index at most half full so probe runs stay short.
+  if (2 * (entries_.size() + 1) > index_.size()) {
+    index_.assign(std::max<size_t>(64, 2 * index_.size()), 0);
+    const size_t mask = index_.size() - 1;
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      size_t b = entries_[i].hash & mask;
+      while (index_[b] != 0) b = (b + 1) & mask;
+      index_[b] = static_cast<uint32_t>(i + 1);
+    }
+  }
+  const uint64_t hash = Hash(klass, slots, count);
+  const size_t b = Probe(hash, klass, slots, count);
+  assert(index_[b] == 0);
+  entries_.push_back({hash, cost, static_cast<uint32_t>(pool_.size()), klass,
+                      count});
+  pool_.insert(pool_.end(), slots, slots + count);
+  index_[b] = static_cast<uint32_t>(entries_.size());
 }
 
 Evaluator::Evaluator(const ConsolidationProblem& problem, int max_servers)
@@ -79,6 +147,11 @@ Evaluator::Evaluator(const ConsolidationProblem& problem, int max_servers)
       affinity_partners_[wb].push_back(wa);
     }
   }
+
+  bucket_begin_.resize(max_servers_ + 1);
+  bucket_fill_.resize(max_servers_);
+  bucket_slots_.resize(acct_.num_slots());
+  rows_.resize(static_cast<size_t>(kNumAxes) * acct_.num_samples());
 }
 
 template <typename CpuAt, typename RamAt, typename RateAt>
@@ -145,64 +218,72 @@ double Evaluator::AffinityViolations(const std::vector<int>& assignment) const {
   return units;
 }
 
-void Evaluator::ResetScratch() const {
-  const size_t rows = static_cast<size_t>(max_servers_) * acct_.num_samples();
-  if (scratch_ws_.empty()) {
-    for (auto& axis : scratch_) axis.assign(rows, 0.0);
-    scratch_ws_.assign(max_servers_, 0.0);
-    scratch_count_.assign(max_servers_, 0);
-    return;
-  }
-  for (int j : scratch_dirty_) {
-    for (auto& axis : scratch_) {
-      std::fill_n(axis.begin() + static_cast<size_t>(j) * acct_.num_samples(),
-                  acct_.num_samples(), 0.0);
+double Evaluator::PriceSlots(int klass, const int* slots, int count) const {
+  const int samples = acct_.num_samples();
+  double* cpu = rows_.data();
+  double* ram = cpu + samples;
+  double* rate = ram + samples;
+  std::fill(rows_.begin(), rows_.end(), 0.0);
+  double ws = 0.0;
+  for (int i = 0; i < count; ++i) {
+    const int s = slots[i];
+    const double* sl_cpu = acct_.SlotSeries(Axis::kCpu, s);
+    const double* sl_ram = acct_.SlotSeries(Axis::kRam, s);
+    const double* sl_rate = acct_.SlotSeries(Axis::kRate, s);
+    for (int t = 0; t < samples; ++t) {
+      cpu[t] += sl_cpu[t];
+      ram[t] += sl_ram[t];
+      rate[t] += sl_rate[t];
     }
-    scratch_ws_[j] = 0.0;
-    scratch_count_[j] = 0;
+    ws += acct_.SlotWs(s);
   }
-  scratch_dirty_.clear();
+  return ServerCostOf(
+      klass, ws, count, [&](int t) { return cpu[t]; },
+      [&](int t) { return ram[t]; }, [&](int t) { return rate[t]; }, nullptr);
 }
 
-double Evaluator::Evaluate(const std::vector<int>& assignment) const {
+double Evaluator::Evaluate(const std::vector<int>& assignment,
+                           ServerCostMemo* memo) const {
   ++tl_eval_ops.evaluate_ops;
   const int num_slots = acct_.num_slots();
-  const int samples = acct_.num_samples();
   assert(static_cast<int>(assignment.size()) == num_slots);
-  ResetScratch();
+  // Bucket the slots by server with a counting sort, which keeps each
+  // server's slots in slot order.
+  std::fill(bucket_begin_.begin(), bucket_begin_.end(), 0);
   double pin_penalty = 0;
   for (int s = 0; s < num_slots; ++s) {
     const int j = assignment[s];
     assert(j >= 0 && j < max_servers_);
-    if (scratch_count_[j] == 0) scratch_dirty_.push_back(j);
-    const size_t base = static_cast<size_t>(j) * samples;
-    const double* sl_cpu = acct_.SlotSeries(Axis::kCpu, s);
-    const double* sl_ram = acct_.SlotSeries(Axis::kRam, s);
-    const double* sl_rate = acct_.SlotSeries(Axis::kRate, s);
-    double* dst_cpu = scratch_[static_cast<int>(Axis::kCpu)].data() + base;
-    double* dst_ram = scratch_[static_cast<int>(Axis::kRam)].data() + base;
-    double* dst_rate = scratch_[static_cast<int>(Axis::kRate)].data() + base;
-    for (int t = 0; t < samples; ++t) {
-      dst_cpu[t] += sl_cpu[t];
-      dst_ram[t] += sl_ram[t];
-      dst_rate[t] += sl_rate[t];
-    }
-    scratch_ws_[j] += acct_.SlotWs(s);
-    scratch_count_[j] += 1;
+    ++bucket_begin_[j + 1];
     if (acct_.PinOfSlot(s) >= 0 && acct_.PinOfSlot(s) != j) {
       pin_penalty += kPinPenalty;
     }
   }
+  for (int j = 0; j < max_servers_; ++j) {
+    bucket_begin_[j + 1] += bucket_begin_[j];
+    bucket_fill_[j] = bucket_begin_[j];
+  }
+  for (int s = 0; s < num_slots; ++s) {
+    bucket_slots_[bucket_fill_[assignment[s]]++] = s;
+  }
+  // Ascending server order, as the incremental cache sums. An empty server
+  // costs exactly 0.0, so skipping it leaves the sum's bits unchanged.
   double cost = pin_penalty;
   for (int j = 0; j < max_servers_; ++j) {
-    const size_t base = static_cast<size_t>(j) * samples;
-    const double* cpu = scratch_[static_cast<int>(Axis::kCpu)].data() + base;
-    const double* ram = scratch_[static_cast<int>(Axis::kRam)].data() + base;
-    const double* rate = scratch_[static_cast<int>(Axis::kRate)].data() + base;
-    cost += ServerCostOf(
-        acct_.ClassOfServer(j), scratch_ws_[j], scratch_count_[j],
-        [&](int t) { return cpu[t]; }, [&](int t) { return ram[t]; },
-        [&](int t) { return rate[t]; }, nullptr);
+    const int* slots = bucket_slots_.data() + bucket_begin_[j];
+    const int count = bucket_begin_[j + 1] - bucket_begin_[j];
+    if (count == 0) continue;
+    const int klass = acct_.ClassOfServer(j);
+    if (memo == nullptr) {
+      cost += PriceSlots(klass, slots, count);
+    } else if (const double* hit = memo->Find(klass, slots, count)) {
+      ++tl_eval_ops.memo_hits;
+      cost += *hit;
+    } else {
+      const double server_cost = PriceSlots(klass, slots, count);
+      memo->Insert(klass, slots, count, server_cost);
+      cost += server_cost;
+    }
   }
   const double aff = AffinityViolations(assignment);
   if (aff > 0) cost += aff * (kViolationBase + kViolationScale * kAffinityUnit);
@@ -280,8 +361,32 @@ double Evaluator::MoveDelta(int slot, int to) const {
   return delta;
 }
 
+double Evaluator::MoveDeltaFloor(int slot, int to) const {
+  const int from = assignment_[slot];
+  if (to == from) return 0.0;
+  if (acct_.PinOfSlot(slot) >= 0 && to != acct_.PinOfSlot(slot)) {
+    return kPinPenalty;
+  }
+  if (acct_.ServerCount(to) != 0) {
+    return -std::numeric_limits<double>::infinity();
+  }
+  // MoveDelta's expression with each what-if cost replaced by a bound on
+  // it: `from` keeps at least the used-server term while other slots
+  // remain and costs exactly 0.0 once the slot leaves it alone; `to`, empty
+  // now, is used afterwards.
+  const double from_floor =
+      acct_.ServerCount(from) > 1 ? UsedServerFloor(from) : 0.0;
+  double delta = from_floor - server_cost_[from] + UsedServerFloor(to) -
+                 server_cost_[to];
+  delta += (SlotAffinity(slot, to) - SlotAffinity(slot, from)) *
+           (kViolationBase + kViolationScale * kAffinityUnit);
+  delta += SlotMigrationCost(slot, to) - SlotMigrationCost(slot, from);
+  return delta;
+}
+
 void Evaluator::MoveDeltaBatch(int slot, const std::vector<int>& targets,
-                               std::vector<double>* deltas) const {
+                               std::vector<double>* deltas,
+                               double cutoff) const {
   tl_eval_ops.move_delta_ops += static_cast<int64_t>(targets.size());
   deltas->resize(targets.size());
   if (targets.empty()) return;
@@ -304,11 +409,21 @@ void Evaluator::MoveDeltaBatch(int slot, const std::vector<int>& targets,
       (*deltas)[i] = kPinPenalty;
       continue;
     }
-    double delta = base + WhatIfCost(to, slot, +1.0) - server_cost_[to];
-    delta += (SlotAffinity(slot, to) - aff_from) *
-             (kViolationBase + kViolationScale * kAffinityUnit);
-    delta += SlotMigrationCost(slot, to) - mig_from;
-    (*deltas)[i] = delta;
+    const double aff = (SlotAffinity(slot, to) - aff_from) *
+                       (kViolationBase + kViolationScale * kAffinityUnit);
+    const double mig = SlotMigrationCost(slot, to) - mig_from;
+    if (acct_.ServerCount(to) == 0) {
+      // The floor of MoveDeltaFloor on the exact from-side, in the same
+      // operation order as the exact delta below.
+      const double floor =
+          base + UsedServerFloor(to) - server_cost_[to] + aff + mig;
+      if (floor >= cutoff) {
+        ++tl_eval_ops.floor_skips;
+        (*deltas)[i] = floor;
+        continue;
+      }
+    }
+    (*deltas)[i] = base + WhatIfCost(to, slot, +1.0) - server_cost_[to] + aff + mig;
   }
 }
 

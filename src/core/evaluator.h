@@ -16,14 +16,15 @@
 // nonlinear model::DiskResource). The evaluator owns only the objective
 // shape — exp-balance, violation penalties, affinity/pin/migration terms.
 //
-// Supports both one-shot evaluation (for DIRECT) and cached incremental
-// move evaluation (for the local-search polish). Instances are not
-// thread-safe (Evaluate() reuses internal scratch buffers); portfolio
-// solvers each construct their own.
+// Supports both one-shot evaluation (for DIRECT, optionally through a
+// ServerCostMemo) and cached incremental move evaluation (for the
+// local-search polish). Instances are not thread-safe (Evaluate() reuses
+// internal scratch buffers); portfolio solvers each construct their own.
 #ifndef KAIROS_CORE_EVALUATOR_H_
 #define KAIROS_CORE_EVALUATOR_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/bounds.h"
@@ -42,21 +43,64 @@ namespace kairos::core {
 /// FlushEvalOps(sink) after (portfolio workers flush per member, the
 /// controller per resolve, the engine per Solve). move_delta_ops counts
 /// candidate moves scored (one per MoveDelta, one per MoveDeltaBatch
-/// target); an ApplyMove prices its two servers itself and counts only as
-/// an apply op.
+/// target, one per CountFloorSkip) whether a pricing or a floor decided
+/// them; floor_skips counts those a MoveDeltaFloor decided without a
+/// pricing. An ApplyMove prices its two servers itself and counts only as
+/// an apply op. memo_hits counts server costs Evaluate reused from a
+/// ServerCostMemo instead of pricing.
 struct EvalOpCounts {
   int64_t evaluate_ops = 0;
   int64_t move_delta_ops = 0;
   int64_t apply_move_ops = 0;
+  int64_t floor_skips = 0;
+  int64_t memo_hits = 0;
 };
 
 /// Zeroes the calling thread's tallies (start of an instrumented region).
 void ResetEvalOps();
 /// The calling thread's tallies since the last reset.
 EvalOpCounts CurrentEvalOps();
-/// Adds the calling thread's tallies to the sink's "evaluator.*_ops"
-/// counters and zeroes them. A null sink only zeroes.
+/// Adds the calling thread's tallies to the sink's "evaluator.*_ops",
+/// "evaluator.floor_skips" and "evaluator.memo_hits" counters and zeroes
+/// them. A null sink only zeroes.
 void FlushEvalOps(obs::Sink* sink);
+/// Tallies one candidate move that a caller decided on a MoveDeltaFloor
+/// alone, outside MoveDeltaBatch (anneal's floor reject): one move_delta
+/// op and one floor skip.
+void CountFloorSkip();
+
+/// Server costs of one DIRECT run, keyed by (machine class, ordered slot
+/// set). Evaluate sums a server's rows from zero in slot order, so a
+/// server's cost is a pure function of that key and a hit returns the bits
+/// a pricing would. Flat storage — one key pool, one entry array and an
+/// open-addressing index — so a run's memo is a handful of allocations
+/// however many keys it holds. Valid for one Evaluator's problem only;
+/// not thread-safe.
+class ServerCostMemo {
+ public:
+  /// The cached cost of (klass, slots[0, count)), or nullptr.
+  const double* Find(int klass, const int* slots, int count) const;
+  /// Records the cost of a key Find() missed.
+  void Insert(int klass, const int* slots, int count, double cost);
+  /// Distinct keys held.
+  size_t size() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    uint64_t hash;
+    double cost;
+    uint32_t offset;  // first slot in pool_
+    int32_t klass;
+    int32_t count;
+  };
+  static uint64_t Hash(int klass, const int* slots, int count);
+  /// Index bucket holding the key, or the empty bucket it would go in.
+  size_t Probe(uint64_t hash, int klass, const int* slots, int count) const;
+
+  std::vector<int> pool_;
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> index_;  // entry + 1 per bucket, 0 = empty
+};
 
 /// Evaluates assignments for one ConsolidationProblem.
 class Evaluator {
@@ -73,8 +117,11 @@ class Evaluator {
   int PinOfSlot(int slot) const { return acct_.PinOfSlot(slot); }
 
   /// One-shot evaluation of an assignment (no cached state touched; reuses
-  /// internal scratch, so not concurrency-safe on one instance).
-  double Evaluate(const std::vector<int>& assignment) const;
+  /// internal scratch, so not concurrency-safe on one instance). Prices
+  /// each used server once; with a `memo`, only the servers whose (class,
+  /// slot set) the memo has not seen, bit-identical either way.
+  double Evaluate(const std::vector<int>& assignment,
+                  ServerCostMemo* memo = nullptr) const;
 
   /// Loads `assignment` into the incremental cache.
   void Load(const std::vector<int>& assignment);
@@ -84,13 +131,29 @@ class Evaluator {
   const std::vector<int>& assignment() const { return assignment_; }
   /// Objective delta if `slot` moved to `to` (no state change).
   double MoveDelta(int slot, int to) const;
+  /// A lower bound on MoveDelta(slot, to) that prices no server. Finite
+  /// only when `to` is empty (and exact on MoveDelta's 0 / kPinPenalty
+  /// early returns); -infinity otherwise. An occupied server's what-if
+  /// cost is at least kServerCost times its class weight, and an empty
+  /// one's is exactly 0.0; the bound substitutes those into MoveDelta's
+  /// operation order with the same affinity and migration terms, so
+  /// monotone rounding keeps it <= the exact delta, bit for bit.
+  double MoveDeltaFloor(int slot, int to) const;
   /// Batched MoveDelta: deltas->at(i) is the objective delta of moving
   /// `slot` to targets[i], bit-identical to calling MoveDelta per target.
   /// The from-side what-if cost, affinity, and migration terms are
   /// computed once and shared across the batch, so each extra target
   /// costs one pass over the accountant's SoA rows instead of two.
-  void MoveDeltaBatch(int slot, const std::vector<int>& targets,
-                      std::vector<double>* deltas) const;
+  ///
+  /// Cutoff contract: an empty target whose floor (MoveDeltaFloor's bound
+  /// built on the exact shared from-side) is >= `cutoff` is not priced;
+  /// its entry is that floor, a value in [cutoff, MoveDelta] — a bound,
+  /// not the exact delta. Every other entry is exact. A caller that only
+  /// acts on deltas below `cutoff` therefore decides exactly as with
+  /// exact deltas; the default prices every target.
+  void MoveDeltaBatch(
+      int slot, const std::vector<int>& targets, std::vector<double>* deltas,
+      double cutoff = std::numeric_limits<double>::infinity()) const;
   /// Applies a move and updates the cache, pricing each of the two servers
   /// once. For an unpinned slot current_cost() moves by exactly
   /// MoveDelta(slot, to), bit for bit.
@@ -148,6 +211,14 @@ class Evaluator {
   /// Cost of server `j`'s current aggregate with `slot` added (sign +1) or
   /// removed (-1) — the allocation-free MoveDelta core.
   double WhatIfCost(int j, int slot, double sign) const;
+  /// ServerAggregateCost's first term: what any used server `j` costs at
+  /// least.
+  double UsedServerFloor(int j) const {
+    return kServerCost * acct_.ClassWeight(acct_.ClassOfServer(j));
+  }
+  /// Cost of a class-`klass` server holding slots[0, count), its rows
+  /// summed from zero in slot order (Evaluate's one pricing).
+  double PriceSlots(int klass, const int* slots, int count) const;
 
   /// Recomputes server `j`'s cached cost + violation from its aggregates.
   void RecomputeServer(int j);
@@ -161,9 +232,6 @@ class Evaluator {
                ? problem_.migration_cost_weight * slot_move_cost_[slot]
                : 0.0;
   }
-  /// Zeroes the servers dirtied by the previous Evaluate() call.
-  void ResetScratch() const;
-
   const ConsolidationProblem& problem_;
   int max_servers_;
   LoadAccountant acct_;
@@ -191,11 +259,14 @@ class Evaluator {
   double total_violation_ = 0;
   double migration_cost_ = 0;
 
-  // One-shot scratch (lazily allocated, reused across Evaluate calls).
-  mutable std::vector<double> scratch_[kNumAxes];
-  mutable std::vector<double> scratch_ws_;
-  mutable std::vector<int> scratch_count_;
-  mutable std::vector<int> scratch_dirty_;
+  // One-shot scratch, reused across Evaluate calls: the slots bucketed by
+  // server (server j's slots, in slot order, are
+  // bucket_slots_[bucket_begin_[j], bucket_begin_[j + 1])), a fill cursor,
+  // and one server's summed rows (kNumAxes blocks of num_samples()).
+  mutable std::vector<int> bucket_begin_;
+  mutable std::vector<int> bucket_fill_;
+  mutable std::vector<int> bucket_slots_;
+  mutable std::vector<double> rows_;
 };
 
 }  // namespace kairos::core

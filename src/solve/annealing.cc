@@ -9,6 +9,10 @@
 
 namespace kairos::solve {
 
+bool AnnealFloorRejects(double floor, double u, double temperature) {
+  return u > 0 && u >= std::exp(-floor / temperature) * (1 + 0x1p-40);
+}
+
 core::ConsolidationPlan AnnealingSolver::Solve(
     const core::ConsolidationProblem& problem, const SolveBudget& budget,
     SharedIncumbent* incumbent) {
@@ -159,6 +163,19 @@ core::ConsolidationPlan AnnealingSolver::Solve(
       } else {
         to = static_cast<int>(rng.UniformInt(0, cap - 2));
         if (to >= from) ++to;  // uniform over servers != from
+      }
+      const double floor = ev.MoveDeltaFloor(slot, to);
+      if (floor > 0) {
+        // delta >= floor > 0, so the exact rule below would draw `u` at
+        // this point of the stream too; most such moves (onto an empty
+        // server) are rejected on the floor without a pricing.
+        const double u = rng.NextDouble();
+        if (AnnealFloorRejects(floor, u, temperature)) {
+          core::CountFloorSkip();
+        } else if (u < std::exp(-ev.MoveDelta(slot, to) / temperature)) {
+          ev.ApplyMove(slot, to);
+        }
+        continue;
       }
       const double delta = ev.MoveDelta(slot, to);
       if (delta <= 0 || rng.NextDouble() < std::exp(-delta / temperature)) {

@@ -10,6 +10,14 @@
 
 namespace kairos::solve {
 
+/// Anneal's pricing-free reject: true only when the Metropolis rule
+/// `u < exp(-delta / temperature)` rejects every delta >= `floor` (> 0).
+/// With delta >= floor, exp(-delta / T) <= exp(-floor / T), so a `u` at or
+/// above the latter rejects; the 1 + 2^-40 factor covers an `exp` that is
+/// not exactly monotone, and u == 0 is left to the exact rule (it accepts
+/// whenever exp(-delta / T) has not underflowed to 0).
+bool AnnealFloorRejects(double floor, double u, double temperature);
+
 /// Geometric-cooling SA. Never returns a plan worse than its greedy seed:
 /// the best-ever assignment (which starts at the seed) is what is reported.
 class AnnealingSolver : public Solver {

@@ -514,7 +514,7 @@ int RebalanceAcrossShards(const std::vector<FleetShard>& shards,
     int moves_this_round = 0;
     for (const Candidate& cand : candidates) {
       if (moves_this_round >= options.rebalance_max_moves) break;
-      ev->MoveDeltaBatch(cand.slot, targets, &deltas);
+      ev->MoveDeltaBatch(cand.slot, targets, &deltas, /*cutoff=*/-1e-9);
       int pick = -1;
       double pick_delta = -1e-9;
       for (int i = 0; i < static_cast<int>(deltas.size()); ++i) {

@@ -101,7 +101,10 @@ core::ConsolidationPlan TabuSolver::Solve(
     // ~slots*cap evaluations, which can dwarf the whole budget on large
     // problems. Each slot scores its whole target row in one
     // MoveDeltaBatch call (bit-identical to per-target MoveDelta), so the
-    // from-side what-if is priced once per slot.
+    // from-side what-if is priced once per slot. The running best delta is
+    // the cutoff: a target whose floor is not below it cannot win (the
+    // pick is strict <, and aspiration only filters), so empty targets
+    // floored there need no pricing.
     double best_delta = std::numeric_limits<double>::infinity();
     int best_slot = -1, best_to = -1;
     for (int slot = 0; slot < slots && !out_of_budget; ++slot) {
@@ -117,7 +120,7 @@ core::ConsolidationPlan TabuSolver::Solve(
       for (int to : mask.targets) {
         if (to != from) scan_targets.push_back(to);
       }
-      ev.MoveDeltaBatch(slot, scan_targets, &scan_deltas);
+      ev.MoveDeltaBatch(slot, scan_targets, &scan_deltas, best_delta);
       evals += static_cast<long>(scan_targets.size());
       for (size_t i = 0; i < scan_targets.size(); ++i) {
         const int to = scan_targets[i];

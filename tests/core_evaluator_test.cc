@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <map>
+#include <numeric>
+#include <set>
+
 #include "model/analytic.h"
 #include "sim/disk.h"
+#include "sim/fleet.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -378,6 +385,233 @@ TEST(EvaluatorBatchTest, MoveDeltaBatchBitIdenticalToScalar) {
           << "post-move slot " << slot << " -> " << targets[i];
     }
   }
+}
+
+// A seeded random instance carrying every term MoveDelta composes, on a
+// mixed fleet: a nonlinear disk model, two machine classes with cost
+// weights != 1, a drained class, replicas, anti-affinity pairs, a pin and
+// a weighted migration term. Servers 0-2 are class 0, 3-5 class 1, 6-7
+// the drained class 2.
+constexpr int kMixedCap = 8;
+
+ConsolidationProblem MixedFleetProblem(uint64_t seed) {
+  static const model::DiskModel disk_model = model::BuildAnalyticModel(
+      sim::DiskSpec::Raid10(), model::AnalyticConfig{}, 96e9, 2000);
+  util::Rng rng(seed);
+  ConsolidationProblem prob;
+  prob.disk_model = &disk_model;
+  prob.fleet = sim::FleetSpec{};
+  prob.fleet.AddClass(sim::MachineSpec::Server1(), 3, 0.6)
+      .AddClass(sim::MachineSpec::ConsolidationTarget(), 3, 1.7)
+      .AddClass(sim::MachineSpec::Server2(), 2, 1.3);
+  prob.fleet.classes[2].drained = true;
+  const int num_workloads = 9;
+  for (int i = 0; i < num_workloads; ++i) {
+    const int samples = 24;
+    std::vector<double> cpu(samples), ram(samples), rows(samples);
+    for (int t = 0; t < samples; ++t) {
+      cpu[t] = rng.Uniform(0.05, 1.2);
+      ram[t] = rng.Uniform(0.5e9, 9e9);
+      rows[t] = rng.Uniform(10, 250);
+    }
+    monitor::WorkloadProfile p;
+    p.name = "w" + std::to_string(i);
+    p.cpu_cores = util::TimeSeries(300, cpu);
+    p.ram_bytes = util::TimeSeries(300, ram);
+    p.update_rows_per_sec = util::TimeSeries(300, rows);
+    p.working_set_bytes = rng.Uniform(1e9, 12e9);
+    prob.workloads.push_back(p);
+  }
+  prob.workloads[2].replicas = 2;
+  prob.workloads[5].replicas = 3;
+  prob.workloads[7].pinned_server = 1;
+  prob.anti_affinity = {{0, 1}, {3, 4}, {2, 6}};
+  for (const monitor::WorkloadProfile& w : prob.workloads) {
+    for (int r = 0; r < w.replicas; ++r) {
+      prob.current_assignment.push_back(
+          static_cast<int>(rng.UniformInt(0, kMixedCap - 1)));
+    }
+  }
+  prob.migration_cost_weight = 25.0;
+  for (int i = 0; i < num_workloads; ++i) {
+    prob.migration_move_cost.push_back(rng.Uniform(0.5, 2.0));
+  }
+  return prob;
+}
+
+// Slots spread over a few random servers, one slot alone on another, and
+// at least two servers left empty.
+std::vector<int> SparseAssignment(util::Rng* rng, int slots, int cap) {
+  std::vector<int> servers(cap);
+  std::iota(servers.begin(), servers.end(), 0);
+  for (int i = cap - 1; i > 0; --i) {
+    std::swap(servers[i], servers[static_cast<int>(rng->UniformInt(0, i))]);
+  }
+  const int used = static_cast<int>(rng->UniformInt(2, cap - 3));
+  std::vector<int> a(slots);
+  for (int& j : a) j = servers[static_cast<int>(rng->UniformInt(0, used - 1))];
+  a[static_cast<int>(rng->UniformInt(0, slots - 1))] = servers[used];
+  return a;
+}
+
+// A random unpinned relocation, applied.
+void RandomApplyMove(util::Rng* rng, Evaluator* ev) {
+  const int slot = static_cast<int>(rng->UniformInt(0, ev->num_slots() - 1));
+  if (ev->PinOfSlot(slot) >= 0) return;
+  ev->ApplyMove(slot, static_cast<int>(rng->UniformInt(0, ev->max_servers() - 1)));
+}
+
+TEST(EvaluatorFloorTest, FloorNeverExceedsMoveDelta) {
+  int empty_targets = 0, lone_from = 0, strict = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    const ConsolidationProblem prob = MixedFleetProblem(seed);
+    Evaluator ev(prob, kMixedCap);
+    util::Rng rng(seed * 7919);
+    ev.Load(SparseAssignment(&rng, ev.num_slots(), kMixedCap));
+    for (int step = 0; step < 12; ++step) {
+      for (int slot = 0; slot < ev.num_slots(); ++slot) {
+        const int from = ev.assignment()[slot];
+        const int pin = ev.PinOfSlot(slot);
+        for (int to = 0; to < kMixedCap; ++to) {
+          const double floor = ev.MoveDeltaFloor(slot, to);
+          const double exact = ev.MoveDelta(slot, to);
+          ASSERT_LE(floor, exact) << "seed " << seed << " step " << step
+                                  << " slot " << slot << " -> " << to;
+          if (to == from) {
+            EXPECT_EQ(floor, 0.0);
+          } else if (pin >= 0 && to != pin) {
+            EXPECT_EQ(floor, kPinPenalty);
+          } else {
+            const bool empty = ev.accountant().ServerCount(to) == 0;
+            ASSERT_EQ(std::isfinite(floor), empty) << "slot " << slot << " -> " << to;
+            if (empty) {
+              ++empty_targets;
+              if (ev.accountant().ServerCount(from) == 1) ++lone_from;
+              if (floor < exact) ++strict;
+            }
+          }
+        }
+      }
+      for (int m = 0; m < 3; ++m) RandomApplyMove(&rng, &ev);
+    }
+  }
+  // The walk covered both from-side cases and floors that are real bounds.
+  EXPECT_GT(empty_targets, 1000);
+  EXPECT_GT(lone_from, 50);
+  EXPECT_GT(strict, 1000);
+}
+
+TEST(EvaluatorFloorTest, BatchCutoffPricesExactlyOrFloors) {
+  // Every entry a cutoff batch prices is MoveDelta bit for bit; every entry
+  // it floors is an empty target's bound in [cutoff, MoveDelta]. The tally
+  // still counts one move_delta op per target.
+  const double inf = std::numeric_limits<double>::infinity();
+  int64_t floored = 0, differing = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const ConsolidationProblem prob = MixedFleetProblem(seed);
+    Evaluator ev(prob, kMixedCap);
+    util::Rng rng(seed * 104729);
+    ev.Load(SparseAssignment(&rng, ev.num_slots(), kMixedCap));
+    std::vector<int> targets(kMixedCap);
+    std::iota(targets.begin(), targets.end(), 0);
+    std::vector<double> exact(kMixedCap), deltas;
+    for (int step = 0; step < 10; ++step) {
+      for (int slot = 0; slot < ev.num_slots(); ++slot) {
+        for (int i = 0; i < kMixedCap; ++i) exact[i] = ev.MoveDelta(slot, i);
+        std::vector<double> cutoffs = {-1e-9, 0.0, 600.0, 1000.0, inf, -inf};
+        for (double d : exact) cutoffs.push_back(d);  // floors landing on it
+        for (double cutoff : cutoffs) {
+          const EvalOpCounts before = CurrentEvalOps();
+          ev.MoveDeltaBatch(slot, targets, &deltas, cutoff);
+          const EvalOpCounts after = CurrentEvalOps();
+          ASSERT_EQ(deltas.size(), targets.size());
+          EXPECT_EQ(after.move_delta_ops - before.move_delta_ops, kMixedCap);
+          const int64_t skips = after.floor_skips - before.floor_skips;
+          int64_t unequal = 0, eligible = 0;
+          for (int i = 0; i < kMixedCap; ++i) {
+            const int to = targets[i];
+            const bool empty = ev.accountant().ServerCount(to) == 0 &&
+                               to != ev.assignment()[slot] &&
+                               !(ev.PinOfSlot(slot) >= 0 && to != ev.PinOfSlot(slot));
+            if (empty && deltas[i] >= cutoff) ++eligible;
+            if (deltas[i] == exact[i]) continue;
+            ++unequal;
+            ASSERT_TRUE(empty) << "slot " << slot << " -> " << to;
+            ASSERT_GE(deltas[i], cutoff);
+            ASSERT_LE(deltas[i], exact[i]);
+          }
+          EXPECT_GE(skips, unequal);
+          EXPECT_LE(skips, eligible);
+          if (cutoff == inf) {
+            EXPECT_EQ(skips, 0);
+          }
+          floored += skips;
+          differing += unequal;
+        }
+      }
+      for (int m = 0; m < 3; ++m) RandomApplyMove(&rng, &ev);
+    }
+  }
+  EXPECT_GT(floored, 1000);
+  EXPECT_GT(differing, 1000);
+}
+
+TEST(EvaluatorFloorTest, CountFloorSkipTalliesOneScoredMove) {
+  ResetEvalOps();
+  CountFloorSkip();
+  const EvalOpCounts ops = CurrentEvalOps();
+  EXPECT_EQ(ops.move_delta_ops, 1);
+  EXPECT_EQ(ops.floor_skips, 1);
+  EXPECT_EQ(ops.evaluate_ops, 0);
+  FlushEvalOps(nullptr);
+  EXPECT_EQ(CurrentEvalOps().floor_skips, 0);
+}
+
+TEST(EvaluatorMemoTest, MemoEvaluateBitIdenticalAlongDirectWalk) {
+  // A DIRECT-like walk: every assignment is one slot away from an earlier
+  // one. Evaluate through the memo must reproduce the memo-less bits, and
+  // the walk must put one slot set on servers of different classes (so a
+  // key without the class would return the wrong class's cost).
+  const ConsolidationProblem prob = MixedFleetProblem(5);
+  Evaluator ev(prob, kMixedCap);
+  util::Rng rng(99);
+  ServerCostMemo memo;
+  std::vector<std::vector<int>> seen = {
+      SparseAssignment(&rng, ev.num_slots(), kMixedCap)};
+  std::map<std::vector<int>, std::set<int>> classes_of_set;
+  ResetEvalOps();
+  const int steps = 2500;
+  for (int step = 0; step <= steps; ++step) {
+    std::vector<int> a = seen[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(seen.size()) - 1))];
+    if (step > 0) {
+      a[static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1))] =
+          static_cast<int>(rng.UniformInt(0, kMixedCap - 1));
+    }
+    const double plain = ev.Evaluate(a);
+    const double memoized = ev.Evaluate(a, &memo);
+    ASSERT_EQ(plain, memoized) << "step " << step;
+    for (int j = 0; j < kMixedCap; ++j) {
+      std::vector<int> slots;
+      for (int s = 0; s < ev.num_slots(); ++s) {
+        if (a[s] == j) slots.push_back(s);
+      }
+      if (!slots.empty()) classes_of_set[slots].insert(ev.ClassOfServer(j));
+    }
+    seen.push_back(std::move(a));
+  }
+  int cross_class = 0;
+  for (const auto& [slots, classes] : classes_of_set) {
+    if (classes.size() > 1) ++cross_class;
+  }
+  EXPECT_GT(cross_class, 10);
+  const EvalOpCounts ops = CurrentEvalOps();
+  EXPECT_EQ(ops.evaluate_ops, 2 * (steps + 1));
+  EXPECT_GT(ops.memo_hits, 5000);
+  size_t keys = 0;
+  for (const auto& [slots, classes] : classes_of_set) keys += classes.size();
+  EXPECT_EQ(memo.size(), keys);  // one entry per distinct (class, slot set)
+  FlushEvalOps(nullptr);
 }
 
 TEST(EvaluatorMigrationTest, ServerSavingsStillDominateMoves) {

@@ -190,6 +190,35 @@ TEST(DiffReportsTest, ExactCounterGlobsDemoteOtherCountersToNotes) {
   EXPECT_FALSE(result.notes.empty());
 }
 
+TEST(DiffReportsTest, CountersMissingFromBaselineAreNotesEvenWhenGated) {
+  // A baseline recorded before a counter existed (the evaluator's
+  // floor_skips / memo_hits) must not fail a gate that exact-gates its
+  // family: the new counter is reported as a note.
+  const JsonValue baseline = MustParse(SinkReport(100, 2.0, 50.0));
+  obs::Sink sink;
+  sink.Count("engine.probes", 100);
+  sink.Count("evaluator.floor_skips", 7);
+  sink.Count("evaluator.memo_hits", 9);
+  sink.metrics().gauge("bench.total_seconds")->Set(2.0);
+  std::ostringstream os;
+  obs::WriteBenchReport(os, "unit", {}, sink, nullptr,
+                        {{"probe_rate_per_sec", 50.0},
+                         {"latency_mean_seconds", 2.0}});
+  const JsonValue current = MustParse(os.str());
+  obs::DiffOptions options;
+  options.exact_counters = {"engine.*", "evaluator.*"};
+  const obs::DiffResult result = obs::DiffReports(baseline, current, options);
+  EXPECT_TRUE(result.ok) << (result.failures.empty() ? ""
+                                                     : result.failures[0]);
+  int new_counter_notes = 0;
+  for (const std::string& note : result.notes) {
+    if (note.find("new counter evaluator.") != std::string::npos) {
+      ++new_counter_notes;
+    }
+  }
+  EXPECT_EQ(new_counter_notes, 2);
+}
+
 TEST(DiffReportsTest, InjectedDoubleTimingFailsRatioGate) {
   // The CI self-test scenario: same counters, 2x wall time must fail at
   // timing_ratio 1.5 on both the seconds-gauge and the latency KPI.

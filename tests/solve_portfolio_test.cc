@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <thread>
 
 #include "core/engine.h"
@@ -130,6 +132,58 @@ TEST(SolveMetaheuristicTest, MetaheuristicsFindFeasiblePacking) {
   const auto tabu_plan = tabu.Solve(prob, budget, nullptr);
   EXPECT_TRUE(tabu_plan.feasible);
   EXPECT_EQ(tabu_plan.servers_used, 2);
+}
+
+TEST(SolveMetaheuristicTest, AnnealFloorRejectNeverRejectsAnAcceptedMove) {
+  // Anneal draws `u` and rejects on the floor alone; the exact rule accepts
+  // when u < exp(-delta / T). For every delta >= floor the floor reject
+  // must never fire where the exact rule would accept — including delta ==
+  // floor and its next representable values, u == 0, u on both sides of
+  // exp(-floor / T), and floor / T around exp's 708 / 745 underflow edge.
+  const double inf = std::numeric_limits<double>::infinity();
+  int rejects = 0, checked = 0;
+  for (double t : {1e-3, 1e-2, 0.1, 1.0, 7.5, 1e2, 1e3, 1e4, 1e5, 1e6}) {
+    for (double ratio : {1e-12, 1e-3, 0.5, 1.0, 3.0, 40.0, 700.0, 707.9,
+                         708.4, 709.8, 744.4, 745.1, 745.2, 746.0, 800.0}) {
+      const double floor = ratio * t;
+      const double e = std::exp(-floor / t);
+      std::vector<double> us = {0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                0x1p-53,
+                                e,
+                                std::nextafter(e, 0.0),
+                                std::nextafter(e, 1.0),
+                                std::nextafter(std::nextafter(e, 1.0), 1.0),
+                                e * (1 + 0x1p-40),
+                                std::nextafter(e * (1 + 0x1p-40), 0.0),
+                                std::nextafter(e * (1 + 0x1p-40), 1.0),
+                                0.5,
+                                1.0 - 0x1p-53};
+      std::vector<double> deltas = {floor};
+      for (int i = 0; i < 4; ++i) deltas.push_back(std::nextafter(deltas.back(), inf));
+      deltas.push_back(floor * (1 + 1e-12));
+      deltas.push_back(2 * floor);
+      for (double delta : deltas) {
+        for (double u : us) {
+          if (u < 0 || u >= 1) continue;
+          ++checked;
+          const bool rejected = AnnealFloorRejects(floor, u, t);
+          rejects += rejected ? 1 : 0;
+          if (u < std::exp(-delta / t)) {
+            EXPECT_FALSE(rejected) << "floor " << floor << " delta " << delta
+                                   << " u " << u << " T " << t;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000);
+  EXPECT_GT(rejects, checked / 4);  // the rule does prune
+  // u == 0 always goes to the exact rule, even when exp underflows to 0.
+  EXPECT_FALSE(AnnealFloorRejects(1e6, 0.0, 1.0));
+  EXPECT_TRUE(AnnealFloorRejects(1e6, 0x1p-53, 1.0));
+  EXPECT_TRUE(AnnealFloorRejects(10.0, 0.5, 1.0));
+  EXPECT_FALSE(AnnealFloorRejects(10.0, 1e-6, 1.0));
 }
 
 TEST(SharedIncumbentTest, TracksBestAndCounts) {
