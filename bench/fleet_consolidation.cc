@@ -194,124 +194,6 @@ void RaidVsSpindle(int steps, const solve::SolveBudget& budget) {
   std::printf("\n");
 }
 
-/// Count-prefix vs cost-budget dimensioning head-to-head on the engine
-/// solver: fleet cost on the scenarios where the declaration order hides
-/// the good class mix (the ROADMAP's bounded-K prefix-probing miss). The
-/// cheaper/denser class is declared last in both, so the legacy prefix can
-/// only reach it through the greedy rescue, while the budget search buys it
-/// outright.
-void DimensioningComparison(const std::vector<trace::FleetScenarioKind>& kinds,
-                            int steps, const solve::SolveBudget& budget) {
-  util::Table table({"scenario", "dimensioning", "feasible", "fleet cost",
-                     "servers", "budget probes", "chosen mix"});
-  for (trace::FleetScenarioKind kind : kinds) {
-    trace::ScenarioConfig config;
-    config.steps = steps;
-    config.seed = bench::kSeed;
-    const trace::FleetScenario scenario = trace::MakeFleetScenario(kind, config);
-    core::ConsolidationProblem problem;
-    problem.workloads = scenario.profiles;
-    problem.fleet = scenario.fleet;
-
-    double prefix_cost = 0, budget_cost = 0;
-    for (core::DimensioningMode mode :
-         {core::DimensioningMode::kCountPrefix,
-          core::DimensioningMode::kCostBudget}) {
-      core::EngineOptions options;
-      options.seed = bench::kSeed;
-      options.direct_evaluations = budget.direct_evaluations;
-      options.probe_direct_evaluations = budget.probe_direct_evaluations;
-      options.local_search_max_sweeps = budget.local_search_max_sweeps;
-      options.dimensioning = mode;
-      options.sink = g_sink;
-      options.obs_label =
-          mode == core::DimensioningMode::kCostBudget ? "dim-cost" : "dim-prefix";
-      const core::ConsolidationPlan plan =
-          core::ConsolidationEngine(problem, options).Solve();
-      std::string mix = "-";
-      if (!plan.chosen_class_counts.empty()) {
-        mix.clear();
-        for (size_t c = 0; c < plan.chosen_class_counts.size(); ++c) {
-          if (c > 0) mix += " ";
-          mix += scenario.fleet.classes[c].spec.name + "=" +
-                 std::to_string(plan.chosen_class_counts[c]);
-        }
-      }
-      const bool cost_mode = mode == core::DimensioningMode::kCostBudget;
-      (cost_mode ? budget_cost : prefix_cost) = plan.fleet_cost;
-      table.AddRow({trace::FleetScenarioName(kind),
-                    cost_mode ? "cost-budget" : "count-prefix",
-                    plan.feasible ? "yes" : "NO",
-                    util::FormatDouble(plan.fleet_cost, 2),
-                    std::to_string(plan.servers_used),
-                    std::to_string(plan.budget_probes), mix});
-    }
-    std::printf("%s: cost-budget fleet cost %s vs count-prefix %s (%s%% cheaper)\n",
-                trace::FleetScenarioName(kind).c_str(),
-                util::FormatDouble(budget_cost, 2).c_str(),
-                util::FormatDouble(prefix_cost, 2).c_str(),
-                util::FormatDouble(
-                    prefix_cost > 0
-                        ? 100.0 * (prefix_cost - budget_cost) / prefix_cost
-                        : 0.0,
-                    1)
-                    .c_str());
-  }
-  std::printf("%s\n", table.ToString().c_str());
-}
-
-/// Dimensioner probe-context cache on vs off: the cached full-cap
-/// evaluator + greedy packing context must not change a single decision —
-/// identical chosen mix and fleet cost — so the whole comparison is a
-/// probe-latency delta. Returns false (failing the bench) when the plans
-/// diverge.
-bool ProbeCacheComparison(trace::FleetScenarioKind kind, int steps,
-                          const solve::SolveBudget& budget,
-                          bench::BenchReporter* reporter) {
-  trace::ScenarioConfig config;
-  config.steps = steps;
-  config.seed = bench::kSeed;
-  const trace::FleetScenario scenario = trace::MakeFleetScenario(kind, config);
-  core::ConsolidationProblem problem;
-  problem.workloads = scenario.profiles;
-  problem.fleet = scenario.fleet;
-
-  core::ConsolidationPlan plans[2];
-  double seconds[2] = {0, 0};
-  for (int cached = 0; cached < 2; ++cached) {
-    core::EngineOptions options;
-    options.seed = bench::kSeed;
-    options.direct_evaluations = budget.direct_evaluations;
-    options.probe_direct_evaluations = budget.probe_direct_evaluations;
-    options.local_search_max_sweeps = budget.local_search_max_sweeps;
-    options.dimensioning = core::DimensioningMode::kCostBudget;
-    options.reuse_probe_context = cached == 1;
-    options.sink = g_sink;
-    options.obs_label = cached ? "dim-cache-on" : "dim-cache-off";
-    bench::ScopedTimer timer;
-    plans[cached] = core::ConsolidationEngine(problem, options).Solve();
-    seconds[cached] = timer.Seconds();
-  }
-
-  const bool identical =
-      plans[0].assignment.server_of_slot == plans[1].assignment.server_of_slot &&
-      plans[0].chosen_class_counts == plans[1].chosen_class_counts &&
-      plans[0].fleet_cost == plans[1].fleet_cost;
-  const double speedup = seconds[1] > 0 ? seconds[0] / seconds[1] : 0;
-  std::printf(
-      "%s: probe context cached %ss vs rebuilt %ss (%sx), %d probes, "
-      "plans %s\n",
-      trace::FleetScenarioName(kind).c_str(),
-      util::FormatDouble(seconds[1], 3).c_str(),
-      util::FormatDouble(seconds[0], 3).c_str(),
-      util::FormatDouble(speedup, 2).c_str(), plans[1].budget_probes,
-      identical ? "identical" : "DIVERGED (bug)");
-  reporter->Kpi("dim.probe_cache_on_seconds", seconds[1]);
-  reporter->Kpi("dim.probe_cache_off_seconds", seconds[0]);
-  reporter->Kpi("dim.probe_cache_speedup", speedup);
-  return identical;
-}
-
 void GenerationUpgradeDrain(int steps) {
   trace::ScenarioConfig config;
   config.steps = steps;
@@ -378,18 +260,8 @@ int main(int argc, char** argv) {
   SweepScenario(trace::FleetScenarioKind::kRaidVsSpindle, steps, budget);
   RaidVsSpindle(steps, budget);
 
-  bench::Banner("cost-based dimensioning (count-prefix vs cost-budget)");
-  DimensioningComparison({trace::FleetScenarioKind::kRaidVsSpindle,
-                          trace::FleetScenarioKind::kScaleUpVsScaleOut},
-                         steps, budget);
-
-  bench::Banner("dimensioner probe-context cache (on vs off)");
-  const bool cache_ok = ProbeCacheComparison(
-      trace::FleetScenarioKind::kRaidVsSpindle, steps, budget, &reporter);
-
   bench::Banner("generation-upgrade drain (online controller)");
   GenerationUpgradeDrain(smoke ? 32 : 64);
 
-  const int rc = reporter.WriteReport();
-  return cache_ok ? rc : 1;
+  return reporter.WriteReport();
 }

@@ -15,7 +15,6 @@
 #include "db/flusher.h"
 #include "model/analytic.h"
 #include "obs/sink.h"
-#include "online/estimators.h"
 #include "online/ingest.h"
 #include "online/streaming_profile.h"
 #include "opt/direct.h"
@@ -325,10 +324,10 @@ void BM_EngineProbeLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineProbeLoop)->Arg(0)->Arg(1);
 
-// --- Telemetry ingestion: the pre-SoA per-sample scalar path vs the
-// --- fused IngestBatch hot loop vs the striped parallel IngestPlane.
-// --- Items processed counts telemetry samples, so the three rates are the
-// --- samples/sec ladder of the online control plane's ingestion tier.
+// --- Telemetry ingestion: the fused IngestBatch hot loop vs the striped
+// --- parallel IngestPlane. Items processed counts telemetry samples, so the
+// --- rates are the samples/sec ladder of the online control plane's
+// --- ingestion tier.
 
 constexpr int kIngestStreams = 8192;
 constexpr size_t kIngestWindow = 12;
@@ -344,29 +343,6 @@ std::vector<online::TelemetrySample> MakeIngestStep(int streams) {
   }
   return step;
 }
-
-void BM_IngestScalarPerSample(benchmark::State& state) {
-  // One scalar estimator object per stream per signal, updated stream by
-  // stream — the shape the SoA banks replaced, doing the same per-sample
-  // work as BM_IngestBatch.
-  std::vector<online::RollingWindow> cpu(kIngestStreams,
-                                         online::RollingWindow(kIngestWindow, 300.0));
-  std::vector<online::RollingWindow> ram = cpu, rate = cpu;
-  std::vector<online::DecayingMax> ws(kIngestStreams, online::DecayingMax(0.995));
-  const auto step = MakeIngestStep(kIngestStreams);
-  for (auto _ : state) {
-    for (int w = 0; w < kIngestStreams; ++w) {
-      const online::TelemetrySample& s = step[w];
-      cpu[w].Push(s.cpu_cores);
-      ram[w].Push(s.ram_bytes);
-      rate[w].Push(s.update_rows_per_sec);
-      ws[w].Push(s.working_set_bytes);
-    }
-    benchmark::DoNotOptimize(cpu.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kIngestStreams);
-}
-BENCHMARK(BM_IngestScalarPerSample);
 
 void BM_IngestBatch(benchmark::State& state) {
   online::StreamingProfileBuilder builder(kIngestStreams, kIngestWindow, 300.0);

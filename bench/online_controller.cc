@@ -92,7 +92,8 @@ SweepResult RunScenario(trace::ScenarioKind kind, bool migration_aware,
 }
 
 /// Hard determinism gate: the diurnal and flash-crowd transcripts must be
-/// byte-identical with no ingest plane and at 1/2/4/8 ingest threads.
+/// byte-identical on the default ingest plane (auto stripes, one thread)
+/// and on 8 stripes at 1/2/4/8 ingest threads.
 /// Returns false (and reports the divergence on stderr) on any mismatch.
 bool VerifyIngestDeterminism(int steps) {
   bool ok = true;
@@ -119,7 +120,7 @@ bool VerifyIngestDeterminism(int steps) {
       return controller.RenderHistory();
     };
 
-    const std::string reference = run(1, 0);  // legacy serial path
+    const std::string reference = run(1, 0);  // the default plane
     for (const int threads : {1, 2, 4, 8}) {
       if (run(threads, 8) != reference) {
         std::fprintf(stderr,

@@ -179,8 +179,6 @@ class BoundEngine {
   /// migration. A valid lower bound on any completion's objective — every
   /// term of the objective is monotone in added load.
   double committed_cost() const { return committed_cost_; }
-  /// Sum of the placed servers' constraint excesses.
-  double committed_violation() const { return committed_violation_; }
   bool ServerOpen(int j) const { return acct_.ServerCount(j) > 0; }
   int ServerOf(int slot) const { return assignment_[slot]; }
 

@@ -109,18 +109,6 @@ Assignment ConsolidationEngine::DecodePoint(const std::vector<double>& x, int k,
   return a;
 }
 
-Evaluator* ConsolidationEngine::EvaluatorFor(int k,
-                                             std::unique_ptr<Evaluator>* owned) {
-  if (options_.reuse_probe_context && k == problem_.ServerCap()) {
-    if (probe_ev_ == nullptr) {
-      probe_ev_ = std::make_unique<Evaluator>(problem_, k);
-    }
-    return probe_ev_.get();
-  }
-  *owned = std::make_unique<Evaluator>(problem_, k);
-  return owned->get();
-}
-
 Assignment ConsolidationEngine::RunDirect(Evaluator* ev, int budget,
                                           double target_value, int* evals_out,
                                           const std::vector<int>* targets_override) {
@@ -289,28 +277,16 @@ bool ConsolidationEngine::ProbeServersImpl(const std::vector<int>& servers,
                 (0xB06DULL * (static_cast<uint64_t>(servers.size()) + 1)));
 
   // 1. Multi-resource greedy restricted to the subset, then local search
-  //    over the same subset. Every probe runs at k == ServerCap(), so the
-  //    packing context and the Evaluator are reusable across the
-  //    dimensioner's whole probe sequence (bit-identical results; see
-  //    EngineOptions::reuse_probe_context).
+  //    over the same subset.
   bool greedy_clean = false;
-  Assignment seed;
-  if (options_.reuse_probe_context) {
-    if (probe_pack_ == nullptr) {
-      probe_pack_ = std::make_unique<GreedyPackContext>(problem_, k);
-    }
-    seed = GreedyMultiResource(*probe_pack_, &greedy_clean, &servers);
-  } else {
-    seed = GreedyMultiResource(problem_, k, &greedy_clean, &servers);
+  Assignment seed = GreedyMultiResource(problem_, k, &greedy_clean, &servers);
+  Evaluator ev(problem_, k);
+  ev.Load(seed.server_of_slot);
+  if (!ev.IsFeasible()) {
+    LocalSearch(&ev, options_.local_search_max_sweeps, &rng, &servers);
   }
-  std::unique_ptr<Evaluator> owned_ev;
-  Evaluator* ev = EvaluatorFor(k, &owned_ev);
-  ev->Load(seed.server_of_slot);
-  if (!ev->IsFeasible()) {
-    LocalSearch(ev, options_.local_search_max_sweeps, &rng, &servers);
-  }
-  if (ev->IsFeasible()) {
-    if (out) out->server_of_slot = ev->assignment();
+  if (ev.IsFeasible()) {
+    if (out) out->server_of_slot = ev.assignment();
     return true;
   }
 
@@ -320,17 +296,17 @@ bool ConsolidationEngine::ProbeServersImpl(const std::vector<int>& servers,
   //    server costs plus a balance tail of e each — the subset analogue of
   //    the prefix probe's threshold.
   const double feasible_threshold =
-      BoundEngine::SubsetFeasibleThreshold(ev->accountant(), servers);
+      BoundEngine::SubsetFeasibleThreshold(ev.accountant(), servers);
   int evals = 0;
   Assignment candidate =
-      RunDirect(ev, direct_budget, feasible_threshold, &evals, &servers);
+      RunDirect(&ev, direct_budget, feasible_threshold, &evals, &servers);
   evaluations_ += evals;
-  ev->Load(candidate.server_of_slot);
-  if (!ev->IsFeasible()) {
-    LocalSearch(ev, options_.local_search_max_sweeps, &rng, &servers);
+  ev.Load(candidate.server_of_slot);
+  if (!ev.IsFeasible()) {
+    LocalSearch(&ev, options_.local_search_max_sweeps, &rng, &servers);
   }
-  if (ev->IsFeasible()) {
-    if (out) out->server_of_slot = ev->assignment();
+  if (ev.IsFeasible()) {
+    if (out) out->server_of_slot = ev.assignment();
     return true;
   }
   return false;
@@ -375,12 +351,11 @@ ConsolidationPlan ConsolidationEngine::Solve() {
 
   const auto broadcast = [this](const Assignment& a, int k) {
     if (!options_.on_incumbent && options_.sink == nullptr) return;
-    std::unique_ptr<Evaluator> owned_ev;
-    Evaluator* ev = EvaluatorFor(k, &owned_ev);
-    ev->Load(a.server_of_slot);
-    EmitIncumbent(ev->current_cost(), ev->IsFeasible());
+    Evaluator ev(problem_, k);
+    ev.Load(a.server_of_slot);
+    EmitIncumbent(ev.current_cost(), ev.IsFeasible());
     if (options_.on_incumbent) {
-      options_.on_incumbent(a, ev->current_cost(), ev->IsFeasible());
+      options_.on_incumbent(a, ev.current_cost(), ev.IsFeasible());
     }
   };
   const auto stop_requested = [this] {
@@ -391,11 +366,8 @@ ConsolidationPlan ConsolidationEngine::Solve() {
   // heterogeneous fleets: the prefix [0, K) of the declaration order can
   // never open a cheaper class declared late, while the budget search buys
   // dense-first class mixes. Uniform fleets keep the count path — prefix
-  // order is immaterial there and the classic results stay bit-identical.
-  const bool cost_budget =
-      options_.use_bounded_k &&
-      options_.dimensioning == DimensioningMode::kCostBudget &&
-      !problem_.fleet.Uniform();
+  // order is immaterial there.
+  const bool cost_budget = options_.use_bounded_k && !problem_.fleet.Uniform();
 
   if (cost_budget) {
     FleetDimensioner dimensioner(problem_, *this, options_);
@@ -535,25 +507,24 @@ ConsolidationPlan ConsolidationEngine::PolishPlan(const Assignment& incumbent, i
   // incumbent. One evaluator serves both phases: everything the first
   // phase decides on is copied out before the second re-Loads it.
   util::Rng rng(options_.seed + 17);
-  std::unique_ptr<Evaluator> owned_ev;
-  Evaluator* ev = EvaluatorFor(k, &owned_ev);
-  ev->Load(incumbent.server_of_slot);
-  LocalSearch(ev, options_.local_search_max_sweeps * 2, &rng, targets);
-  double best_cost = ev->current_cost();
-  std::vector<int> best_assign = ev->assignment();
-  const bool best_feasible = ev->IsFeasible();
+  Evaluator ev(problem_, k);
+  ev.Load(incumbent.server_of_slot);
+  LocalSearch(&ev, options_.local_search_max_sweeps * 2, &rng, targets);
+  double best_cost = ev.current_cost();
+  std::vector<int> best_assign = ev.assignment();
+  const bool best_feasible = ev.IsFeasible();
 
   if (options_.use_bounded_k &&
       !(options_.should_stop && options_.should_stop())) {
     int evals = 0;
     Assignment polished =
-        RunDirect(ev, options_.direct_evaluations, -1e300, &evals, targets);
+        RunDirect(&ev, options_.direct_evaluations, -1e300, &evals, targets);
     evaluations_ += evals;
-    ev->Load(polished.server_of_slot);
-    LocalSearch(ev, options_.local_search_max_sweeps, &rng, targets);
-    if (ev->current_cost() < best_cost && (ev->IsFeasible() || !best_feasible)) {
-      best_cost = ev->current_cost();
-      best_assign = ev->assignment();
+    ev.Load(polished.server_of_slot);
+    LocalSearch(&ev, options_.local_search_max_sweeps, &rng, targets);
+    if (ev.current_cost() < best_cost && (ev.IsFeasible() || !best_feasible)) {
+      best_cost = ev.current_cost();
+      best_assign = ev.assignment();
     }
   }
 

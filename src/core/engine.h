@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,20 +19,6 @@
 
 namespace kairos::core {
 
-/// How the bounded search dimensions the target fleet.
-enum class DimensioningMode {
-  /// Legacy Section-6 behaviour: binary search on the server *count* K,
-  /// probing the declaration-order prefix [0, K) of the fleet's index
-  /// space. Exact on uniform fleets, where prefix order is immaterial; on
-  /// mixed fleets it can never open a cheaper class declared late.
-  kCountPrefix,
-  /// Cost-based: binary search on the total fleet-cost *budget*, each probe
-  /// buying the cheapest-dense-first multiset of per-class servers within
-  /// budget (core::FleetDimensioner). Uniform fleets still take the
-  /// bit-identical count-prefix path — there the two searches coincide.
-  kCostBudget,
-};
-
 /// Solver budgets and switches.
 struct EngineOptions {
   uint64_t seed = 1;
@@ -44,22 +29,14 @@ struct EngineOptions {
   /// Local-search sweep cap (each sweep tries every slot against every
   /// server, plus a swap pass).
   int local_search_max_sweeps = 60;
-  /// Section 6 optimization: binary search on K. Disable to solve the full
-  /// space directly (the ablation of the solver-performance experiment).
+  /// Section 6 optimization: binary search on K. On a fleet that mixes
+  /// machine classes the search runs on the fleet-cost budget instead
+  /// (core::FleetDimensioner): the declaration-order prefix [0, K) can never
+  /// open a cheaper class declared late. Disable to solve the full space
+  /// directly (the ablation of the solver-performance experiment).
   bool use_bounded_k = true;
   /// DIRECT local/global balance.
   double direct_epsilon = 1e-3;
-  /// How the bounded search dimensions heterogeneous fleets (only read when
-  /// use_bounded_k is set; uniform fleets always take the count-prefix
-  /// path, which is exact for them and stays bit-identical).
-  DimensioningMode dimensioning = DimensioningMode::kCostBudget;
-  /// Reuse the full-cap Evaluator and greedy packing context (slot
-  /// accountant + slot/server orderings) across the dimensioner's budget
-  /// probes and the polish, instead of rebuilding them per probe. Results
-  /// are bit-identical either way — Evaluate() is pure and Load() fully
-  /// resets — so this is purely a probe-latency lever; the off switch
-  /// exists for the cached-vs-uncached comparison in the benches.
-  bool reuse_probe_context = true;
 
   /// Called whenever the engine improves its incumbent (after each
   /// successful feasibility probe and after the final polish). Lets a
@@ -104,8 +81,8 @@ struct ConsolidationPlan {
   int fractional_lower_bound = 0;
   /// Greedy baseline server count (-1 when greedy found nothing feasible).
   int greedy_servers = -1;
-  /// Budget/mix probes the cost-based dimensioner ran (0 under count-prefix
-  /// dimensioning or on uniform fleets).
+  /// Budget/mix probes the cost-based dimensioner ran (0 on uniform fleets
+  /// and without bounded-K).
   int budget_probes = 0;
   /// Per-class server counts of the dimensioner's chosen mix — what the
   /// budget search *bought* (class_servers_used is what the plan occupies).
@@ -199,13 +176,6 @@ class ConsolidationEngine {
                        int* evals_out,
                        const std::vector<int>* targets = nullptr);
 
-  /// An Evaluator sized for `k` servers: the cached full-cap instance when
-  /// probe-context reuse is on and `k` is the problem's cap (the
-  /// dimensioner probes and the polish), else a fresh one parked in
-  /// `*owned`. Callers fully re-Load before reading, so sharing one
-  /// instance across sequential phases cannot change results.
-  Evaluator* EvaluatorFor(int k, std::unique_ptr<Evaluator>* owned);
-
   /// Respects pins when decoding DIRECT points. A non-empty `targets`
   /// restricts the encoding to those servers (the hard drain mask).
   Assignment DecodePoint(const std::vector<double>& x, int k,
@@ -216,13 +186,6 @@ class ConsolidationEngine {
   int evaluations_ = 0;
   int probe_attempts_ = 0;
   uint32_t obs_track_ = kNoObsTrack;
-
-  /// Probe caches (see EngineOptions::reuse_probe_context): the full-cap
-  /// Evaluator and greedy packing context every ProbeServers call used to
-  /// rebuild from scratch. Lazily built; both are keyed to the problem's
-  /// ServerCap(), which ProbeServersImpl always probes at.
-  std::unique_ptr<Evaluator> probe_ev_;
-  std::unique_ptr<GreedyPackContext> probe_pack_;
 
   static constexpr uint32_t kNoObsTrack = 0xFFFFFFFFu;
 };

@@ -160,8 +160,6 @@ class Evaluator {
   void ApplyMove(int slot, int to);
   /// True when the loaded assignment violates no constraint.
   bool IsFeasible() const { return total_violation_ <= 0.0; }
-  /// Total relative constraint excess of the loaded assignment.
-  double total_violation() const { return total_violation_; }
   /// Migration penalty included in current_cost() (0 when the problem has
   /// no current_assignment or a zero migration_cost_weight).
   double migration_cost() const { return migration_cost_; }
@@ -185,12 +183,9 @@ class Evaluator {
   /// enough for the sharded solver's rebalancer to rank donors by.
   double ServerViolation(int j) const { return server_violation_[j]; }
 
-  /// Capacities after headroom, per server (machine-class dependent).
+  /// CPU capacity after headroom, per server (machine-class dependent).
   double cpu_capacity(int server = 0) const {
     return acct_.CapacityOfClass(acct_.ClassOfServer(server)).cpu_cores;
-  }
-  double ram_capacity_bytes(int server = 0) const {
-    return acct_.CapacityOfClass(acct_.ClassOfServer(server)).ram_bytes;
   }
   /// Machine class of a server (index into the problem's fleet classes).
   int ClassOfServer(int server) const { return acct_.ClassOfServer(server); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 
 #include "core/bounds.h"
@@ -28,16 +27,8 @@ struct FleetView {
 
   explicit FleetView(const LoadAccountant& accountant,
                      const std::vector<int>* allowed_servers = nullptr)
-      : FleetView(accountant, CheapFirstOrder(accountant), allowed_servers) {}
-
-  /// Precomputed-order variant: `cheap_order` is CheapFirstOrder() of the
-  /// same accountant, possibly cached across calls (GreedyPackContext).
-  /// Restriction of a stable-sorted order preserves its relative order, so
-  /// the restricted result matches sorting the restricted set.
-  FleetView(const LoadAccountant& accountant, std::vector<int> cheap_order,
-            const std::vector<int>* allowed_servers)
       : acct(accountant), cap(accountant.num_servers()), allowed(allowed_servers) {
-    open_order = Restrict(std::move(cheap_order));
+    open_order = Restrict(CheapFirstOrder(accountant));
   }
 
   /// Alternative open order: best capacity-per-cost first (a scale-up
@@ -173,18 +164,6 @@ std::vector<int> DenseServerOrder(const LoadAccountant& acct) {
   std::stable_sort(order.begin(), order.end(),
                    [&](int a, int b) { return score(a) < score(b); });
   return order;
-}
-
-std::string ResourceName(Resource r) {
-  switch (r) {
-    case Resource::kCpu:
-      return "cpu";
-    case Resource::kRam:
-      return "ram";
-    case Resource::kDisk:
-      return "disk";
-  }
-  return "?";
 }
 
 GreedyResult GreedySingleResource(const ConsolidationProblem& problem, Resource r,
@@ -347,39 +326,11 @@ GreedyResult GreedyBaseline(const ConsolidationProblem& problem, int max_servers
   return best;
 }
 
-GreedyPackContext::GreedyPackContext(const ConsolidationProblem& problem,
-                                     int max_servers)
-    : problem_(problem),
-      acct_(std::make_unique<LoadAccountant>(
-          problem, std::max(1, problem.ServerCap(max_servers)),
-          /*track_server_load=*/false)) {
-  if (acct_->num_slots() > 0) {
-    slot_order_ = HardestFirstSlotOrder(problem_, *acct_);
-  }
-  cheap_order_ = CheapFirstOrder(*acct_);
-  dense_order_ = DenseServerOrder(*acct_);
-}
-
-GreedyPackContext::~GreedyPackContext() = default;
-
-Evaluator& GreedyPackContext::compare_evaluator() {
-  if (compare_ev_ == nullptr) {
-    compare_ev_ = std::make_unique<Evaluator>(problem_, acct_->num_servers());
-  }
-  return *compare_ev_;
-}
-
 Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_servers,
                                bool* feasible,
                                const std::vector<int>* allowed_servers) {
-  GreedyPackContext ctx(problem, max_servers);
-  return GreedyMultiResource(ctx, feasible, allowed_servers);
-}
-
-Assignment GreedyMultiResource(GreedyPackContext& ctx, bool* feasible,
-                               const std::vector<int>* allowed_servers) {
-  const ConsolidationProblem& problem = ctx.problem_;
-  const LoadAccountant& acct = *ctx.acct_;
+  const LoadAccountant acct(problem, std::max(1, problem.ServerCap(max_servers)),
+                            /*track_server_load=*/false);
   const int num_slots = acct.num_slots();
   Assignment out;
   out.server_of_slot.assign(num_slots, 0);
@@ -388,12 +339,12 @@ Assignment GreedyMultiResource(GreedyPackContext& ctx, bool* feasible,
     return out;
   }
   const int samples = acct.num_samples();
-  const FleetView fleet(acct, ctx.cheap_order_, allowed_servers);
+  const FleetView fleet(acct, allowed_servers);
 
   const double cpu_overhead = problem.per_instance_cpu_overhead_cores;
   const double ram_overhead =
       static_cast<double>(problem.instance_ram_overhead_bytes);
-  const std::vector<int>& order = ctx.slot_order_;
+  const std::vector<int> order = HardestFirstSlotOrder(problem, acct);
 
   Bin empty_bin;
   empty_bin.Open(samples);
@@ -501,8 +452,8 @@ Assignment GreedyMultiResource(GreedyPackContext& ctx, bool* feasible,
     // (scale-up) open orders reach very different packings; keep the one
     // the objective prefers. Never runs on uniform fleets, where the two
     // orders coincide — the classic path stays bit-identical.
-    auto [dense_assignment, dense_clean] = pack(fleet.Restrict(ctx.dense_order_));
-    Evaluator& ev = ctx.compare_evaluator();
+    auto [dense_assignment, dense_clean] = pack(fleet.DenseOrder());
+    Evaluator ev(problem, fleet.cap);
     if (ev.Evaluate(dense_assignment) < ev.Evaluate(assignment)) {
       assignment = std::move(dense_assignment);
       clean = dense_clean;

@@ -7,7 +7,6 @@
 #ifndef KAIROS_CORE_GREEDY_H_
 #define KAIROS_CORE_GREEDY_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,9 +19,6 @@ class LoadAccountant;
 
 /// The resource a single-resource packer considers.
 enum class Resource { kCpu, kRam, kDisk };
-
-/// Name for reports.
-std::string ResourceName(Resource r);
 
 /// Result of a greedy packing attempt.
 struct GreedyResult {
@@ -51,46 +47,6 @@ GreedyResult GreedyBaseline(const ConsolidationProblem& problem, int max_servers
 /// null keeps the classic whole-fleet packing.
 Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_servers,
                                bool* feasible,
-                               const std::vector<int>* allowed_servers = nullptr);
-
-/// Reusable packing state for repeated GreedyMultiResource calls over the
-/// same problem and server cap — the dimensioner's budget probes, which
-/// historically rebuilt the slot accountant, the hardest-first slot order,
-/// both open orders, and (on mixed fleets) a full Evaluator on every probe.
-/// Packing through a context is bit-identical to the classic entry point:
-/// per-call subset restriction preserves the cached orders' relative order
-/// (stable sorts), and the cached comparison Evaluator is pure.
-class GreedyPackContext {
- public:
-  /// `max_servers` as in GreedyMultiResource (0 = problem's own cap).
-  GreedyPackContext(const ConsolidationProblem& problem, int max_servers);
-  ~GreedyPackContext();
-
-  GreedyPackContext(const GreedyPackContext&) = delete;
-  GreedyPackContext& operator=(const GreedyPackContext&) = delete;
-
-  const ConsolidationProblem& problem() const { return problem_; }
-  const LoadAccountant& accountant() const { return *acct_; }
-
- private:
-  friend Assignment GreedyMultiResource(GreedyPackContext& ctx, bool* feasible,
-                                        const std::vector<int>* allowed_servers);
-
-  /// Lazily built full-cap Evaluator for the scale-out-vs-scale-up packing
-  /// comparison on mixed fleets.
-  Evaluator& compare_evaluator();
-
-  const ConsolidationProblem& problem_;
-  std::unique_ptr<LoadAccountant> acct_;
-  std::vector<int> slot_order_;   // hardest first
-  std::vector<int> cheap_order_;  // placable servers, cheapest class first
-  std::vector<int> dense_order_;  // placable servers, capacity-per-cost first
-  std::unique_ptr<Evaluator> compare_ev_;
-};
-
-/// GreedyMultiResource through a reusable context (see above); identical
-/// results to the classic entry point with the context's problem and cap.
-Assignment GreedyMultiResource(GreedyPackContext& ctx, bool* feasible,
                                const std::vector<int>* allowed_servers = nullptr);
 
 /// Capacity-per-cost ("dense") open order over the accountant's placable

@@ -20,11 +20,6 @@ void DbCounters::Accumulate(const DbCounters& other) {
   latency_weighted_ms += other.latency_weighted_ms;
 }
 
-double DbCounters::AvgLatencyMs() const {
-  if (completed_tx == 0) return 0.0;
-  return latency_weighted_ms / static_cast<double>(completed_tx);
-}
-
 Database::Database(Dbms* owner, int id, std::string name)
     : owner_(owner), id_(id), name_(std::move(name)) {}
 
@@ -53,13 +48,6 @@ void Database::ExtendTable(Region* region, uint64_t pages) {
   region->start = owner_->AllocatePages(new_reserved);
   region->reserved = new_reserved;
   region->pages += pages;
-}
-
-Region* Database::FindTable(const std::string& table_name) {
-  for (auto& t : tables_) {
-    if (t.name == table_name) return &t;
-  }
-  return nullptr;
 }
 
 uint64_t Database::TotalPages() const {

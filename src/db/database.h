@@ -29,8 +29,6 @@ struct DbCounters {
 
   /// Adds `other` into this.
   void Accumulate(const DbCounters& other);
-  /// Mean completed-transaction latency (ms).
-  double AvgLatencyMs() const;
 };
 
 /// A named tenant database: a set of table regions in the instance's page
@@ -52,9 +50,6 @@ class Database {
   /// reservation if exhausted (allocating fresh contiguous space).
   void ExtendTable(Region* region, uint64_t pages);
 
-  /// Looks up a table by name (nullptr if absent).
-  Region* FindTable(const std::string& table_name);
-
   /// Total in-use pages across tables.
   uint64_t TotalPages() const;
 
@@ -64,9 +59,6 @@ class Database {
   const DbCounters& window() const { return window_; }
   /// Returns and resets the windowed counters.
   DbCounters TakeWindow();
-
-  /// Transactions queued but not yet completed (overload backlog).
-  double backlog_tx() const { return backlog_tx_; }
 
  private:
   friend class Dbms;

@@ -283,8 +283,6 @@ void Dbms::PrepareTick(double tick_seconds) {
   disk_->Submit(tick_.disk_seconds);
 
   total_write_bytes_ += tick_.write_bytes;
-  total_read_bytes_ += tick_.read_bytes;
-  total_pages_read_ += tick_.pages_read;
   dirty_evictions_tick_ = 0;
 }
 

@@ -189,8 +189,6 @@ class Dbms {
 
   /// Cumulative physical I/O (what iostat would charge to this instance).
   uint64_t total_write_bytes() const { return total_write_bytes_; }
-  uint64_t total_read_bytes() const { return total_read_bytes_; }
-  int64_t total_pages_read() const { return total_pages_read_; }
 
   /// Expected latency (ms) of one physical page read on the current disk.
   double PageReadLatencyMs() const;
@@ -257,8 +255,6 @@ class Dbms {
   TickState tick_;
 
   uint64_t total_write_bytes_ = 0;
-  uint64_t total_read_bytes_ = 0;
-  int64_t total_pages_read_ = 0;
 };
 
 }  // namespace kairos::db

@@ -27,7 +27,6 @@ LogManager::FlushResult LogManager::FlushTick(double tick_seconds) {
   // A commit waits on average half the group window for its group to flush.
   r.avg_commit_wait_ms = group_commit_window_ms_ * 0.5;
   total_bytes_ += r.bytes;
-  total_groups_ += r.groups;
   bytes_since_checkpoint_ += r.bytes;
   pending_commits_ = 0;
   pending_bytes_ = 0;

@@ -40,7 +40,6 @@ class LogManager {
 
   /// Cumulative totals.
   uint64_t total_bytes() const { return total_bytes_; }
-  int64_t total_groups() const { return total_groups_; }
   uint64_t bytes_since_checkpoint() const { return bytes_since_checkpoint_; }
   double group_commit_window_ms() const { return group_commit_window_ms_; }
 
@@ -51,7 +50,6 @@ class LogManager {
   uint64_t pending_bytes_ = 0;
   uint64_t bytes_since_checkpoint_ = 0;
   uint64_t total_bytes_ = 0;
-  int64_t total_groups_ = 0;
 };
 
 }  // namespace kairos::db

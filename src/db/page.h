@@ -19,11 +19,6 @@ struct Region {
   PageId start = 0;        ///< First page id.
   uint64_t pages = 0;      ///< Pages currently in use.
   uint64_t reserved = 0;   ///< Pages reserved for growth (>= pages).
-
-  /// One past the last in-use page id.
-  PageId End() const { return start + pages; }
-  /// Bytes currently in use given a page size.
-  uint64_t SizeBytes(uint64_t page_bytes) const { return pages * page_bytes; }
 };
 
 }  // namespace kairos::db

@@ -53,16 +53,12 @@ class DiskModel {
   bool valid() const { return valid_; }
 
   const util::Poly2D& io_surface() const { return io_poly_; }
-  const util::Poly1D& saturation_frontier() const { return frontier_; }
-
-  /// Normalization constants used internally (inputs are scaled to ~[0,1]
-  /// before fitting for numeric stability).
-  double ws_scale() const { return ws_scale_; }
-  double rate_scale() const { return rate_scale_; }
 
  private:
   util::Poly2D io_poly_;      // (ws, rate) -> write bytes/sec.
   util::Poly1D frontier_;     // ws -> max rows/sec.
+  // Inputs are scaled to ~[0,1] by these before fitting, for numeric
+  // stability.
   double ws_scale_ = 1.0;
   double rate_scale_ = 1.0;
   double min_frontier_ = 0.0;  // Frontier floor (quadratics can dip).

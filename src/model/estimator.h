@@ -24,10 +24,6 @@ struct CombinedPrediction {
   util::TimeSeries ram_bytes;
   util::TimeSeries disk_write_bytes_per_sec;
   double total_working_set_bytes = 0;
-
-  double PeakCpu() const { return cpu_cores.Max(); }
-  double PeakRamBytes() const { return ram_bytes.Max(); }
-  double PeakDiskBytesPerSec() const { return disk_write_bytes_per_sec.Max(); }
 };
 
 /// Estimates combined resource consumption of co-located workloads.

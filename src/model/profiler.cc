@@ -9,18 +9,6 @@
 
 namespace kairos::model {
 
-ProfilerConfig ProfilerConfig::Default() {
-  ProfilerConfig c;
-  for (double gb : {1.0, 1.5, 2.0, 2.5, 3.0, 3.5}) {
-    c.working_set_bytes.push_back(gb * static_cast<double>(util::kGiB));
-  }
-  for (double rate : {1000.0, 4000.0, 8000.0, 12000.0, 16000.0, 20000.0, 26000.0,
-                      32000.0, 40000.0}) {
-    c.rows_per_sec.push_back(rate);
-  }
-  return c;
-}
-
 ProfilerConfig ProfilerConfig::Small() {
   ProfilerConfig c;
   // Working sets comfortably inside the default 1 GB buffer pool.

@@ -27,9 +27,6 @@ struct ProfilerConfig {
   /// Updates per synthetic transaction (the sweep varies rate, not shape).
   double updates_per_tx = 10.0;
 
-  /// Default grid resembling Figure 4 (1.0-3.5 GB working sets, update
-  /// rates up to 40K rows/sec).
-  static ProfilerConfig Default();
   /// Tiny grid for unit tests.
   static ProfilerConfig Small();
 };

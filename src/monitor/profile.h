@@ -45,11 +45,6 @@ struct WorkloadProfile {
   int replicas = 1;
   /// If >= 0, this workload must be placed on that server index.
   int pinned_server = -1;
-
-  /// Peak values (conveniences over the series).
-  double PeakCpuCores() const { return cpu_cores.Max(); }
-  double PeakRamBytes() const { return ram_bytes.Max(); }
-  double PeakUpdateRate() const { return update_rows_per_sec.Max(); }
 };
 
 /// Summary statistics of one profile — the compact fingerprint the online

@@ -59,6 +59,8 @@ ConsolidationController::ConsolidationController(const ControllerConfig& config)
       builder_(static_cast<int>(config.base.workloads.size()),
                static_cast<size_t>(config.window_samples),
                config.sample_interval_seconds),
+      ingest_(&builder_, IngestOptions{config.ingest_threads,
+                                       config.ingest_stripes}),
       drift_(config.drift) {
   assert(!config.base.workloads.empty());
   // A bounded fleet is the server pool; num_servers can only shrink it
@@ -72,15 +74,6 @@ ConsolidationController::ConsolidationController(const ControllerConfig& config)
     w.update_rows_per_sec = util::TimeSeries();
     w.os_ram_bytes = util::TimeSeries();
     w.os_write_bytes_per_sec = util::TimeSeries();
-  }
-  // The striped ingestion tier is opt-in: the defaults keep the serial
-  // builder path (and its exact observability counter set) untouched.
-  if (config_.ingest_threads > 1 || config_.ingest_stripes > 0) {
-    IngestOptions options;
-    options.threads = config_.ingest_threads;
-    options.stripes = config_.ingest_stripes;
-    ingest_ = std::make_unique<IngestPlane>(&builder_, options);
-    ingest_->AttachSink(config_.sink);
   }
 }
 
@@ -101,31 +94,21 @@ core::ConsolidationProblem ConsolidationController::SnapshotProblem() const {
 
 std::vector<monitor::ProfileStats> ConsolidationController::CurrentStats() {
   std::vector<monitor::ProfileStats> stats(builder_.num_workloads());
-  if (ingest_ != nullptr) {
-    // Each stripe summarizes its own streams into disjoint result slots.
-    ingest_->ForEachStripe([&](int, int begin, int end) {
-      for (int w = begin; w < end; ++w) stats[w] = builder_.Stats(w);
-    });
-  } else {
-    for (int w = 0; w < builder_.num_workloads(); ++w) {
-      stats[w] = builder_.Stats(w);
-    }
-  }
+  // Each stripe summarizes its own streams into disjoint result slots.
+  ingest_.ForEachStripe([&](int, int begin, int end) {
+    for (int w = begin; w < end; ++w) stats[w] = builder_.Stats(w);
+  });
   return stats;
 }
 
-void ConsolidationController::Ingest(const std::vector<TelemetrySample>& samples) {
+bool ConsolidationController::Ingest(const std::vector<TelemetrySample>& samples) {
   const bool observed = config_.sink != nullptr;
   if (observed) InternObsIds();
   {
     // Time only the telemetry -> rolling-profile path (the ROADMAP
     // samples/sec KPI measures ingestion, not the re-solves it triggers).
     ScopedAccumTimer timer(observed ? &ingest_seconds_accum_ : nullptr);
-    if (ingest_ != nullptr) {
-      ingest_->IngestStep(samples);
-    } else {
-      builder_.Ingest(samples);
-    }
+    if (!ingest_.IngestStep(samples)) return false;
   }
   if (observed) {
     obs_ingest_seconds_->Set(ingest_seconds_accum_);
@@ -133,22 +116,24 @@ void ConsolidationController::Ingest(const std::vector<TelemetrySample>& samples
     obs_samples_ingested_->Add(static_cast<int64_t>(samples.size()));
   }
   ++step_;
-  if (static_cast<int>(builder_.samples_seen()) < config_.warmup_samples) return;
+  if (static_cast<int>(builder_.samples_seen()) < config_.warmup_samples) {
+    return true;
+  }
   // The bootstrap solve happens at the first warmed-up step; afterwards
   // control runs every control_interval steps.
   if (!assignment_.empty() && config_.control_interval > 1 &&
       step_ % config_.control_interval != 0) {
-    return;
+    return true;
   }
   RunControl("");
+  return true;
 }
 
 int ConsolidationController::RunToEnd(TelemetryFeed* feed) {
   std::vector<TelemetrySample> samples;
   int steps = 0;
   while (feed->Next(&samples)) {
-    Ingest(samples);
-    ++steps;
+    if (Ingest(samples)) ++steps;
   }
   return steps;
 }
@@ -322,9 +307,6 @@ void ConsolidationController::RunControl(const std::string& forced_reason) {
 }
 
 DriftDecision ConsolidationController::DetectDrift(bool forecast_violation) {
-  if (ingest_ == nullptr) {
-    return drift_.Check(step_, CurrentStats(), forecast_violation);
-  }
   if (forecast_violation) {
     DriftDecision decision;
     decision.resolve = true;
@@ -336,13 +318,13 @@ DriftDecision ConsolidationController::DetectDrift(bool forecast_violation) {
   }
   const std::vector<monitor::ProfileStats> stats = CurrentStats();
   // Each shard scans its own stripe concurrently into a disjoint slot...
-  std::vector<DriftScan> scans(ingest_->stripes().num_stripes());
-  ingest_->ForEachStripe([&](int s, int begin, int end) {
+  std::vector<DriftScan> scans(ingest_.stripes().num_stripes());
+  ingest_.ForEachStripe([&](int s, int begin, int end) {
     scans[s] = drift_.ScanRange(stats, begin, end);
   });
   // ...and the fold walks the stripes in order, so first_stream is the
-  // lowest-indexed drifted stream — the same stream (and reason string) the
-  // serial scan reports, at every stripe and thread count.
+  // lowest-indexed drifted stream — the same stream (and reason string) at
+  // every stripe and thread count.
   DriftScan folded;
   int drifted_shards = 0;
   for (const DriftScan& scan : scans) {

@@ -20,7 +20,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,14 +72,15 @@ struct ControllerConfig {
   /// Partitioner knobs for the shard-routed repair.
   solve::ShardOptions shard;
 
-  /// Striped parallel ingestion (online/ingest.h). ingest_threads > 1 runs
-  /// each stripe's batch on the deterministic util::ThreadPool;
-  /// ingest_stripes = 0 picks StripeMap::AutoStripes from the stream count.
-  /// The defaults (1/0) keep the legacy serial builder path and its exact
-  /// counter set. Profiles, drift decisions, and RenderHistory() are
-  /// byte-identical across every setting of both knobs: stripes own
-  /// disjoint estimator state, the stripe map never depends on the thread
-  /// count, and all reductions fold in sequential stripe order.
+  /// Striped ingestion (online/ingest.h): every step goes through the
+  /// controller's IngestPlane. ingest_threads > 1 runs each stripe's batch
+  /// on the deterministic util::ThreadPool (<= 1 runs the stripes on the
+  /// calling thread, with no pool); ingest_stripes = 0 picks
+  /// StripeMap::AutoStripes from the stream count. Profiles, drift
+  /// decisions, and RenderHistory() are byte-identical across every setting
+  /// of both knobs: stripes own disjoint estimator state, the stripe map
+  /// never depends on the thread count, and all reductions fold in
+  /// sequential stripe order.
   int ingest_threads = 1;
   int ingest_stripes = 0;
 
@@ -139,9 +139,15 @@ class ConsolidationController {
  public:
   explicit ConsolidationController(const ControllerConfig& config);
 
+  /// Not copyable or movable: the ingest plane points at the builder.
+  ConsolidationController(const ConsolidationController&) = delete;
+  ConsolidationController& operator=(const ConsolidationController&) = delete;
+
   /// Feeds one monitoring step (one sample per workload, matching
-  /// config.base.workloads order). May trigger a re-solve.
-  void Ingest(const std::vector<TelemetrySample>& samples);
+  /// config.base.workloads order). May trigger a re-solve. Returns false,
+  /// and changes nothing, when the step does not hold exactly one sample
+  /// per workload.
+  bool Ingest(const std::vector<TelemetrySample>& samples);
 
   /// Drains every step from `feed`; returns the number of steps ingested.
   int RunToEnd(TelemetryFeed* feed);
@@ -207,9 +213,9 @@ class ConsolidationController {
                  const core::ConsolidationPlan& plan,
                  const std::vector<int>& before);
   std::vector<monitor::ProfileStats> CurrentStats();
-  /// Drift check for the current step: per-stripe ScanRange on the ingest
-  /// plane folded in stripe order (identical decision to the serial
-  /// DriftDetector::Check), plus shard attribution for escalation.
+  /// Drift check for the current step: a violation forecast fires at once
+  /// (ignoring the cooldown); otherwise per-stripe ScanRange on the ingest
+  /// plane, folded in stripe order, plus shard attribution for escalation.
   DriftDecision DetectDrift(bool forecast_violation);
 
   /// Lazily interns the controller's trace ids (no-op without a sink).
@@ -224,9 +230,7 @@ class ConsolidationController {
 
   ControllerConfig config_;
   StreamingProfileBuilder builder_;
-  /// Striped parallel ingestion tier; null when the config keeps the
-  /// legacy serial path (ingest_threads <= 1 and ingest_stripes == 0).
-  std::unique_ptr<IngestPlane> ingest_;
+  IngestPlane ingest_;  ///< Built after, and pointing at, builder_.
   DriftDetector drift_;
   MigrationPlanner planner_;
 

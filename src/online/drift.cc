@@ -55,19 +55,4 @@ DriftDecision DriftDetector::Decide(const DriftScan& folded,
   return decision;
 }
 
-DriftDecision DriftDetector::Check(
-    int step, const std::vector<monitor::ProfileStats>& current,
-    bool forecast_violation) const {
-  if (forecast_violation) {
-    DriftDecision decision;
-    decision.resolve = true;
-    decision.reason = "violation-forecast";
-    return decision;
-  }
-  if (!ScanEnabled(step, current.size())) return {};
-  const DriftScan scan =
-      ScanRange(current, 0, static_cast<int>(current.size()));
-  return Decide(scan, scan.drifted_streams > 0 ? 1 : 0);
-}
-
 }  // namespace kairos::online

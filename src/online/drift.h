@@ -7,11 +7,12 @@
 //      than a relative threshold (with absolute floors so idle workloads
 //      don't flap).
 //
-// The scan decomposes over stream ranges: ScanRange(current, b, e) counts
-// the drifted streams in [b, e) and remembers the first, so the striped
-// ingestion tier can scan each shard's stripe on its own worker and fold
-// the per-shard results in shard order — Decide() then builds a decision
-// identical to the serial full-range Check(). The decision also reports
+// The controller checks the forecast itself; the detector owns the drift
+// scan. The scan decomposes over stream ranges: ScanRange(current, b, e)
+// counts the drifted streams in [b, e) and remembers the first, so the
+// striped ingestion tier can scan each shard's stripe on its own worker and
+// fold the per-shard results in shard order — Decide() then builds the same
+// decision at every stripe and thread count. The decision also reports
 // *how many* streams (and shards) drifted: the controller uses a
 // single-stream drift for the local shard repair and escalates multi-stream
 // or cross-shard drift to a global re-solve.
@@ -64,13 +65,6 @@ class DriftDetector {
   /// Captures the fingerprints a fresh plan was solved against.
   void Rebase(int step, std::vector<monitor::ProfileStats> reference);
 
-  /// `forecast_violation`: the controller's capacity forecast of the
-  /// incumbent placement against current rolling profiles. Serial
-  /// equivalent of ScanEnabled + full-range ScanRange + Decide.
-  DriftDecision Check(int step,
-                      const std::vector<monitor::ProfileStats>& current,
-                      bool forecast_violation) const;
-
   /// False when no drift scan should run at `step`: no reference yet, a
   /// stream-count mismatch, or inside the post-solve cooldown.
   bool ScanEnabled(int step, size_t num_streams) const;
@@ -81,7 +75,7 @@ class DriftDetector {
                       int begin, int end) const;
 
   /// Builds the decision from a folded scan. `drifted_shards` is the number
-  /// of stripes whose scan found drift (1 for the serial path).
+  /// of stripes whose scan found drift.
   DriftDecision Decide(const DriftScan& folded, int drifted_shards) const;
 
  private:

@@ -1,7 +1,18 @@
-// Incremental statistics for streaming telemetry: a fixed-capacity rolling
-// window and a decaying peak tracker for working sets. These let the online
+// Incremental statistics for streaming telemetry: fixed-capacity rolling
+// windows and decaying peak trackers for working sets. These let the online
 // controller maintain per-workload profile statistics in O(1) per sample
 // instead of re-scanning history.
+//
+// Each bank holds the state of N per-stream estimators in flat arrays and is
+// updated in *lockstep*: every monitoring step, every stream absorbs exactly
+// one value (streams may be pushed from different threads as long as each
+// thread touches a disjoint stream range), then a single thread calls
+// CommitStep() to advance the shared step counters. Because each stream's
+// update reads and writes only that stream's slice plus shared read-only
+// step state, the bank's contents after k committed steps are bit-identical
+// to k Push calls on N independent scalar estimators — no matter how the
+// streams were partitioned across threads. The scalar reference semantics
+// live in tests/oracle/scalar_estimators.h.
 #ifndef KAIROS_ONLINE_ESTIMATORS_H_
 #define KAIROS_ONLINE_ESTIMATORS_H_
 
@@ -13,61 +24,7 @@
 
 namespace kairos::online {
 
-/// Last-W samples of one signal, with window statistics and export to the
-/// profile time-series format. Push is O(1) (ring buffer); the statistics
-/// and export walk the window.
-class RollingWindow {
- public:
-  RollingWindow(size_t capacity, double interval_seconds);
-
-  void Push(double value);
-  size_t size() const { return values_.size(); }
-  bool full() const { return values_.size() == capacity_; }
-
-  double Mean() const;
-  double Max() const;
-
-  /// Window contents, oldest first, as a TimeSeries.
-  util::TimeSeries ToSeries() const;
-
- private:
-  size_t capacity_;
-  double interval_seconds_;
-  std::vector<double> values_;  // ring; oldest at start_ once full
-  size_t start_ = 0;
-};
-
-/// Peak tracker with geometric decay: follows a rising signal exactly and
-/// forgets spikes at `decay` per sample. Used for working-set estimates,
-/// which should deflate slowly after a burst.
-class DecayingMax {
- public:
-  explicit DecayingMax(double decay = 0.99) : decay_(decay) {}
-
-  void Push(double value);
-  double value() const { return value_; }
-
- private:
-  double decay_;
-  double value_ = 0.0;
-};
-
-// ---------------------------------------------------------------------------
-// SoA estimator banks — the batch form of the scalar estimators above.
-//
-// One bank holds the state of N per-stream estimators in flat arrays and is
-// updated in *lockstep*: every monitoring step, every stream absorbs exactly
-// one value (streams may be pushed from different threads as long as each
-// thread touches a disjoint stream range), then a single thread calls
-// CommitStep() to advance the shared step counters. Because each stream's
-// update reads and writes only that stream's slice plus shared read-only
-// step state, the bank's contents after k committed steps are bit-identical
-// to k Push calls on N independent scalar estimator objects — no matter
-// how the streams were partitioned across threads. The scalar classes are
-// the reference semantics; the banks are the hot path.
-// ---------------------------------------------------------------------------
-
-/// N RollingWindows over one signal, slot-major: a step writes one
+/// N rolling windows over one signal, slot-major: a step writes one
 /// contiguous row of N doubles instead of N strided ring slots.
 class RollingWindowBank {
  public:
@@ -92,8 +49,7 @@ class RollingWindowBank {
     return {values_.data() + w, static_cast<size_t>(streams_), start_, size_};
   }
 
-  /// Stream w's window, oldest first — the order RollingWindow::ToSeries
-  /// exports.
+  /// Stream w's window, oldest first.
   util::TimeSeries ToSeries(int w) const;
 
  private:
@@ -101,12 +57,15 @@ class RollingWindowBank {
   size_t capacity_;
   double interval_seconds_;
   size_t size_ = 0;   ///< committed samples per stream (<= capacity)
-  size_t start_ = 0;  ///< oldest slot once full (== scalar start_)
+  size_t start_ = 0;  ///< oldest slot once full
   std::vector<double> values_;  ///< [slot * streams + w]
   double* write_row_;           ///< &values_[write_slot * streams]
 };
 
-/// N DecayingMax trackers. Stateless across streams: no commit needed.
+/// N peak trackers with geometric decay: each follows a rising signal
+/// exactly and forgets spikes at `decay` per sample, so working-set
+/// estimates deflate slowly after a burst. Stateless across streams: no
+/// commit needed.
 class DecayingMaxBank {
  public:
   DecayingMaxBank(int streams, double decay);

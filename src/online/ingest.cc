@@ -47,26 +47,24 @@ void IngestPlane::AttachSink(obs::Sink* sink) {
   sink->metrics().gauge("ingest.threads")->Set(threads());
 }
 
-void IngestPlane::IngestStep(const TelemetrySample* samples, int num_samples) {
-  assert(num_samples == builder_->num_workloads());
-  (void)num_samples;
+bool IngestPlane::IngestStep(const std::vector<TelemetrySample>& samples) {
+  // IngestBatch reads samples[w] for every stream: a short step would read
+  // past the vector, so the count is checked in every build type.
+  if (samples.size() != static_cast<size_t>(map_.num_streams())) return false;
   const int S = map_.num_stripes();
   if (pool_ != nullptr) {
     pool_->ParallelFor(S, [&](int s) {
-      builder_->IngestBatch(samples, map_.begin(s), map_.end(s));
+      builder_->IngestBatch(samples.data(), map_.begin(s), map_.end(s));
     });
   } else {
-    builder_->IngestBatch(samples, 0, map_.num_streams());
+    builder_->IngestBatch(samples.data(), 0, map_.num_streams());
   }
   builder_->CommitStep();
   if (steps_ != nullptr) {
     steps_->Add(1);
     stripe_batches_->Add(S);
   }
-}
-
-void IngestPlane::IngestStep(const std::vector<TelemetrySample>& samples) {
-  IngestStep(samples.data(), static_cast<int>(samples.size()));
+  return true;
 }
 
 void IngestPlane::ForEachStripe(const std::function<void(int, int, int)>& fn) {

@@ -9,12 +9,13 @@
 // once on the calling thread. Because per-stream estimator state is
 // disjoint and the shared counters advance only in the sequential commit,
 // profiles are bit-identical at 1, 2, 4, or 8 ingest threads and to the
-// serial StreamingProfileBuilder::Ingest path.
+// reference StreamingProfileBuilder::Ingest. One thread means no pool: the
+// stripes run on the caller.
 //
-// The same stripe map drives the per-shard drift scan: each shard scans
-// only its stripe (online/drift.h ScanRange) and the controller folds the
-// per-shard results in shard order, so drift decisions are equally
-// thread-count independent.
+// This is the online controller's only ingest path. The same stripe map
+// drives the per-shard drift scan: each shard scans only its stripe
+// (online/drift.h ScanRange) and the controller folds the per-shard results
+// in shard order, so drift decisions are equally thread-count independent.
 #ifndef KAIROS_ONLINE_INGEST_H_
 #define KAIROS_ONLINE_INGEST_H_
 
@@ -83,9 +84,10 @@ class IngestPlane {
   void AttachSink(obs::Sink* sink);
 
   /// Ingests one step (one sample per stream, stream order): all stripes'
-  /// IngestBatch in parallel, then one CommitStep on this thread.
-  void IngestStep(const TelemetrySample* samples, int num_samples);
-  void IngestStep(const std::vector<TelemetrySample>& samples);
+  /// IngestBatch in parallel, then one CommitStep on this thread. Returns
+  /// false, and touches nothing, when `samples` does not hold exactly one
+  /// sample per stream.
+  bool IngestStep(const std::vector<TelemetrySample>& samples);
 
   /// Runs fn(stripe, begin, end) for every stripe — in parallel on the
   /// pool when one exists. fn must touch only per-stream state inside its

@@ -9,8 +9,8 @@
 // step protocol makes the builder stripeable: IngestBatch(samples, b, e)
 // touches only workloads [b, e), so disjoint stripes can be ingested from
 // different threads (online/ingest.h), followed by one CommitStep(). The
-// resulting state is bit-identical to the serial Ingest() path regardless
-// of striping.
+// resulting state is bit-identical to the reference Ingest() regardless of
+// striping.
 #ifndef KAIROS_ONLINE_STREAMING_PROFILE_H_
 #define KAIROS_ONLINE_STREAMING_PROFILE_H_
 
@@ -32,7 +32,9 @@ class StreamingProfileBuilder {
                           double working_set_decay = 0.995);
 
   /// Ingests one step (one sample per workload, in workload order).
-  /// Equivalent to IngestBatch over all workloads plus CommitStep().
+  /// Equivalent to IngestBatch over all workloads plus CommitStep(): the
+  /// reference that the striped IngestPlane, through which the controller
+  /// ingests, is checked against.
   void Ingest(const std::vector<TelemetrySample>& samples);
 
   /// Batch hot loop: absorbs the current step's samples for workloads

@@ -58,10 +58,6 @@ ReplayFeed ReplayFeed::FromProfiles(
   return ReplayFeed(std::move(names), std::move(steps));
 }
 
-ReplayFeed ReplayFeed::FromTraces(const std::vector<trace::ServerTrace>& traces) {
-  return FromProfiles(trace::ToProfiles(traces));
-}
-
 ReplayFeed ReplayFeed::FromRun(const workload::RunResult& run,
                                const std::vector<double>& working_set_bytes) {
   assert(working_set_bytes.size() == run.workloads.size());

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "monitor/profile.h"
-#include "trace/dataset.h"
 #include "workload/driver.h"
 
 namespace kairos::obs {
@@ -65,9 +64,6 @@ class ReplayFeed : public TelemetryFeed {
 
   /// One step per series sample (the shortest series bounds the horizon).
   static ReplayFeed FromProfiles(const std::vector<monitor::WorkloadProfile>& profiles);
-
-  /// Replays a synthesized or imported dataset (trace::ToProfiles applied).
-  static ReplayFeed FromTraces(const std::vector<trace::ServerTrace>& traces);
 
   /// Re-shapes a workload::Driver run: the server's measured CPU demand is
   /// apportioned to workloads by their per-window throughput share, the

@@ -118,13 +118,6 @@ void CapacityLedger::Remove(int server, const std::vector<double>& cpu_cores,
   ws_[server] -= working_set_bytes;
 }
 
-double CapacityLedger::PeakCpuFraction(int server) const {
-  assert(server >= 0 && server < num_servers());
-  const double peak =
-      *std::max_element(cpu_[server].begin(), cpu_[server].end());
-  return cpu_capacity_[server] > 0 ? peak / cpu_capacity_[server] : 0.0;
-}
-
 double CapacityLedger::PeakDiskFraction(int server) const {
   assert(server >= 0 && server < num_servers());
   const model::DiskResource& disk = class_disk_[class_of_[server]];

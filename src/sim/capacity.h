@@ -81,10 +81,6 @@ class CapacityLedger {
               const std::vector<double>& update_rows_per_sec,
               double working_set_bytes);
 
-  /// Worst-sample CPU load of `server` as a fraction of headroomed
-  /// capacity (for reports).
-  double PeakCpuFraction(int server) const;
-
   /// Worst-sample disk load of `server` as a fraction of its headroomed
   /// sustainable rate at the current ledger working set (0 when the
   /// server's class has no disk model).

@@ -83,10 +83,6 @@ struct FleetSpec {
   /// last class (stranded indices beyond the fleet, e.g. a drained label).
   int ClassOf(int server) const;
 
-  const MachineSpec& SpecOf(int server) const {
-    return classes[ClassOf(server)].spec;
-  }
-
   bool DrainedServer(int server) const {
     return classes[ClassOf(server)].drained;
   }

@@ -69,7 +69,6 @@ core::ConsolidationPlan EngineSolver::Solve(
   options.direct_evaluations = budget.direct_evaluations;
   options.probe_direct_evaluations = budget.probe_direct_evaluations;
   options.local_search_max_sweeps = budget.local_search_max_sweeps;
-  options.dimensioning = budget.dimensioning;
   options.sink = budget.sink;
   if (incumbent) {
     const std::string source = name();

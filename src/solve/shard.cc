@@ -354,7 +354,6 @@ std::vector<int> SolveShardLocal(const FleetShard& shard,
   budget.probe_direct_evaluations =
       std::max(25, parent.probe_direct_evaluations / S);
   budget.local_search_max_sweeps = parent.local_search_max_sweeps;
-  budget.dimensioning = parent.dimensioning;
   budget.sink = parent.sink;
   if (warm_seed != nullptr) {
     // The global warm seed carries over only when every shard slot's seed

@@ -47,11 +47,8 @@ class SharedIncumbent {
   };
   Snapshot Best() const;
 
-  /// True once the target objective was reached or RequestStop() was called.
+  /// True once the target objective was reached.
   bool ShouldStop() const { return stop_.load(std::memory_order_relaxed); }
-
-  /// Manually aborts the race (e.g., wall-clock budget exhausted).
-  void RequestStop() { stop_.store(true, std::memory_order_relaxed); }
 
   /// Total Offer() calls / improving Offer() calls so far.
   int offers() const;

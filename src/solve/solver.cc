@@ -55,9 +55,7 @@ core::Assignment StartAssignment(const core::ConsolidationProblem& problem,
                                  int cap, const SolveBudget& budget) {
   bool clean = false;
   core::Assignment start = core::GreedyMultiResource(problem, cap, &clean);
-  const bool dim_seed =
-      budget.dimensioning == core::DimensioningMode::kCostBudget &&
-      !problem.fleet.Uniform();
+  const bool dim_seed = !problem.fleet.Uniform();
   const bool warm = ValidSeedAssignment(problem, cap, budget.seed_assignment);
   if (!dim_seed && !warm) return start;
   core::Evaluator ev(problem, cap);

@@ -42,12 +42,6 @@ struct SolveBudget {
   /// Optional wall-clock cap for "exact" (seconds; 0 disables). Off by
   /// default so results stay machine-independent.
   double exact_max_seconds = 0.0;
-  /// How the engine adapter dimensions heterogeneous fleets, and whether
-  /// the metaheuristics may warm-start from the cost-based dimensioner's
-  /// dense-prefix seed. kCountPrefix forces the legacy count search
-  /// everywhere; the default cost-budget mode only engages on non-uniform
-  /// fleets (uniform fleets stay bit-identical either way).
-  core::DimensioningMode dimensioning = core::DimensioningMode::kCostBudget;
   /// Warm-start seed (one server index per slot, all within [0, HardCap)).
   /// When valid, the metaheuristics and the "polish" solver start from it
   /// instead of the greedy packing whenever it scores no worse; empty means

@@ -35,20 +35,6 @@ std::string Table::ToString() const {
   return out.str();
 }
 
-std::string Table::ToCsv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      out << row[c];
-      if (c + 1 < row.size()) out << ',';
-    }
-    out << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 std::string FormatDouble(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);

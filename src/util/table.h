@@ -20,10 +20,6 @@ class Table {
   /// Renders with aligned columns and a header rule.
   std::string ToString() const;
 
-  /// Renders as CSV (no escaping of commas in cells; cells are numeric or
-  /// simple identifiers throughout this project).
-  std::string ToCsv() const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

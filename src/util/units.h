@@ -16,21 +16,6 @@ inline constexpr double ToMiB(uint64_t bytes) {
   return static_cast<double>(bytes) / static_cast<double>(kMiB);
 }
 
-/// Converts bytes to fractional gibibytes.
-inline constexpr double ToGiB(uint64_t bytes) {
-  return static_cast<double>(bytes) / static_cast<double>(kGiB);
-}
-
-/// Converts fractional mebibytes to bytes (rounding down).
-inline constexpr uint64_t MiBToBytes(double mib) {
-  return static_cast<uint64_t>(mib * static_cast<double>(kMiB));
-}
-
-/// Converts fractional gibibytes to bytes (rounding down).
-inline constexpr uint64_t GiBToBytes(double gib) {
-  return static_cast<uint64_t>(gib * static_cast<double>(kGiB));
-}
-
 }  // namespace kairos::util
 
 #endif  // KAIROS_UTIL_UNITS_H_

@@ -5,18 +5,6 @@
 
 namespace kairos::vm {
 
-std::string VirtKindName(VirtKind kind) {
-  switch (kind) {
-    case VirtKind::kHardwareVm:
-      return "hardware-vm";
-    case VirtKind::kOsVirt:
-      return "os-virtualization";
-    case VirtKind::kConsolidatedDbms:
-      return "consolidated-dbms";
-  }
-  return "?";
-}
-
 int64_t MultiInstanceServer::TickReport::TotalCompleted() const {
   int64_t total = 0;
   for (const auto& r : instances) total += r.TotalCompleted();

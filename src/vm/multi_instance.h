@@ -23,9 +23,6 @@ namespace kairos::vm {
 /// Deployment style.
 enum class VirtKind { kHardwareVm, kOsVirt, kConsolidatedDbms };
 
-/// Name for reports.
-std::string VirtKindName(VirtKind kind);
-
 /// Configuration of one multi-instance machine.
 struct MultiInstanceConfig {
   sim::MachineSpec machine = sim::MachineSpec::Server1();

@@ -25,8 +25,6 @@ db::Database* Driver::AddWorkload(Workload* w) {
   return database;
 }
 
-void Driver::AddAttachedWorkload(Workload* w) { workloads_.push_back(w); }
-
 void Driver::Warm() {
   for (Workload* w : workloads_) w->Warm();
   // The warm-up touches are bulk faults, not workload activity: close one

@@ -27,8 +27,6 @@ struct WorkloadRunStats {
 
   double MeanTps() const { return tps.Mean(); }
   double MeanLatencyMs() const;
-  /// 95th-percentile of the per-window mean latencies.
-  double P95LatencyMs() const { return latency_ms.Percentile(95.0); }
 };
 
 /// Server-level results of a run.
@@ -55,9 +53,6 @@ class Driver {
 
   /// Creates a tenant database for `w`, attaches it, and registers it.
   db::Database* AddWorkload(Workload* w);
-
-  /// Registers a workload already attached to a database of this server.
-  void AddAttachedWorkload(Workload* w);
 
   /// Pre-faults every workload's working set and clears window counters.
   void Warm();

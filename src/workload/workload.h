@@ -26,7 +26,6 @@ class HotSetSampler : public db::PageSampler {
   db::PageId SampleUpdate(util::Rng& rng) override;
 
   uint64_t hot_pages() const { return hot_pages_; }
-  void set_hot_pages(uint64_t hot_pages) { hot_pages_ = hot_pages; }
 
  private:
   db::PageId Sample(util::Rng& rng);

@@ -1,11 +1,11 @@
-// Cost-based fleet dimensioning (core::FleetDimensioner + the engine's
-// DimensioningMode): the budget search over class mixes must convert the
-// ROADMAP's known wrong-answer case — bounded-K prefix probing skipping a
-// cheaper/denser class declared late in the fleet order — into a solved
-// one, while uniform fleets reproduce the legacy count-prefix path
-// byte-for-byte at every portfolio thread count. Also unit-covers the new
-// pieces this rides on: the disk-aware DenseServerOrder score, the
-// subset-restricted greedy packing, and the bounded-best-class
+// Cost-based fleet dimensioning (core::FleetDimensioner, which the engine
+// runs on every fleet that mixes machine classes): the budget search over
+// class mixes must convert the ROADMAP's known wrong-answer case —
+// bounded-K prefix probing skipping a cheaper/denser class declared late in
+// the fleet order — into a solved one, while uniform fleets keep the
+// count-prefix search, byte-for-byte at every portfolio thread count. Also
+// unit-covers the pieces this rides on: the disk-aware DenseServerOrder
+// score, the subset-restricted greedy packing, and the bounded-best-class
 // FractionalLowerBound.
 #include "core/dimensioner.h"
 
@@ -51,14 +51,12 @@ solve::SolveBudget TestBudget() {
   return budget;
 }
 
-core::EngineOptions EngineOptionsFor(const solve::SolveBudget& budget,
-                                     core::DimensioningMode mode) {
+core::EngineOptions EngineOptionsFor(const solve::SolveBudget& budget) {
   core::EngineOptions options;
   options.seed = 11;
   options.direct_evaluations = budget.direct_evaluations;
   options.probe_direct_evaluations = budget.probe_direct_evaluations;
   options.local_search_max_sweeps = budget.local_search_max_sweeps;
-  options.dimensioning = mode;
   return options;
 }
 
@@ -97,19 +95,10 @@ TEST(CostBudgetDimensioningTest, RaidDeclaredLastBeatsPrefixAndGreedy) {
 
   const solve::SolveBudget budget = TestBudget();
   const core::ConsolidationPlan cost_plan =
-      core::ConsolidationEngine(
-          problem,
-          EngineOptionsFor(budget, core::DimensioningMode::kCostBudget))
-          .Solve();
-  const core::ConsolidationPlan prefix_plan =
-      core::ConsolidationEngine(
-          problem,
-          EngineOptionsFor(budget, core::DimensioningMode::kCountPrefix))
-          .Solve();
+      core::ConsolidationEngine(problem, EngineOptionsFor(budget)).Solve();
 
   ASSERT_TRUE(cost_plan.feasible);
   EXPECT_GT(cost_plan.budget_probes, 0);
-  EXPECT_EQ(prefix_plan.budget_probes, 0);
 
   // Never worse than the class-aware greedy baseline's fleet cost...
   auto greedy_solver = solve::SolverRegistry::Global().Create("greedy", 11);
@@ -118,10 +107,6 @@ TEST(CostBudgetDimensioningTest, RaidDeclaredLastBeatsPrefixAndGreedy) {
       greedy_solver->Solve(problem, budget, nullptr);
   ASSERT_TRUE(greedy_plan.feasible);
   EXPECT_LE(cost_plan.fleet_cost, greedy_plan.fleet_cost + 1e-9);
-
-  // ...never worse than the legacy count-prefix engine...
-  EXPECT_LE(cost_plan.fleet_cost, prefix_plan.fleet_cost + 1e-9);
-  EXPECT_LE(cost_plan.objective, prefix_plan.objective + 1e-9);
 
   // ...and within 1% of the best plan the whole portfolio finds.
   solve::PortfolioOptions options;
@@ -136,11 +121,8 @@ TEST(CostBudgetDimensioningTest, DimensionerChoosesRaidMixUnderBudget) {
   trace::FleetScenario scenario;
   const core::ConsolidationProblem problem = RaidProblem(&scenario);
   const solve::SolveBudget budget = TestBudget();
-  core::ConsolidationEngine engine(
-      problem, EngineOptionsFor(budget, core::DimensioningMode::kCostBudget));
-  core::FleetDimensioner dimensioner(
-      problem, engine,
-      EngineOptionsFor(budget, core::DimensioningMode::kCostBudget));
+  core::ConsolidationEngine engine(problem, EngineOptionsFor(budget));
+  core::FleetDimensioner dimensioner(problem, engine, EngineOptionsFor(budget));
   const core::GreedyResult greedy =
       core::GreedyBaseline(problem, problem.ServerCap());
   const core::DimensioningResult dim = dimensioner.Run(greedy);
@@ -164,34 +146,6 @@ TEST(CostBudgetDimensioningTest, DimensionerChoosesRaidMixUnderBudget) {
   }
   ev.Load(dim.assignment.server_of_slot);
   EXPECT_TRUE(ev.IsFeasible());
-}
-
-TEST(CostBudgetDimensioningTest, ProbeContextReuseBitIdenticalToRebuild) {
-  // reuse_probe_context is a latency lever only: the cached full-cap
-  // evaluator and greedy packing context must reproduce the per-probe
-  // rebuild bit for bit — same plan, same chosen mix, same probe count.
-  trace::FleetScenario scenario;
-  const core::ConsolidationProblem problem = RaidProblem(&scenario);
-  const solve::SolveBudget budget = TestBudget();
-
-  core::EngineOptions cached =
-      EngineOptionsFor(budget, core::DimensioningMode::kCostBudget);
-  cached.reuse_probe_context = true;
-  core::EngineOptions rebuilt = cached;
-  rebuilt.reuse_probe_context = false;
-
-  const core::ConsolidationPlan with_cache =
-      core::ConsolidationEngine(problem, cached).Solve();
-  const core::ConsolidationPlan without_cache =
-      core::ConsolidationEngine(problem, rebuilt).Solve();
-
-  EXPECT_EQ(with_cache.assignment.server_of_slot,
-            without_cache.assignment.server_of_slot);
-  EXPECT_EQ(with_cache.objective, without_cache.objective);
-  EXPECT_EQ(with_cache.fleet_cost, without_cache.fleet_cost);
-  EXPECT_EQ(with_cache.chosen_class_counts, without_cache.chosen_class_counts);
-  EXPECT_EQ(with_cache.budget_probes, without_cache.budget_probes);
-  EXPECT_GT(with_cache.budget_probes, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,11 +235,8 @@ TEST(CostBudgetDimensioningTest, KnapsackReachesInterleavedMixPrefixesMiss) {
   // End to end, the dimensioner lands on that interleaved mix (anchor
   // disabled: the reach claim is about the dimensioner's own search space).
   const solve::SolveBudget budget = TestBudget();
-  core::ConsolidationEngine engine(
-      problem, EngineOptionsFor(budget, core::DimensioningMode::kCostBudget));
-  core::FleetDimensioner dimensioner(
-      problem, engine,
-      EngineOptionsFor(budget, core::DimensioningMode::kCostBudget));
+  core::ConsolidationEngine engine(problem, EngineOptionsFor(budget));
+  core::FleetDimensioner dimensioner(problem, engine, EngineOptionsFor(budget));
   const core::DimensioningResult dim = dimensioner.Run(core::GreedyResult{});
   ASSERT_TRUE(dim.found);
   ASSERT_EQ(dim.class_counts.size(), 3u);
@@ -300,7 +251,7 @@ TEST(CostBudgetDimensioningTest, KnapsackReachesInterleavedMixPrefixesMiss) {
 }
 
 // ---------------------------------------------------------------------------
-// Uniform fleets: the legacy path, byte for byte
+// Uniform fleets: the count-prefix search, byte for byte
 // ---------------------------------------------------------------------------
 
 core::ConsolidationProblem UniformProblem() {
@@ -317,51 +268,30 @@ core::ConsolidationProblem UniformProblem() {
   return problem;
 }
 
-TEST(CostBudgetDimensioningTest, UniformFleetBitIdenticalAcrossModes) {
+TEST(CostBudgetDimensioningTest, UniformFleetSkipsTheBudgetSearch) {
   const core::ConsolidationProblem problem = UniformProblem();
   ASSERT_TRUE(problem.fleet.Uniform());
-  const solve::SolveBudget budget = TestBudget();
-
-  const core::ConsolidationPlan cost_plan =
-      core::ConsolidationEngine(
-          problem,
-          EngineOptionsFor(budget, core::DimensioningMode::kCostBudget))
-          .Solve();
-  const core::ConsolidationPlan prefix_plan =
-      core::ConsolidationEngine(
-          problem,
-          EngineOptionsFor(budget, core::DimensioningMode::kCountPrefix))
-          .Solve();
-  EXPECT_EQ(cost_plan.assignment.server_of_slot,
-            prefix_plan.assignment.server_of_slot);
-  EXPECT_EQ(cost_plan.objective, prefix_plan.objective);
-  EXPECT_EQ(cost_plan.feasible, prefix_plan.feasible);
-  EXPECT_EQ(cost_plan.budget_probes, 0);
-  EXPECT_TRUE(cost_plan.chosen_class_counts.empty());
+  const core::ConsolidationPlan plan =
+      core::ConsolidationEngine(problem, EngineOptionsFor(TestBudget())).Solve();
+  EXPECT_EQ(plan.budget_probes, 0);
+  EXPECT_TRUE(plan.chosen_class_counts.empty());
 }
 
 TEST(CostBudgetDimensioningTest, UniformPortfolioBitIdenticalAcrossThreads) {
   const core::ConsolidationProblem problem = UniformProblem();
   std::vector<int> reference;
   for (int threads : {1, 2, 4}) {
-    for (core::DimensioningMode mode :
-         {core::DimensioningMode::kCostBudget,
-          core::DimensioningMode::kCountPrefix}) {
-      solve::PortfolioOptions options;
-      options.threads = threads;
-      options.budget = TestBudget();
-      options.budget.dimensioning = mode;
-      const solve::PortfolioResult result =
-          solve::PortfolioRunner(options).Run(problem, AllSpecs(5));
-      ASSERT_GE(result.winner_index, 0);
-      if (reference.empty()) {
-        reference = result.best.assignment.server_of_slot;
-      } else {
-        EXPECT_EQ(result.best.assignment.server_of_slot, reference)
-            << threads << " threads, mode "
-            << (mode == core::DimensioningMode::kCostBudget ? "cost-budget"
-                                                            : "count-prefix");
-      }
+    solve::PortfolioOptions options;
+    options.threads = threads;
+    options.budget = TestBudget();
+    const solve::PortfolioResult result =
+        solve::PortfolioRunner(options).Run(problem, AllSpecs(5));
+    ASSERT_GE(result.winner_index, 0);
+    if (reference.empty()) {
+      reference = result.best.assignment.server_of_slot;
+    } else {
+      EXPECT_EQ(result.best.assignment.server_of_slot, reference)
+          << threads << " threads";
     }
   }
 }

@@ -6,11 +6,11 @@
 
 #include "core/evaluator.h"
 #include "online/drift.h"
-#include "online/estimators.h"
 #include "online/migration.h"
 #include "online/telemetry.h"
 #include "sim/capacity.h"
 #include "solve/solver.h"
+#include "tests/oracle/scalar_estimators.h"
 #include "trace/scenario.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -23,7 +23,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(EstimatorsTest, RollingWindowKeepsLastW) {
-  RollingWindow window(3, 1.0);
+  oracle::RollingWindow window(3, 1.0);
   for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) window.Push(v);
   EXPECT_TRUE(window.full());
   EXPECT_DOUBLE_EQ(window.Mean(), 4.0);
@@ -35,7 +35,7 @@ TEST(EstimatorsTest, RollingWindowKeepsLastW) {
 }
 
 TEST(EstimatorsTest, DecayingMaxFollowsAndForgets) {
-  DecayingMax ws(0.9);
+  oracle::DecayingMax ws(0.9);
   ws.Push(100.0);
   EXPECT_DOUBLE_EQ(ws.value(), 100.0);
   ws.Push(10.0);  // decays rather than drops
@@ -120,6 +120,15 @@ monitor::ProfileStats StatsWithCpu(double p95_cpu) {
   return s;
 }
 
+/// The drift decision at `step` with every stream scanned as one stripe.
+DriftDecision ScanAll(const DriftDetector& detector, int step,
+                      const std::vector<monitor::ProfileStats>& current) {
+  if (!detector.ScanEnabled(step, current.size())) return {};
+  return detector.Decide(
+      detector.ScanRange(current, 0, static_cast<int>(current.size())),
+      /*drifted_shards=*/1);
+}
+
 TEST(DriftTest, FiresOnRelativeDeviationAfterCooldown) {
   DriftConfig config;
   config.cooldown_steps = 4;
@@ -127,10 +136,10 @@ TEST(DriftTest, FiresOnRelativeDeviationAfterCooldown) {
   detector.Rebase(0, {StatsWithCpu(1.0)});
 
   // Within cooldown: even big drift is ignored.
-  EXPECT_FALSE(detector.Check(2, {StatsWithCpu(3.0)}, false).resolve);
+  EXPECT_FALSE(ScanAll(detector, 2, {StatsWithCpu(3.0)}).resolve);
   // After cooldown: small deviation no, large deviation yes.
-  EXPECT_FALSE(detector.Check(10, {StatsWithCpu(1.1)}, false).resolve);
-  const DriftDecision d = detector.Check(10, {StatsWithCpu(2.0)}, false);
+  EXPECT_FALSE(ScanAll(detector, 10, {StatsWithCpu(1.1)}).resolve);
+  const DriftDecision d = ScanAll(detector, 10, {StatsWithCpu(2.0)});
   EXPECT_TRUE(d.resolve);
   EXPECT_EQ(d.reason, "drift:w0");
 }
@@ -141,17 +150,7 @@ TEST(DriftTest, AbsoluteFloorSuppressesIdleFlapping) {
   DriftDetector detector(config);
   // 0.01 -> 0.05 cores is 5x relative but far below the absolute floor.
   detector.Rebase(0, {StatsWithCpu(0.01)});
-  EXPECT_FALSE(detector.Check(10, {StatsWithCpu(0.05)}, false).resolve);
-}
-
-TEST(DriftTest, ViolationForecastBypassesCooldown) {
-  DriftConfig config;
-  config.cooldown_steps = 100;
-  DriftDetector detector(config);
-  detector.Rebase(0, {StatsWithCpu(1.0)});
-  const DriftDecision d = detector.Check(1, {StatsWithCpu(1.0)}, true);
-  EXPECT_TRUE(d.resolve);
-  EXPECT_EQ(d.reason, "violation-forecast");
+  EXPECT_FALSE(ScanAll(detector, 10, {StatsWithCpu(0.05)}).resolve);
 }
 
 // ---------------------------------------------------------------------------
@@ -501,6 +500,71 @@ TEST(ControllerTest, StableTrafficNeverResolvesAfterBootstrap) {
   ASSERT_EQ(controller.history().size(), 1u);
   EXPECT_EQ(controller.history()[0].reason, "bootstrap");
   EXPECT_EQ(controller.total_moves(), 0);
+}
+
+/// Three workloads at 1 core each, 4 GiB RAM and a 2 GiB working set;
+/// workload 0 runs at `cpu0` cores.
+std::vector<TelemetrySample> ThreeWorkloadStep(double cpu0) {
+  const double gib = static_cast<double>(util::kGiB);
+  std::vector<TelemetrySample> step(3, {1.0, 4.0 * gib, 0.0, 2.0 * gib});
+  step[0].cpu_cores = cpu0;
+  return step;
+}
+
+ControllerConfig ThreeWorkloadConfig() {
+  ControllerConfig config;
+  for (int w = 0; w < 3; ++w) {
+    monitor::WorkloadProfile p;
+    p.name = "w" + std::to_string(w);
+    config.base.workloads.push_back(p);
+  }
+  config.num_servers = 3;
+  config.control_interval = 1;
+  config.seed = 11;
+  return config;
+}
+
+TEST(ControllerTest, ViolationForecastBypassesDriftCooldown) {
+  ControllerConfig config = ThreeWorkloadConfig();
+  config.drift.cooldown_steps = 100;
+  ConsolidationController controller(config);
+  for (int t = 0; t < config.warmup_samples; ++t) {
+    ASSERT_TRUE(controller.Ingest(ThreeWorkloadStep(1.0)));
+  }
+  ASSERT_EQ(controller.history().size(), 1u);
+  // Premise: 3 cores of demand share one server (10.8 usable cores).
+  const std::vector<int> plan = controller.assignment();
+  ASSERT_EQ(plan, std::vector<int>(3, plan[0]));
+
+  // 9 + 1 + 1 cores overload the shared server, though workload 0 alone
+  // still fits on one. The drift scan is deep inside its cooldown, so only
+  // the violation forecast can trigger this re-solve.
+  ASSERT_TRUE(controller.Ingest(ThreeWorkloadStep(9.0)));
+  ASSERT_EQ(controller.history().size(), 2u);
+  EXPECT_EQ(controller.history()[1].reason, "violation-forecast");
+  EXPECT_EQ(controller.history()[1].step, config.warmup_samples);
+}
+
+TEST(ControllerTest, MismatchedStepIsRefusedWithoutSideEffects) {
+  const ControllerConfig config = ThreeWorkloadConfig();
+  ConsolidationController clean(config);
+  ConsolidationController refused(config);
+  for (int t = 0; t < 2 * config.warmup_samples; ++t) {
+    const double cpu0 = t < config.warmup_samples ? 1.0 : 2.0 + 0.5 * t;
+    if (t == config.warmup_samples - 1) {
+      // One sample short, on the step that would bootstrap.
+      std::vector<TelemetrySample> short_step = ThreeWorkloadStep(cpu0);
+      short_step.pop_back();
+      EXPECT_FALSE(refused.Ingest(short_step));
+      EXPECT_EQ(refused.steps_ingested(), clean.steps_ingested());
+      EXPECT_TRUE(refused.history().empty());
+    }
+    ASSERT_TRUE(clean.Ingest(ThreeWorkloadStep(cpu0)));
+    ASSERT_TRUE(refused.Ingest(ThreeWorkloadStep(cpu0)));
+  }
+  EXPECT_EQ(refused.steps_ingested(), clean.steps_ingested());
+  EXPECT_FALSE(clean.RenderHistory().empty());
+  EXPECT_EQ(refused.RenderHistory(), clean.RenderHistory());
 }
 
 }  // namespace

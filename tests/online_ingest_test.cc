@@ -1,8 +1,8 @@
 // Striped parallel ingestion: the StripeMap layout, bit-identity of the SoA
-// estimator banks against the scalar estimators, thread-count independence
-// of the IngestPlane, the Stats fingerprint against a sort-based reference,
-// the sharded drift scan, and byte-identical controller transcripts at
-// 1/2/4/8 ingest threads.
+// estimator banks against the scalar reference estimators, thread-count
+// independence of the IngestPlane, the Stats fingerprint against a
+// sort-based reference, the sharded drift scan, and byte-identical
+// controller transcripts at 1/2/4/8 ingest threads.
 #include "online/ingest.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "online/estimators.h"
 #include "online/streaming_profile.h"
 #include "online/telemetry.h"
+#include "tests/oracle/scalar_estimators.h"
 #include "tests/sorted_percentile.h"
 #include "trace/scenario.h"
 #include "util/rng.h"
@@ -75,7 +76,8 @@ TEST(StripeMapTest, AutoStripesDependsOnlyOnStreamCount) {
 TEST(EstimatorBankTest, RollingWindowBankMatchesScalarBitExact) {
   constexpr int kStreams = 3;
   constexpr size_t kCapacity = 5;
-  std::vector<RollingWindow> scalar(kStreams, RollingWindow(kCapacity, 300.0));
+  std::vector<oracle::RollingWindow> scalar(
+      kStreams, oracle::RollingWindow(kCapacity, 300.0));
   RollingWindowBank bank(kStreams, kCapacity, 300.0);
 
   util::Rng rng(17);
@@ -102,7 +104,7 @@ TEST(EstimatorBankTest, RollingWindowBankMatchesScalarBitExact) {
 
 TEST(EstimatorBankTest, DecayingMaxBankMatchesScalarBitExact) {
   constexpr int kStreams = 2;
-  std::vector<DecayingMax> scalar(kStreams, DecayingMax(0.995));
+  std::vector<oracle::DecayingMax> scalar(kStreams, oracle::DecayingMax(0.995));
   DecayingMaxBank bank(kStreams, 0.995);
   util::Rng rng(31);
   for (int t = 0; t < 200; ++t) {
@@ -201,8 +203,11 @@ TEST(IngestPlaneTest, CountsStepsAndStripeBatches) {
   plane.AttachSink(&sink);
 
   util::Rng rng(3);
-  for (int t = 0; t < 6; ++t) plane.IngestStep(RandomStep(&rng, 10));
+  for (int t = 0; t < 6; ++t) EXPECT_TRUE(plane.IngestStep(RandomStep(&rng, 10)));
+  // A short step is refused before any stripe reads it.
+  EXPECT_FALSE(plane.IngestStep(RandomStep(&rng, 9)));
 
+  EXPECT_EQ(builder.samples_seen(), 6u);
   EXPECT_EQ(sink.metrics().counter("ingest.steps")->Value(), 6);
   EXPECT_EQ(sink.metrics().counter("ingest.stripe_batches")->Value(), 18);
   EXPECT_EQ(sink.metrics().gauge("ingest.stripes")->Value(), 3.0);
@@ -391,7 +396,10 @@ TEST(DriftScanTest, PerStripeScansFoldToTheSerialDecision) {
     ++drifted_shards;
   }
   const DriftDecision sharded = detector.Decide(folded, drifted_shards);
-  const DriftDecision serial = detector.Check(10, current, false);
+  // Reference: the whole stream set scanned as one stripe.
+  const DriftDecision serial = detector.Decide(
+      detector.ScanRange(current, 0, static_cast<int>(current.size())),
+      /*drifted_shards=*/1);
 
   EXPECT_TRUE(sharded.resolve);
   EXPECT_EQ(sharded.reason, serial.reason);
@@ -444,7 +452,7 @@ TEST(IngestControllerTest, HistoryByteIdenticalAcrossIngestThreads) {
     SCOPED_TRACE(kind == trace::ScenarioKind::kDiurnal ? "diurnal"
                                                        : "flash-crowd");
 
-    // Reference: the legacy serial path (no ingest plane at all).
+    // Reference: the default plane (auto stripes, one thread, no pool).
     ControllerConfig config = MakeScenarioConfig(scenario);
     const std::string reference = RunScenarioHistory(scenario, config);
     ASSERT_FALSE(reference.empty());
