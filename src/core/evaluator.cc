@@ -36,6 +36,10 @@ void FlushEvalOps(obs::Sink* sink) {
       sink->metrics().counter("evaluator.apply_move_ops")
           ->Add(tl_eval_ops.apply_move_ops);
     }
+    if (tl_eval_ops.package_moves > 0) {
+      sink->metrics().counter("evaluator.package_moves")
+          ->Add(tl_eval_ops.package_moves);
+    }
     if (tl_eval_ops.floor_skips > 0) {
       sink->metrics().counter("evaluator.floor_skips")
           ->Add(tl_eval_ops.floor_skips);
@@ -296,6 +300,7 @@ double Evaluator::Evaluate(const std::vector<int>& assignment,
 void Evaluator::Load(const std::vector<int>& assignment) {
   const int num_slots = acct_.num_slots();
   assert(static_cast<int>(assignment.size()) == num_slots);
+  package_.valid = false;
   assignment_ = assignment;
   acct_.Clear();
   for (int s = 0; s < num_slots; ++s) acct_.Apply(assignment[s], s, +1.0);
@@ -429,6 +434,7 @@ void Evaluator::MoveDeltaBatch(int slot, const std::vector<int>& targets,
 
 void Evaluator::ApplyMove(int slot, int to) {
   ++tl_eval_ops.apply_move_ops;
+  package_.valid = false;
   const int from = assignment_[slot];
   if (to == from) return;
   const double affinity_delta = SlotAffinity(slot, to) - SlotAffinity(slot, from);
@@ -467,6 +473,80 @@ void Evaluator::ApplyMove(int slot, int to) {
     total_violation_ -= 1.0;
   }
   current_cost_ += delta;
+}
+
+double Evaluator::ApplyPackage(const std::vector<int>& movers, int to) {
+  ++tl_eval_ops.package_moves;
+  assert(!movers.empty());
+  const int from = assignment_[movers.front()];
+  assert(to >= 0 && to < max_servers_ && to != from);
+
+  // Snapshot everything the package changes before changing it.
+  PackageSnapshot& snap = package_;
+  snap.valid = true;
+  snap.server[0] = from;
+  snap.server[1] = to;
+  const int samples = acct_.num_samples();
+  for (int k = 0; k < 2; ++k) {
+    const int j = snap.server[k];
+    snap.rows[k].resize(static_cast<size_t>(kNumAxes) * samples);
+    for (int a = 0; a < kNumAxes; ++a) {
+      const double* row = acct_.ServerSeries(static_cast<Axis>(a), j);
+      std::copy(row, row + samples,
+                snap.rows[k].data() + static_cast<size_t>(a) * samples);
+    }
+    snap.ws[k] = acct_.ServerWs(j);
+    snap.count[k] = acct_.ServerCount(j);
+    snap.cost[k] = server_cost_[j];
+    snap.violation[k] = server_violation_[j];
+  }
+  snap.movers = movers;
+  snap.current_cost = current_cost_;
+  snap.total_violation = total_violation_;
+  snap.migration_cost = migration_cost_;
+
+  // Rows and affinity/migration terms slot by slot, in the order a loop of
+  // ApplyMove(s, to) takes them; each server is priced once, at the end.
+  double affinity_delta = 0.0;
+  double migration_delta = 0.0;
+  for (int s : movers) {
+    assert(assignment_[s] == from && acct_.PinOfSlot(s) < 0);
+    affinity_delta += SlotAffinity(s, to) - SlotAffinity(s, from);
+    migration_delta += SlotMigrationCost(s, to) - SlotMigrationCost(s, from);
+    acct_.Apply(from, s, -1.0);
+    acct_.Apply(to, s, +1.0);
+    assignment_[s] = to;
+  }
+  const double old_from = server_cost_[from];
+  const double old_to = server_cost_[to];
+  total_violation_ -= server_violation_[from] + server_violation_[to];
+  RecomputeServer(from);  // an emptied server returns 0.0 before any pass
+  RecomputeServer(to);
+  total_violation_ += server_violation_[from] + server_violation_[to];
+  total_violation_ += affinity_delta * kAffinityUnit;
+  migration_cost_ += migration_delta;
+
+  double delta = ((server_cost_[from] - old_from) + server_cost_[to]) - old_to;
+  delta += affinity_delta * (kViolationBase + kViolationScale * kAffinityUnit);
+  delta += migration_delta;
+  current_cost_ += delta;
+  return delta;
+}
+
+void Evaluator::UndoPackage() {
+  assert(package_.valid && "UndoPackage needs the last call's snapshot");
+  PackageSnapshot& snap = package_;
+  for (int k = 0; k < 2; ++k) {
+    const int j = snap.server[k];
+    acct_.RestoreServer(j, snap.rows[k].data(), snap.ws[k], snap.count[k]);
+    server_cost_[j] = snap.cost[k];
+    server_violation_[j] = snap.violation[k];
+  }
+  for (int s : snap.movers) assignment_[s] = snap.server[0];
+  current_cost_ = snap.current_cost;
+  total_violation_ = snap.total_violation;
+  migration_cost_ = snap.migration_cost;
+  snap.valid = false;
 }
 
 Evaluator::ServerLoad Evaluator::GetServerLoad(int j) const {

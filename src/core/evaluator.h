@@ -18,8 +18,10 @@
 //
 // Supports both one-shot evaluation (for DIRECT, optionally through a
 // ServerCostMemo) and cached incremental move evaluation (for the
-// local-search polish). Instances are not thread-safe (Evaluate() reuses
-// internal scratch buffers); portfolio solvers each construct their own.
+// local-search polish and the metaheuristics, including their re-class
+// package move with its snapshot undo). Instances are not thread-safe
+// (Evaluate() reuses internal scratch buffers); portfolio solvers each
+// construct their own.
 #ifndef KAIROS_CORE_EVALUATOR_H_
 #define KAIROS_CORE_EVALUATOR_H_
 
@@ -46,12 +48,14 @@ namespace kairos::core {
 /// target, one per CountFloorSkip) whether a pricing or a floor decided
 /// them; floor_skips counts those a MoveDeltaFloor decided without a
 /// pricing. An ApplyMove prices its two servers itself and counts only as
-/// an apply op. memo_hits counts server costs Evaluate reused from a
-/// ServerCostMemo instead of pricing.
+/// an apply op; an ApplyPackage counts only as one package move, however
+/// many slots it carries. memo_hits counts server costs Evaluate reused
+/// from a ServerCostMemo instead of pricing.
 struct EvalOpCounts {
   int64_t evaluate_ops = 0;
   int64_t move_delta_ops = 0;
   int64_t apply_move_ops = 0;
+  int64_t package_moves = 0;
   int64_t floor_skips = 0;
   int64_t memo_hits = 0;
 };
@@ -61,8 +65,8 @@ void ResetEvalOps();
 /// The calling thread's tallies since the last reset.
 EvalOpCounts CurrentEvalOps();
 /// Adds the calling thread's tallies to the sink's "evaluator.*_ops",
-/// "evaluator.floor_skips" and "evaluator.memo_hits" counters and zeroes
-/// them. A null sink only zeroes.
+/// "evaluator.package_moves", "evaluator.floor_skips" and
+/// "evaluator.memo_hits" counters and zeroes them. A null sink only zeroes.
 void FlushEvalOps(obs::Sink* sink);
 /// Tallies one candidate move that a caller decided on a MoveDeltaFloor
 /// alone, outside MoveDeltaBatch (anneal's floor reject): one move_delta
@@ -158,6 +162,21 @@ class Evaluator {
   /// once. For an unpinned slot current_cost() moves by exactly
   /// MoveDelta(slot, to), bit for bit.
   void ApplyMove(int slot, int to);
+  /// Moves a package of unpinned slots, all on one server `from`, onto
+  /// `to` (the metaheuristics' re-class move) and returns the objective
+  /// delta it added to current_cost(). The rows are updated slot by slot
+  /// in `movers` order, so they end bit-identical to a loop of
+  /// ApplyMove(s, to); the affinity and migration terms are summed per
+  /// slot as that loop would. Each of the two servers is then priced once
+  /// (an emptied `from` costs 0.0 without a pricing), so the delta equals
+  /// the loop's cost change up to rounding, not bit for bit. Saves a
+  /// one-level snapshot of everything it changes for UndoPackage().
+  double ApplyPackage(const std::vector<int>& movers, int to);
+  /// Restores the state before the last ApplyPackage exactly — rows,
+  /// working sets, counts, cached costs and running totals — without a
+  /// pricing. Valid only while no other mutating call (Load, ApplyMove,
+  /// ApplyPackage, UndoPackage) has run since; asserted in Debug.
+  void UndoPackage();
   /// True when the loaded assignment violates no constraint.
   bool IsFeasible() const { return total_violation_ <= 0.0; }
   /// Migration penalty included in current_cost() (0 when the problem has
@@ -253,6 +272,25 @@ class Evaluator {
   double current_cost_ = 0;
   double total_violation_ = 0;
   double migration_cost_ = 0;
+
+  // ApplyPackage's one-level undo: the two servers' accountant state
+  // (rows[k] holds server[k]'s kNumAxes blocks of num_samples()) and
+  // cached cost/violation, the movers (all on server[0] before), and the
+  // three running totals. `valid` drops at any other mutating call.
+  struct PackageSnapshot {
+    bool valid = false;
+    int server[2] = {-1, -1};
+    std::vector<double> rows[2];
+    double ws[2] = {0, 0};
+    int count[2] = {0, 0};
+    double cost[2] = {0, 0};
+    double violation[2] = {0, 0};
+    std::vector<int> movers;
+    double current_cost = 0;
+    double total_violation = 0;
+    double migration_cost = 0;
+  };
+  PackageSnapshot package_;
 
   // One-shot scratch, reused across Evaluate calls: the slots bucketed by
   // server (server j's slots, in slot order, are

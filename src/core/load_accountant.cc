@@ -93,6 +93,19 @@ void LoadAccountant::Apply(int server, int slot, double sign) {
   server_count_[server] += sign > 0 ? 1 : -1;
 }
 
+void LoadAccountant::RestoreServer(int server, const double* rows, double ws,
+                                   int count) {
+  assert(server >= 0 && server < num_servers_);
+  assert(!server_ws_.empty() && "constructed with track_server_load=false");
+  for (int a = 0; a < kNumAxes; ++a) {
+    std::copy(rows + static_cast<size_t>(a) * num_samples_,
+              rows + static_cast<size_t>(a + 1) * num_samples_,
+              server_[a].data() + static_cast<size_t>(server) * num_samples_);
+  }
+  server_ws_[server] = ws;
+  server_count_[server] = count;
+}
+
 void LoadAccountant::Clear() {
   for (auto& axis : server_) std::fill(axis.begin(), axis.end(), 0.0);
   std::fill(server_ws_.begin(), server_ws_.end(), 0.0);

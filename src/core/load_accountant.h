@@ -67,6 +67,12 @@ class LoadAccountant {
   /// aggregates.
   void Apply(int server, int slot, double sign);
 
+  /// Overwrites a server's aggregates with saved ones: `rows` holds
+  /// kNumAxes blocks of num_samples() values, in Axis order (a copy of the
+  /// server's ServerSeries). The evaluator's package undo restores the
+  /// exact bits this way instead of re-applying slots.
+  void RestoreServer(int server, const double* rows, double ws, int count);
+
   /// Zeroes every server aggregate (fresh packing / reload).
   void Clear();
 

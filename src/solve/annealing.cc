@@ -97,7 +97,8 @@ core::ConsolidationPlan AnnealingSolver::Solve(
       // Re-class: migrate one server's whole unpinned payload onto an empty
       // server of a different machine class (e.g. two legacy boxes folding
       // onto one big target) — a package move single relocations only reach
-      // through an uphill barrier.
+      // through an uphill barrier. The package prices its two servers once
+      // and a reject restores its snapshot without a pricing.
       const int slot = static_cast<int>(rng.UniformInt(0, slots - 1));
       const int from = ev.assignment()[slot];
       const std::vector<int> targets = EmptyCrossClassServers(problem, ev, from);
@@ -105,13 +106,11 @@ core::ConsolidationPlan AnnealingSolver::Solve(
       if (targets.empty() || movers.empty()) continue;
       const int to = targets[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(targets.size()) - 1))];
-      const double before = ev.current_cost();
-      for (int s : movers) ev.ApplyMove(s, to);
-      const double delta = ev.current_cost() - before;
+      const double delta = ev.ApplyPackage(movers, to);
       if (delta <= 0) {
         record_if_best();
       } else if (rng.NextDouble() >= std::exp(-delta / temperature)) {
-        for (int s : movers) ev.ApplyMove(s, from);  // reject: roll back
+        ev.UndoPackage();
       }
       continue;
     }

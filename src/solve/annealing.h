@@ -33,8 +33,10 @@ class AnnealingSolver : public Solver {
     double swap_probability = 0.25;
     /// Heterogeneous fleets only: probability of proposing a cross-class
     /// "re-class" move — one server's whole unpinned payload migrates onto
-    /// an empty server of a different machine class. Never drawn on uniform
-    /// fleets, so the homogeneous move stream is untouched.
+    /// an empty server of a different machine class, as one
+    /// Evaluator::ApplyPackage (at most 2 pricings) that a reject undoes
+    /// from its snapshot (0 pricings). Never drawn on uniform fleets, so
+    /// the homogeneous move stream is untouched.
     double reclass_probability = 0.08;
     /// ShouldStop() poll interval, in moves.
     int stop_poll_interval = 256;

@@ -168,7 +168,9 @@ core::ConsolidationPlan TabuSolver::Solve(
       }
       // Heterogeneous fleets: periodic re-class kick — one server's whole
       // unpinned payload onto an empty server of a different class, the
-      // package move that crosses the "open a bigger box" cost barrier.
+      // package move that crosses the "open a bigger box" cost barrier. It
+      // prices its two servers once; the budget still counts one
+      // evaluation per moved slot.
       if (fleet_moves && options_.reclass_interval > 0 &&
           since_improvement % options_.reclass_interval == 0) {
         const int slot = static_cast<int>(rng.UniformInt(0, slots - 1));
@@ -178,7 +180,7 @@ core::ConsolidationPlan TabuSolver::Solve(
         if (!targets.empty() && !movers.empty()) {
           const int to = targets[static_cast<size_t>(
               rng.UniformInt(0, static_cast<int64_t>(targets.size()) - 1))];
-          for (int s : movers) ev.ApplyMove(s, to);
+          ev.ApplyPackage(movers, to);
           evals += static_cast<long>(movers.size());
           record_if_best();
         }

@@ -24,8 +24,10 @@ class TabuSolver : public Solver {
     int kick_interval = 40;
     /// Heterogeneous fleets only: every `reclass_interval` non-improving
     /// iterations, kick one server's whole unpinned payload onto an empty
-    /// server of a different machine class (never fires on uniform fleets,
-    /// keeping the homogeneous search bit-identical).
+    /// server of a different machine class as one Evaluator::ApplyPackage
+    /// (at most 2 pricings; the budget counts one evaluation per moved
+    /// slot). Never fires on uniform fleets, keeping the homogeneous
+    /// search bit-identical.
     int reclass_interval = 25;
     /// ShouldStop() poll interval, in iterations.
     int stop_poll_interval = 64;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -11,6 +12,7 @@
 #include "model/analytic.h"
 #include "sim/disk.h"
 #include "sim/fleet.h"
+#include "solve/solver.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -612,6 +614,173 @@ TEST(EvaluatorMemoTest, MemoEvaluateBitIdenticalAlongDirectWalk) {
   for (const auto& [slots, classes] : classes_of_set) keys += classes.size();
   EXPECT_EQ(memo.size(), keys);  // one entry per distinct (class, slot set)
   FlushEvalOps(nullptr);
+}
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// Every observable bit of servers `a` and `b` plus the global state.
+struct PackageView {
+  std::vector<int> assignment;
+  uint64_t cost, migration;
+  bool feasible;
+  uint64_t violation[2];
+  Evaluator::ServerLoad load[2];
+};
+
+PackageView ViewOf(const Evaluator& ev, int a, int b) {
+  PackageView v;
+  v.assignment = ev.assignment();
+  v.cost = Bits(ev.current_cost());
+  v.migration = Bits(ev.migration_cost());
+  v.feasible = ev.IsFeasible();
+  for (int k = 0; k < 2; ++k) {
+    const int j = k == 0 ? a : b;
+    v.violation[k] = Bits(ev.ServerViolation(j));
+    v.load[k] = ev.GetServerLoad(j);
+  }
+  return v;
+}
+
+void ExpectSameBits(const PackageView& x, const PackageView& y) {
+  EXPECT_EQ(x.assignment, y.assignment);
+  EXPECT_EQ(x.cost, y.cost);
+  EXPECT_EQ(x.migration, y.migration);
+  EXPECT_EQ(x.feasible, y.feasible);
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(x.violation[k], y.violation[k]) << "server " << k;
+    const Evaluator::ServerLoad& p = x.load[k];
+    const Evaluator::ServerLoad& q = y.load[k];
+    EXPECT_EQ(p.used, q.used);
+    EXPECT_EQ(p.num_slots, q.num_slots);
+    EXPECT_EQ(Bits(p.working_set_bytes), Bits(q.working_set_bytes));
+    EXPECT_EQ(Bits(p.violation), Bits(q.violation));
+    ASSERT_EQ(p.cpu_cores.size(), q.cpu_cores.size());
+    for (size_t t = 0; t < p.cpu_cores.size(); ++t) {
+      ASSERT_EQ(Bits(p.cpu_cores[t]), Bits(q.cpu_cores[t])) << "t " << t;
+      ASSERT_EQ(Bits(p.ram_bytes[t]), Bits(q.ram_bytes[t])) << "t " << t;
+      ASSERT_EQ(Bits(p.update_rows_per_sec[t]), Bits(q.update_rows_per_sec[t]))
+          << "t " << t;
+    }
+  }
+}
+
+TEST(EvaluatorPackageTest, UndoRestoresEveryObservableBit) {
+  // MixedFleetProblem pins workload 7 (slot 10) to server 1. The first two
+  // cases empty server 4; the third moves server 1's unpinned slots and
+  // leaves the pinned one behind. Moves out of server 0 and back first
+  // leave (r + a) - a residues in every row involved, which an undo that
+  // re-applied or re-priced slots could not reproduce.
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const ConsolidationProblem prob = MixedFleetProblem(seed);
+    Evaluator ev(prob, kMixedCap);
+    ASSERT_EQ(ev.PinOfSlot(10), 1);
+    const std::vector<int> a = {4, 4, 0, 1, 4, 0, 1, 0, 4, 1, 1, 0};
+    ASSERT_EQ(static_cast<int>(a.size()), ev.num_slots());
+    ev.Load(a);
+    for (int slot : {2, 5, 7, 11}) {
+      for (int to : {1, 3, 4, 5}) {
+        ev.ApplyMove(slot, to);
+        ev.ApplyMove(slot, 0);
+      }
+    }
+    struct Case {
+      int from, to;
+      bool empties;
+    };
+    for (const Case c : {Case{4, 5, true}, Case{4, 0, true}, Case{1, 3, false}}) {
+      const std::vector<int> movers = solve::MovableSlotsOn(ev, c.from);
+      ASSERT_FALSE(movers.empty());
+      ASSERT_EQ(static_cast<int>(movers.size()) == ev.accountant().ServerCount(c.from),
+                c.empties);
+      const PackageView before = ViewOf(ev, c.from, c.to);
+      ev.ApplyPackage(movers, c.to);
+      EXPECT_EQ(ev.accountant().ServerCount(c.from) == 0, c.empties);
+      for (int s : movers) EXPECT_EQ(ev.assignment()[s], c.to);
+      ev.UndoPackage();
+      SCOPED_TRACE("seed " + std::to_string(seed) + " from " +
+                   std::to_string(c.from) + " to " + std::to_string(c.to));
+      ExpectSameBits(ViewOf(ev, c.from, c.to), before);
+    }
+  }
+}
+
+TEST(EvaluatorPackageTest, MatchesSequentialApplyMoveLoop) {
+  // ApplyPackage against a loop of ApplyMove on a twin evaluator: rows,
+  // assignment and server violations bit-identical, the cost change and
+  // migration within 1e-9 relative. Anti-affinity pairs (0,1), (3,4) and
+  // (2,6) land both inside a package and across it.
+  int inside = 0, across = 0, with_migration = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    const ConsolidationProblem prob = MixedFleetProblem(seed);
+    Evaluator pkg(prob, kMixedCap);
+    Evaluator loop(prob, kMixedCap);
+    util::Rng rng(seed * 6007);
+    std::vector<int> a(pkg.num_slots());
+    for (int& j : a) j = static_cast<int>(rng.UniformInt(0, 3));
+    pkg.Load(a);
+    loop.Load(a);
+    for (int step = 0; step < 20; ++step) {
+      const int from =
+          pkg.assignment()[static_cast<int>(rng.UniformInt(0, pkg.num_slots() - 1))];
+      std::vector<int> movers = solve::MovableSlotsOn(pkg, from);
+      if (movers.empty()) continue;
+      if (rng.NextDouble() < 0.5) movers.resize(1 + rng.UniformInt(0, movers.size() - 1));
+      int to = static_cast<int>(rng.UniformInt(0, kMixedCap - 2));
+      if (to >= from) ++to;
+
+      const std::vector<int> on_to = solve::MovableSlotsOn(pkg, to);
+      for (size_t i = 0; i < movers.size(); ++i) {
+        const int wi = pkg.WorkloadOfSlot(movers[i]);
+        for (const auto& [x, y] : prob.anti_affinity) {
+          if (wi != x && wi != y) continue;
+          const int partner = wi == x ? y : x;
+          for (size_t k = 0; k < movers.size(); ++k) {
+            if (pkg.WorkloadOfSlot(movers[k]) == partner) ++inside;
+          }
+          for (int s : on_to) {
+            if (pkg.WorkloadOfSlot(s) == partner) ++across;
+          }
+        }
+      }
+      const double migration_before = loop.migration_cost();
+      const EvalOpCounts ops_before = CurrentEvalOps();
+      const double delta = pkg.ApplyPackage(movers, to);
+      const EvalOpCounts ops_after = CurrentEvalOps();
+      EXPECT_EQ(ops_after.package_moves - ops_before.package_moves, 1);
+      EXPECT_EQ(ops_after.apply_move_ops, ops_before.apply_move_ops);
+
+      const double before = loop.current_cost();
+      for (int s : movers) loop.ApplyMove(s, to);
+      const double loop_delta = loop.current_cost() - before;
+      if (loop.migration_cost() != migration_before) ++with_migration;
+
+      const double scale = std::max({1.0, std::abs(before), std::abs(loop.current_cost())});
+      ASSERT_NEAR(delta, loop_delta, 1e-9 * scale) << "seed " << seed << " step " << step;
+      ASSERT_NEAR(pkg.current_cost(), loop.current_cost(), 1e-9 * scale);
+      ASSERT_NEAR(pkg.migration_cost(), loop.migration_cost(),
+                  1e-9 * std::max(1.0, loop.migration_cost()));
+      ASSERT_EQ(pkg.assignment(), loop.assignment());
+      for (int j : {from, to}) {
+        const Evaluator::ServerLoad p = pkg.GetServerLoad(j);
+        const Evaluator::ServerLoad q = loop.GetServerLoad(j);
+        ASSERT_EQ(p.num_slots, q.num_slots);
+        ASSERT_EQ(Bits(p.working_set_bytes), Bits(q.working_set_bytes));
+        ASSERT_EQ(Bits(pkg.ServerViolation(j)), Bits(loop.ServerViolation(j)));
+        for (size_t t = 0; t < p.cpu_cores.size(); ++t) {
+          ASSERT_EQ(Bits(p.cpu_cores[t]), Bits(q.cpu_cores[t]));
+          ASSERT_EQ(Bits(p.ram_bytes[t]), Bits(q.ram_bytes[t]));
+          ASSERT_EQ(Bits(p.update_rows_per_sec[t]), Bits(q.update_rows_per_sec[t]));
+        }
+      }
+    }
+  }
+  EXPECT_GT(inside, 20);
+  EXPECT_GT(across, 20);
+  EXPECT_GT(with_migration, 100);
 }
 
 TEST(EvaluatorMigrationTest, ServerSavingsStillDominateMoves) {

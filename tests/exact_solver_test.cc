@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/evaluator.h"
 #include "solve/solver.h"
+#include "tests/oracle/reference_checker.h"
 #include "util/units.h"
 
 namespace kairos {
@@ -46,13 +46,14 @@ solve::SolveBudget TestBudget() {
 /// Exhaustive optimum over EVERY assignment of slots to [0, cap) — a strict
 /// superset of the branch-and-bound's encoding (pin-violating placements
 /// carry the pin penalty and lose), so matching it proves global optimality.
+/// Scored by the reference checker, so a shared bug in core's objective
+/// cannot make both sides agree.
 double BruteForceBest(const core::ConsolidationProblem& problem, int cap) {
-  core::Evaluator ev(problem, cap);
   const int slots = problem.TotalSlots();
   std::vector<int> a(slots, 0);
   double best = std::numeric_limits<double>::infinity();
   while (true) {
-    best = std::min(best, ev.Evaluate(a));
+    best = std::min(best, oracle::Objective(problem, a));
     int i = 0;
     while (i < slots) {
       if (++a[i] < cap) break;
@@ -82,8 +83,8 @@ void ExpectMatchesBruteForce(const core::ConsolidationProblem& problem) {
       << "exact " << plan.objective << " vs brute force " << brute;
 
   // The reported objective is the plan's true score, not an accumulator.
-  core::Evaluator ev(problem, cap);
-  const double rescored = ev.Evaluate(plan.assignment.server_of_slot);
+  const double rescored =
+      oracle::Objective(problem, plan.assignment.server_of_slot);
   EXPECT_LE(std::abs(plan.objective - rescored),
             1e-6 * std::max(1.0, std::abs(rescored)));
 }

@@ -3,15 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <thread>
 
 #include "core/engine.h"
 #include "core/greedy.h"
+#include "obs/sink.h"
 #include "solve/adapters.h"
 #include "solve/annealing.h"
 #include "solve/solver.h"
 #include "solve/tabu.h"
+#include "trace/scenario.h"
 #include "util/units.h"
 
 namespace kairos::solve {
@@ -274,6 +277,52 @@ TEST(PortfolioTest, DeterministicForFixedSeeds) {
     EXPECT_EQ(r1.members[i].plan.assignment.server_of_slot,
               r2.members[i].plan.assignment.server_of_slot)
         << specs[i].solver;
+  }
+}
+
+TEST(PortfolioTest, ReclassPlansIdenticalAcrossThreadCounts) {
+  // A scale-up-vs-out fleet: anneal and tabu propose re-class packages
+  // (ApplyPackage, and anneal's UndoPackage on reject), and every member's
+  // plan must stay byte-identical at 1, 2 and 4 portfolio threads.
+  trace::ScenarioConfig config;
+  config.workloads = 12;
+  config.steps = 24;
+  config.seed = 3;
+  trace::FleetScenario scenario =
+      trace::MakeFleetScenario(trace::FleetScenarioKind::kScaleUpVsScaleOut, config);
+  core::ConsolidationProblem prob;
+  prob.workloads = std::move(scenario.profiles);
+  prob.fleet = std::move(scenario.fleet);
+  ASSERT_FALSE(prob.fleet.Uniform());
+  const auto specs = PortfolioRunner::DefaultSpecs(11);
+
+  std::vector<PortfolioResult> runs;
+  int64_t packages = 0;
+  for (int threads : {1, 2, 4}) {
+    obs::Sink sink;
+    PortfolioOptions options;
+    options.threads = threads;
+    options.budget.max_iterations = 6000;
+    options.budget.direct_evaluations = 600;
+    options.budget.probe_direct_evaluations = 200;
+    options.budget.sink = &sink;
+    runs.push_back(PortfolioRunner(options).Run(prob, specs));
+    packages += sink.metrics().counter("evaluator.package_moves")->Value();
+  }
+  EXPECT_GT(packages, 0);  // the re-class path ran
+  for (size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].members.size(), runs[0].members.size());
+    EXPECT_EQ(runs[r].winner_index, runs[0].winner_index);
+    EXPECT_EQ(runs[r].best.assignment.server_of_slot,
+              runs[0].best.assignment.server_of_slot);
+    for (size_t i = 0; i < runs[0].members.size(); ++i) {
+      const core::ConsolidationPlan& a = runs[0].members[i].plan;
+      const core::ConsolidationPlan& b = runs[r].members[i].plan;
+      EXPECT_EQ(a.assignment.server_of_slot, b.assignment.server_of_slot)
+          << specs[i].solver << " run " << r;
+      EXPECT_EQ(std::memcmp(&a.objective, &b.objective, sizeof(double)), 0)
+          << specs[i].solver << " run " << r;
+    }
   }
 }
 
