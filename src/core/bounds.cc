@@ -372,15 +372,12 @@ BoundEngine::BoundEngine(const ConsolidationProblem& problem, int cap)
   }
   affinity_partners_.assign(num_workloads, {});
   for (const auto& [wa, wb] : problem.anti_affinity) {
-    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads) {
-      continue;
+    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads ||
+        wa == wb) {
+      continue;  // a self pair is the replica rule, charged by its own scan
     }
-    if (wa == wb) {
-      affinity_partners_[wa].push_back(wa);
-    } else {
-      affinity_partners_[wa].push_back(wb);
-      affinity_partners_[wb].push_back(wa);
-    }
+    affinity_partners_[wa].push_back(wb);
+    affinity_partners_[wb].push_back(wa);
   }
 }
 

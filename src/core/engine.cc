@@ -129,7 +129,22 @@ Assignment ConsolidationEngine::RunDirect(Evaluator* ev, int budget,
   const auto objective = [&](const std::vector<double>& x) {
     return ev->Evaluate(DecodePoint(x, k, targets).server_of_slot, &memo);
   };
-  const opt::DirectResult res = direct.Minimize(objective, dims, opts);
+  // A `direct` span on the engine's track, and counters whose ratio shows
+  // the division rounds each run's budget paid for.
+  obs::Sink* const sink = options_.sink;
+  opt::DirectResult res;
+  {
+    obs::ScopedSpan span(
+        sink, sink != nullptr ? ObsTrack() : 0,
+        sink != nullptr ? sink->trace().InternName("direct") : 0);
+    res = direct.Minimize(objective, dims, opts);
+  }
+  if (sink != nullptr) {
+    obs::Registry& metrics = sink->metrics();
+    metrics.counter("engine.direct_runs")->Add(1);
+    metrics.counter("engine.direct_evaluations")->Add(res.evaluations);
+    metrics.counter("engine.direct_iterations")->Add(res.iterations);
+  }
   if (evals_out) *evals_out = res.evaluations;
   return DecodePoint(res.x, k, targets);
 }

@@ -143,13 +143,12 @@ Evaluator::Evaluator(const ConsolidationProblem& problem, int max_servers)
   }
   affinity_partners_.assign(num_workloads, {});
   for (const auto& [wa, wb] : problem.anti_affinity) {
-    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads) continue;
-    if (wa == wb) {
-      affinity_partners_[wa].push_back(wa);
-    } else {
-      affinity_partners_[wa].push_back(wb);
-      affinity_partners_[wb].push_back(wa);
+    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads ||
+        wa == wb) {
+      continue;  // a self pair is the replica rule, charged by its own scan
     }
+    affinity_partners_[wa].push_back(wb);
+    affinity_partners_[wb].push_back(wa);
   }
 
   bucket_begin_.resize(max_servers_ + 1);
@@ -209,10 +208,13 @@ double Evaluator::AffinityViolations(const std::vector<int>& assignment) const {
       }
     }
   }
-  // Explicit anti-affinity pairs (a == b co-location counts when a pair
-  // names the same workload twice, as it always has).
+  // Explicit anti-affinity pairs. A pair naming one workload twice is the
+  // replica rule above and adds nothing.
   for (const auto& [wa, wb] : problem_.anti_affinity) {
-    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads) continue;
+    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads ||
+        wa == wb) {
+      continue;
+    }
     for (int a = workload_slot_begin_[wa]; a < workload_slot_begin_[wa + 1]; ++a) {
       for (int b = workload_slot_begin_[wb]; b < workload_slot_begin_[wb + 1]; ++b) {
         if (assignment[a] == assignment[b]) units += 1;

@@ -258,8 +258,9 @@ class Evaluator {
   // Affinity indexes: slots of workload w occupy
   // [workload_slot_begin_[w], workload_slot_begin_[w+1]) — replicas are
   // laid out workload-major — and affinity_partners_[w] lists the partner
-  // workload of every anti-affinity pair touching w (with multiplicity,
-  // so duplicate pairs keep their historical double count). Both exist so
+  // workload of every anti-affinity pair of two workloads touching w (with
+  // multiplicity, so duplicate pairs keep their historical double count;
+  // a self pair is the replica rule and is not listed). Both exist so
   // affinity scans touch only the relevant slot ranges instead of every
   // slot; the counted units are identical.
   std::vector<int> workload_slot_begin_;

@@ -60,7 +60,8 @@ struct ConsolidationProblem {
   double disk_weight = 1.0;
 
   /// Pairs of workload indices that must not share a server (beyond the
-  /// automatic anti-affinity between replicas of one workload).
+  /// automatic anti-affinity between replicas of one workload). A pair
+  /// naming one workload twice is that replica rule and adds nothing.
   std::vector<std::pair<int, int>> anti_affinity;
 
   /// --- Migration-aware re-solve (the src/online/ control loop) ---

@@ -35,31 +35,36 @@ DirectResult DirectOptimizer::Minimize(const Objective& f, int dims,
   DirectResult result;
   if (dims <= 0) return result;
 
+  // Points are copied by construction or element-wise into a vector of
+  // `dims` coordinates: copy-assigning a std::vector<double> in this loop
+  // trips GCC 12's -Wnonnull false positive on the inlined memmove.
   std::vector<Rect> rects;
-  Rect root;
-  root.center.assign(dims, 0.5);
-  root.levels.assign(dims, 0);
+  Rect root{std::vector<double>(dims, 0.5), std::vector<uint16_t>(dims, 0),
+            0, 0};
   root.f = f(root.center);
   root.diameter = Diameter(root.levels);
   result.evaluations = 1;
-  result.x = root.center;
+  result.x.assign(dims, 0.5);
   result.fx = root.f;
   rects.push_back(std::move(root));
 
   auto consider = [&](const std::vector<double>& x, double fx) {
     if (fx < result.fx) {
       result.fx = fx;
-      result.x = x;
+      std::copy(x.begin(), x.end(), result.x.begin());
     }
   };
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    if (result.evaluations >= options.max_evaluations) break;
+  // A round divides while the budget can fund a sample pair, and every
+  // round that starts divides at least one rectangle, so the budget alone
+  // bounds the loop: evaluations >= 1 + 2 * iterations.
+  for (;;) {
     if (result.fx <= options.target_value) {
       result.hit_target = true;
       break;
     }
-    result.iterations = iter + 1;
+    if (result.evaluations + 2 > options.max_evaluations) break;
+    ++result.iterations;
 
     // Group rectangles by diameter; keep the best rect per group.
     std::map<double, size_t> best_per_diameter;  // diameter -> index
@@ -110,7 +115,7 @@ DirectResult DirectOptimizer::Minimize(const Objective& f, int dims,
 
     // Divide each selected rectangle along its longest dimensions.
     for (size_t idx : selected) {
-      if (result.evaluations >= options.max_evaluations) break;
+      if (result.evaluations + 2 > options.max_evaluations) break;
       // Copy: rects will be appended to (iterator invalidation).
       Rect parent = rects[idx];
 
@@ -122,30 +127,29 @@ DirectResult DirectOptimizer::Minimize(const Objective& f, int dims,
       }
       const double delta = std::pow(3.0, -static_cast<double>(min_level) - 1.0);
 
-      // Sample c +/- delta e_d for each long dimension.
+      // Sample c +/- delta e_d for each long dimension, moving one
+      // coordinate of a scratch copy of the center and restoring it.
       struct Probe {
         int dim;
         double f_plus, f_minus, w;
-        std::vector<double> x_plus, x_minus;
       };
       std::vector<Probe> probes;
+      std::vector<double> x(parent.center);
       for (int d : long_dims) {
         if (result.evaluations + 2 > options.max_evaluations) break;
-        Probe p;
-        p.dim = d;
-        p.x_plus = parent.center;
-        p.x_plus[d] += delta;
-        p.x_minus = parent.center;
-        p.x_minus[d] -= delta;
-        p.f_plus = f(p.x_plus);
-        p.f_minus = f(p.x_minus);
+        const double c = x[d];
+        Probe p{d, 0, 0, 0};
+        x[d] = c + delta;
+        p.f_plus = f(x);
+        consider(x, p.f_plus);
+        x[d] = c - delta;
+        p.f_minus = f(x);
+        consider(x, p.f_minus);
+        x[d] = c;
         result.evaluations += 2;
-        consider(p.x_plus, p.f_plus);
-        consider(p.x_minus, p.f_minus);
         p.w = std::min(p.f_plus, p.f_minus);
-        probes.push_back(std::move(p));
+        probes.push_back(p);
       }
-      if (probes.empty()) continue;
       std::sort(probes.begin(), probes.end(),
                 [](const Probe& a, const Probe& b) { return a.w < b.w; });
 
@@ -153,15 +157,11 @@ DirectResult DirectOptimizer::Minimize(const Objective& f, int dims,
       // local copy: push_back below may reallocate `rects`.
       for (const Probe& p : probes) {
         parent.levels[p.dim] += 1;
-        Rect plus;
-        plus.center = p.x_plus;
-        plus.levels = parent.levels;
-        plus.f = p.f_plus;
+        Rect plus{parent.center, parent.levels, p.f_plus, 0};
+        plus.center[p.dim] += delta;
         plus.diameter = Diameter(plus.levels);
-        Rect minus;
-        minus.center = p.x_minus;
-        minus.levels = parent.levels;
-        minus.f = p.f_minus;
+        Rect minus{parent.center, parent.levels, p.f_minus, 0};
+        minus.center[p.dim] -= delta;
         minus.diameter = Diameter(minus.levels);
         rects.push_back(std::move(plus));
         rects.push_back(std::move(minus));

@@ -18,8 +18,9 @@ namespace kairos::opt {
 
 /// Budget and behaviour knobs for one Minimize() call.
 struct DirectOptions {
+  /// Objective evaluations a run may spend. The root costs one and every
+  /// probe a pair, so a run stops once fewer than two remain.
   int max_evaluations = 5000;
-  int max_iterations = 1000;
   /// Potentially-optimal filter: required improvement over the incumbent,
   /// relative (Jones' epsilon). Larger = more global.
   double epsilon = 1e-4;
@@ -33,7 +34,7 @@ struct DirectResult {
   std::vector<double> x;     ///< Best point found (in [0,1]^n).
   double fx = 0;             ///< Objective at x.
   int evaluations = 0;
-  int iterations = 0;
+  int iterations = 0;        ///< Division rounds; each spends >= 2 evaluations.
   bool hit_target = false;   ///< Stopped because target_value was reached.
 };
 

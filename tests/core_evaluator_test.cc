@@ -9,10 +9,12 @@
 #include <numeric>
 #include <set>
 
+#include "core/bounds.h"
 #include "model/analytic.h"
 #include "sim/disk.h"
 #include "sim/fleet.h"
 #include "solve/solver.h"
+#include "tests/oracle/reference_checker.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -100,6 +102,44 @@ TEST(EvaluatorTest, AntiAffinityPairs) {
   EXPECT_FALSE(ev.IsFeasible());
   ev.Load({0, 1, 0});
   EXPECT_TRUE(ev.IsFeasible());
+}
+
+TEST(EvaluatorTest, SelfAntiAffinityPairIsTheReplicaRule) {
+  // A pair naming one workload twice asks for its replicas apart, which the
+  // replica rule already charges, so it scores every plan exactly as the
+  // problem without it does, in every scorer.
+  ConsolidationProblem plain = SmallProblem(3, 0.5, 4.0);
+  plain.workloads[1].replicas = 2;  // slots 1 and 2
+  ConsolidationProblem prob = plain;
+  prob.anti_affinity = {{1, 1}};
+  Evaluator ev(prob, 3);
+  Evaluator plain_ev(plain, 3);
+  const auto placed_cost = [&](const std::vector<int>& a) {
+    BoundEngine bound(prob, 3);
+    for (int s = 0; s < static_cast<int>(a.size()); ++s) bound.Place(s, a[s]);
+    return bound.committed_cost();
+  };
+
+  const std::vector<int> apart{0, 0, 1, 1};
+  ev.Load(apart);
+  EXPECT_TRUE(ev.IsFeasible());
+  EXPECT_EQ(ev.Evaluate(apart), ev.current_cost());
+  EXPECT_EQ(ev.current_cost(), plain_ev.Evaluate(apart));
+  const double tol = 1e-9 * std::abs(ev.current_cost());
+  EXPECT_NEAR(oracle::Objective(prob, apart), ev.current_cost(), tol);
+  EXPECT_NEAR(placed_cost(apart), ev.current_cost(), tol);
+
+  // Replicas together: one replica-rule unit, which moving one off prices
+  // exactly as the difference of the two full evaluations.
+  const std::vector<int> together{0, 0, 0, 1};
+  ev.Load(together);
+  EXPECT_FALSE(ev.IsFeasible());
+  EXPECT_EQ(ev.current_cost(), plain_ev.Evaluate(together));
+  const double big = std::abs(ev.current_cost());
+  EXPECT_NEAR(oracle::Objective(prob, together), ev.current_cost(), 1e-9 * big);
+  EXPECT_NEAR(placed_cost(together), ev.current_cost(), 1e-9 * big);
+  EXPECT_NEAR(ev.MoveDelta(2, 1), ev.Evaluate(apart) - ev.Evaluate(together),
+              1e-9 * big);
 }
 
 TEST(EvaluatorTest, PinnedSlotPenalizedElsewhere) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace kairos::opt {
 namespace {
@@ -60,14 +65,85 @@ TEST(DirectTest, RespectsEvaluationBudget) {
   DirectOptions opts;
   opts.max_evaluations = 100;
   int calls = 0;
-  direct.Minimize(
+  const auto res = direct.Minimize(
       [&](const std::vector<double>& x) {
         ++calls;
         return Sphere(x, {0.3, 0.3, 0.3});
       },
       3, opts);
-  EXPECT_LE(calls, 105);  // small slack for the division batch in flight
+  EXPECT_LE(calls, 100);
+  EXPECT_EQ(calls, res.evaluations);
   EXPECT_GE(calls, 50);
+}
+
+TEST(DirectTest, StopsWhenBudgetCannotFundAPair) {
+  // Odd and even budgets, one to 48 dimensions: a run spends its budget
+  // down to the last pair that fits and then stops, and every round it
+  // starts divides at least one rectangle.
+  DirectOptimizer direct;
+  for (int budget : {2, 3, 100, 101, 500, 4000}) {
+    for (int dims : {1, 4, 48}) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + ", dims " +
+                   std::to_string(dims));
+      DirectOptions opts;
+      opts.max_evaluations = budget;
+      const std::vector<double> center(dims, 0.3);
+      int calls = 0;
+      const auto res = direct.Minimize(
+          [&](const std::vector<double>& x) {
+            ++calls;
+            return Sphere(x, center);
+          },
+          dims, opts);
+      EXPECT_FALSE(res.hit_target);
+      EXPECT_EQ(calls, res.evaluations);
+      EXPECT_LE(res.evaluations, budget);
+      EXPECT_GT(res.evaluations + 2, budget);
+      EXPECT_GE(res.evaluations, 1 + 2 * res.iterations);
+    }
+  }
+}
+
+TEST(DirectTest, SmallerBudgetSamplesAPrefix) {
+  // A seeded multimodal function: the points a budget-B run evaluates are
+  // the first ones a budget-(B + 40) run evaluates, in the same order, so
+  // stopping at the budget drops nothing a later round could have added.
+  util::Rng rng(17);
+  const int dims = 5;
+  std::vector<double> center(dims), scale(dims);
+  for (int d = 0; d < dims; ++d) {
+    center[d] = rng.Uniform(0.05, 0.95);
+    scale[d] = rng.Uniform(2.0, 9.0);
+  }
+  const auto f = [&](const std::vector<double>& x) {
+    double s = 0;
+    for (int d = 0; d < dims; ++d) {
+      const double z = (x[d] - center[d]) * scale[d];
+      s += z * z - std::cos(3.0 * z);
+    }
+    return s;
+  };
+  DirectOptimizer direct;
+  const auto sampled = [&](int budget) {
+    std::vector<std::vector<double>> points;
+    DirectOptions opts;
+    opts.max_evaluations = budget;
+    const auto res = direct.Minimize(
+        [&](const std::vector<double>& x) {
+          points.push_back(x);
+          return f(x);
+        },
+        dims, opts);
+    EXPECT_EQ(static_cast<int>(points.size()), res.evaluations);
+    return points;
+  };
+  for (int budget : {3, 51, 300, 1001}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const auto small = sampled(budget);
+    const auto large = sampled(budget + 40);
+    ASSERT_LT(small.size(), large.size());
+    EXPECT_TRUE(std::equal(small.begin(), small.end(), large.begin()));
+  }
 }
 
 TEST(DirectTest, StopsAtTargetValue) {

@@ -152,8 +152,8 @@ inline ReferenceScore Score(const core::ConsolidationProblem& problem,
   }
 
   // Anti-affinity: replicas of one workload apart, and every slot pair of
-  // each listed workload pair apart (a pair naming one workload twice
-  // counts all of its slot pairs, each slot with itself included).
+  // each listed pair of two workloads apart. A pair naming one workload
+  // twice asks for the replica rule and adds nothing to it.
   const int num_workloads = static_cast<int>(problem.workloads.size());
   for (size_t a = 0; a < num_slots; ++a) {
     for (size_t b = a + 1; b < num_slots; ++b) {
@@ -163,7 +163,10 @@ inline ReferenceScore Score(const core::ConsolidationProblem& problem,
     }
   }
   for (const auto& [wa, wb] : problem.anti_affinity) {
-    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads) continue;
+    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads ||
+        wa == wb) {
+      continue;
+    }
     for (size_t a = 0; a < num_slots; ++a) {
       for (size_t b = 0; b < num_slots; ++b) {
         if (workload_of[a] == wa && workload_of[b] == wb &&

@@ -2,9 +2,9 @@
 // the naive reference checker (tests/oracle/reference_checker.h), which
 // shares no code with core/. Seeded uniform and mixed-fleet instances carry
 // every objective term — a nonlinear disk model (shared and per class),
-// replicas, a pin, anti-affinity pairs, a drained class and an incumbent
-// with a weighted migration term. Agreement is within 1e-9 of the
-// objective's magnitude.
+// replicas, a pin, anti-affinity pairs (one of them a self pair), a drained
+// class and an incumbent with a weighted migration term. Agreement is
+// within 1e-9 of the objective's magnitude.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,6 +93,10 @@ Instance MakeInstance(uint64_t seed, bool mixed) {
   for (int i = 0; i < num_workloads; ++i) {
     prob.migration_move_cost.push_back(rng.Uniform(0.5, 2.0));
   }
+  // A pair naming one workload twice, drawn last so the draws above keep
+  // their values: on a replicated workload it restates the replica rule.
+  const int self = static_cast<int>(rng.UniformInt(0, num_workloads - 1));
+  prob.anti_affinity.emplace_back(self, self);
   return in;
 }
 
