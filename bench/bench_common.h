@@ -3,19 +3,25 @@
 // surface: `--smoke` (CI-sized run), `--metrics-out=<path>` (write the
 // versioned BENCH_<name>.json report of obs/report.h). A path ending in
 // ".json" names the report file exactly; anything else is treated as a
-// directory and the report lands at `<path>/BENCH_<name>.json`.
+// directory and the report lands at `<path>/BENCH_<name>.json`. Every report
+// echoes where it ran (`hardware_concurrency`, `build_type`, `compiler`)
+// into its config and carries FNV-1a digests of the plans the bench printed
+// (`digest.plans`) and of the controller transcripts (`digest.history`).
 #ifndef KAIROS_BENCH_BENCH_COMMON_H_
 #define KAIROS_BENCH_BENCH_COMMON_H_
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/engine.h"
 #include "model/analytic.h"
 #include "model/disk_model.h"
 #include "obs/export.h"
@@ -84,6 +90,32 @@ inline void Banner(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
 }
 
+/// 64-bit FNV-1a over a stream of values, each folded as its little-endian
+/// bytes, so a digest is the same on every host.
+class Fnv1a {
+ public:
+  void Fold(uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      hash_ = (hash_ ^ ((value >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  }
+  void Fold(int value) { Fold(static_cast<uint32_t>(value), 4); }
+  void Fold(double value) {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Fold(bits, 8);
+  }
+  void Fold(const std::string& text) {
+    for (const char c : text) Fold(static_cast<unsigned char>(c), 1);
+  }
+
+  /// The top 52 bits: exact as a JSON double, so a report counter holds it.
+  int64_t Top52() const { return static_cast<int64_t>(hash_ >> 12); }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
 /// The per-bench report harness. Construct first thing in main(); when
 /// `--metrics-out` is given, sink() and profiler() are live and the bench
 /// instruments its runs through them; otherwise both return nullptr and the
@@ -104,6 +136,10 @@ class BenchReporter {
     }
     Config("smoke", smoke_ ? "1" : "0");
     Config("seed", std::to_string(kSeed));
+    Config("hardware_concurrency",
+           static_cast<int64_t>(std::thread::hardware_concurrency()));
+    Config("build_type", KAIROS_BENCH_BUILD_TYPE);
+    Config("compiler", KAIROS_BENCH_COMPILER);
   }
 
   const std::string& name() const { return name_; }
@@ -137,6 +173,22 @@ class BenchReporter {
     kpis_.push_back({kpi_name, value});
   }
 
+  /// Folds one printed plan into `digest.plans`, in output order: its
+  /// assignment entries, then its objective's bit pattern.
+  void DigestPlan(const std::vector<int>& assignment, double objective) {
+    for (const int server : assignment) plans_.Fold(server);
+    plans_.Fold(objective);
+    ++plans_folded_;
+  }
+  void DigestPlan(const core::ConsolidationPlan& plan) {
+    DigestPlan(plan.assignment.server_of_slot, plan.objective);
+  }
+  /// Folds one controller transcript (RenderHistory) into `digest.history`.
+  void DigestHistory(const std::string& transcript) {
+    history_.Fold(transcript);
+    ++histories_folded_;
+  }
+
   /// Writes BENCH_<name>.json and returns the bench's exit code: 0 on
   /// success or when no --metrics-out was given, 1 when the report cannot
   /// be opened or fully written.
@@ -144,6 +196,10 @@ class BenchReporter {
     if (out_path_.empty()) return 0;
     if (sink_ != nullptr) {
       sink_->metrics().gauge("bench.total_seconds")->Set(total_timer_.Seconds());
+      if (plans_folded_ > 0) sink_->Count("digest.plans", plans_.Top52());
+      if (histories_folded_ > 0) {
+        sink_->Count("digest.history", history_.Top52());
+      }
     }
     const std::string path = ReportPath();
     std::ofstream out(path);
@@ -180,6 +236,10 @@ class BenchReporter {
   std::unique_ptr<obs::Profiler> profiler_;
   std::vector<std::pair<std::string, std::string>> config_;
   std::vector<obs::KpiValue> kpis_;
+  Fnv1a plans_;
+  Fnv1a history_;
+  int plans_folded_ = 0;
+  int histories_folded_ = 0;
   ScopedTimer total_timer_;
 };
 

@@ -41,10 +41,10 @@ struct MixResult {
   std::string winner;
 };
 
-/// One spec per registered solver, seeds derived from `seed`.
+/// One spec per built-in solver, seeds derived from `seed`.
 std::vector<solve::PortfolioSolverSpec> MakeSpecs(uint64_t seed) {
   std::vector<solve::PortfolioSolverSpec> specs;
-  for (const std::string& name : solve::RegisteredSolverNames()) {
+  for (const std::string& name : solve::SolverNames()) {
     specs.push_back({name, seed});
     seed = seed * 0x9E3779B97F4A7C15ULL + 1;
   }
@@ -71,7 +71,8 @@ MixResult SolveMix(const trace::FleetScenario& scenario, int strong_count,
 }
 
 void SweepScenario(trace::FleetScenarioKind kind, int steps,
-                   const solve::SolveBudget& budget) {
+                   const solve::SolveBudget& budget,
+                   bench::BenchReporter* reporter) {
   trace::ScenarioConfig config;
   config.steps = steps;
   config.seed = bench::kSeed;
@@ -93,6 +94,7 @@ void SweepScenario(trace::FleetScenarioKind kind, int steps,
   const int max_strong = strong.count;
   for (int m = 0; m <= max_strong; ++m) {
     const MixResult r = SolveMix(scenario, m, budget);
+    reporter->DigestPlan(r.plan);
     const int weak_used =
         r.plan.class_servers_used.empty() ? 0 : r.plan.class_servers_used[0];
     const int strong_used = r.plan.class_servers_used.size() > 1
@@ -124,7 +126,8 @@ void SweepScenario(trace::FleetScenarioKind kind, int steps,
 /// update-heavy workloads landed, then ask the migration planner to stage
 /// a plan that parks two update-heavy tenants on one spindle box — the
 /// disk-aware ledger must flag it unsafe.
-void RaidVsSpindle(int steps, const solve::SolveBudget& budget) {
+void RaidVsSpindle(int steps, const solve::SolveBudget& budget,
+                   bench::BenchReporter* reporter) {
   trace::ScenarioConfig config;
   config.steps = steps;
   config.seed = bench::kSeed;
@@ -140,6 +143,7 @@ void RaidVsSpindle(int steps, const solve::SolveBudget& budget) {
   options.budget.sink = g_sink;
   const solve::PortfolioResult result =
       solve::PortfolioRunner(options).Run(problem, MakeSpecs(bench::kSeed));
+  reporter->DigestPlan(result.best);
 
   std::printf("fleet: %s\n", scenario.fleet.Render().c_str());
   int heavy_on_raid = 0, heavy_total = 0, light_on_raid = 0;
@@ -194,7 +198,7 @@ void RaidVsSpindle(int steps, const solve::SolveBudget& budget) {
   std::printf("\n");
 }
 
-void GenerationUpgradeDrain(int steps) {
+void GenerationUpgradeDrain(int steps, bench::BenchReporter* reporter) {
   trace::ScenarioConfig config;
   config.steps = steps;
   config.seed = bench::kSeed;
@@ -220,6 +224,8 @@ void GenerationUpgradeDrain(int steps) {
     ++step;
   }
 
+  reporter->DigestPlan(controller.assignment(),
+                       controller.CurrentServiceObjective());
   int moves = controller.total_moves();
   bool all_safe = true;
   for (const auto& e : controller.history()) {
@@ -253,15 +259,18 @@ int main(int argc, char** argv) {
 
   bench::Banner("heterogeneous fleet consolidation (class-mix sweep, " +
                 std::to_string(steps) + " steps)");
-  SweepScenario(trace::FleetScenarioKind::kMixedGeneration, steps, budget);
-  SweepScenario(trace::FleetScenarioKind::kScaleUpVsScaleOut, steps, budget);
+  SweepScenario(trace::FleetScenarioKind::kMixedGeneration, steps, budget,
+                &reporter);
+  SweepScenario(trace::FleetScenarioKind::kScaleUpVsScaleOut, steps, budget,
+                &reporter);
 
   bench::Banner("per-class disk models: RAID vs spindle");
-  SweepScenario(trace::FleetScenarioKind::kRaidVsSpindle, steps, budget);
-  RaidVsSpindle(steps, budget);
+  SweepScenario(trace::FleetScenarioKind::kRaidVsSpindle, steps, budget,
+                &reporter);
+  RaidVsSpindle(steps, budget, &reporter);
 
   bench::Banner("generation-upgrade drain (online controller)");
-  GenerationUpgradeDrain(smoke ? 32 : 64);
+  GenerationUpgradeDrain(smoke ? 32 : 64, &reporter);
 
   return reporter.WriteReport();
 }

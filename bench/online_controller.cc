@@ -44,10 +44,10 @@ struct SweepResult {
 };
 
 SweepResult RunScenario(trace::ScenarioKind kind, bool migration_aware,
-                        int steps, obs::Profiler* profiler) {
+                        int steps, bench::BenchReporter* reporter) {
   obs::ProfileScope scenario_scope(
-      profiler, "scenario/" + trace::ScenarioName(kind) +
-                    (migration_aware ? "/aware" : "/cold"));
+      reporter->profiler(), "scenario/" + trace::ScenarioName(kind) +
+                                (migration_aware ? "/aware" : "/cold"));
   trace::ScenarioConfig scenario_config;
   scenario_config.steps = steps;
   scenario_config.seed = bench::kSeed;
@@ -82,6 +82,8 @@ SweepResult RunScenario(trace::ScenarioKind kind, bool migration_aware,
   result.final_servers =
       core::Assignment{controller.assignment()}.ServersUsed();
   result.final_service_objective = controller.CurrentServiceObjective();
+  reporter->DigestPlan(controller.assignment(), result.final_service_objective);
+  reporter->DigestHistory(controller.RenderHistory());
   if (g_sink != nullptr) {
     g_sink->metrics()
         .gauge("bench.scenario_seconds." + trace::ScenarioName(kind) +
@@ -230,7 +232,7 @@ int main(int argc, char** argv) {
   for (trace::ScenarioKind kind : trace::AllScenarios()) {
     for (int mode = 0; mode < 2; ++mode) {
       const bool aware = mode == 0;
-      const SweepResult r = RunScenario(kind, aware, steps, reporter.profiler());
+      const SweepResult r = RunScenario(kind, aware, steps, &reporter);
       table.AddRow({trace::ScenarioName(kind), aware ? "aware" : "cold",
                     std::to_string(r.resolves), std::to_string(r.moves),
                     std::to_string(r.stages), r.all_safe ? "yes" : "NO",

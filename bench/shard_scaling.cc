@@ -76,7 +76,7 @@ RunResult RunSharded(const core::ConsolidationProblem& prob,
   solve::ShardedSolver solver(bench::kSeed, options);
   bench::ScopedTimer timer;
   RunResult r;
-  r.plan = solver.Solve(prob, budget, nullptr);
+  r.plan = solver.Solve(prob, budget);
   r.seconds = timer.Seconds();
   return r;
 }
@@ -118,6 +118,7 @@ int main(int argc, char** argv) {
 
   bench::Banner("sharded consolidation (auto threads)");
   const RunResult headline = RunSharded(prob, budget, /*threads=*/0, num_shards);
+  reporter.DigestPlan(headline.plan);
   const double slots_per_sec =
       headline.seconds > 0 ? total_slots / headline.seconds : 0;
   std::printf(
@@ -139,6 +140,7 @@ int main(int argc, char** argv) {
   std::vector<double> rates;
   for (int threads : {1, 2, 4, 8}) {
     const RunResult r = RunSharded(prob, budget, threads, num_shards);
+    reporter.DigestPlan(r.plan);
     if (threads == 1) serial_seconds = r.seconds;
     const bool same = r.plan.assignment.server_of_slot ==
                           headline.plan.assignment.server_of_slot &&

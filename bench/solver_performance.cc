@@ -75,6 +75,8 @@ int main(int argc, char** argv) {
     const bench::ScopedTimer full_timer;
     const auto plan_full = core::ConsolidationEngine(prob, full).Solve();
     const double full_s = full_timer.Seconds();
+    reporter.DigestPlan(plan_bounded);
+    reporter.DigestPlan(plan_full);
 
     table.AddRow({trace::DatasetName(kind), std::to_string(traces.size()),
                   util::FormatDouble(bounded_s, 2),
@@ -130,6 +132,8 @@ int main(int argc, char** argv) {
       seconds[i] = r.wall_seconds;
       result = r;  // same specs + seeds -> same plans at every thread count
     }
+    reporter.DigestPlan(engine_plan);
+    reporter.DigestPlan(result.best);
 
     portfolio_table.AddRow(
         {trace::DatasetName(kind), util::FormatDouble(engine_plan.objective, 1),
@@ -179,14 +183,17 @@ int main(int argc, char** argv) {
       budget.probe_direct_evaluations = 200;
     }
 
-    auto exact = solve::SolverRegistry::Global().Create("exact", bench::kSeed);
-    const auto exact_plan = exact->Solve(prob, budget, nullptr);
+    auto exact = solve::CreateSolver("exact", bench::kSeed);
+    const auto exact_plan = exact->Solve(prob, budget);
 
     solve::PortfolioOptions options;
     options.threads = 2;
     options.budget = budget;
     const auto portfolio_result = solve::PortfolioRunner(options).Run(
         prob, solve::PortfolioRunner::DefaultSpecs(bench::kSeed));
+
+    reporter.DigestPlan(exact_plan);
+    reporter.DigestPlan(portfolio_result.best);
 
     // Gap relative to the certificate; only proved instances feed the KPI
     // (a truncated exact run bounds nothing the portfolio must answer for).

@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
               problem.workloads.size(), problem.max_servers,
               static_cast<long long>(budget.exact_max_nodes));
 
-  auto exact = solve::SolverRegistry::Global().Create("exact", 2026);
+  auto exact = solve::CreateSolver("exact", 2026);
   const core::ConsolidationPlan certificate =
-      exact->Solve(problem, budget, nullptr);
+      exact->Solve(problem, budget);
   std::printf("\n--- exact branch-and-bound ---\n%s\n",
               certificate.Render().c_str());
 

@@ -29,7 +29,7 @@ core::ConsolidationPlan SolveOn(const std::vector<monitor::WorkloadProfile>& wor
 
   std::vector<solve::PortfolioSolverSpec> specs;
   uint64_t seed = 2026;
-  for (const std::string& name : solve::RegisteredSolverNames()) {
+  for (const std::string& name : solve::SolverNames()) {
     specs.push_back({name, seed});
     seed = seed * 0x9E3779B97F4A7C15ULL + 1;
   }

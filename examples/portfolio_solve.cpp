@@ -1,14 +1,13 @@
-// Solver-portfolio consolidation: race every registered placement strategy
+// Solver-portfolio consolidation: run every built-in placement strategy
 // concurrently and keep the best plan.
 //
 //   build/example_portfolio_solve [dataset] [threads]
 //
-// Races every solver in solve::RegisteredSolverNames() (src/solve/) against
-// one of the paper's datasets, sharing a mutex-protected incumbent across
-// solver threads — strategies registered with SolverRegistry::Global() show
-// up here without touching this file. Results are deterministic for a fixed
-// seed set: thread count changes wall-clock only. Prints each member's
-// outcome and the winning plan.
+// Runs every solver in solve::SolverNames() (src/solve/) on one of the
+// paper's datasets. Each solver is a pure function of (problem, budget,
+// seed) and stops only on its budget, so results are deterministic for a
+// fixed seed set: thread count changes wall-clock only. Prints each
+// member's outcome and the winning plan.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -38,16 +37,16 @@ int main(int argc, char** argv) {
   problem.workloads = trace::ToProfiles(traces);
   problem.disk_model = &disk_model;
 
-  // One spec per registered solver, each with its own seed derived from the
+  // One spec per built-in solver, each with its own seed derived from the
   // shared experiment seed.
   std::vector<solve::PortfolioSolverSpec> specs;
   uint64_t seed = 2026;
-  for (const std::string& name : solve::RegisteredSolverNames()) {
+  for (const std::string& name : solve::SolverNames()) {
     specs.push_back({name, seed});
     seed = seed * 0x9E3779B97F4A7C15ULL + 1;
   }
 
-  std::printf("racing %zu registered solvers on '%s' (%zu workloads, threads=%s)\n",
+  std::printf("racing %zu solvers on '%s' (%zu workloads, threads=%s)\n",
               specs.size(), trace::DatasetName(kind).c_str(), traces.size(),
               threads > 0 ? std::to_string(threads).c_str() : "auto");
 
@@ -64,10 +63,8 @@ int main(int argc, char** argv) {
                 member.plan.feasible ? "yes" : "no",
                 member.plan.servers_used);
   }
-  std::printf("\nwinner: %s (%.2fs wall, %d incumbent improvements%s)\n",
-              result.winner.c_str(), result.wall_seconds,
-              result.incumbent_improvements,
-              result.early_stopped ? ", early-stopped" : "");
+  std::printf("\nwinner: %s (%.2fs wall)\n", result.winner.c_str(),
+              result.wall_seconds);
   std::printf("\n%s\n", result.best.Render().c_str());
   return 0;
 }

@@ -5,10 +5,9 @@
 // counts/assignments propagating against the load/capacity data).
 //
 // Three kinds of consumers share this layer:
-//  * the legacy bound sites, now thin callers — core::FractionalLowerBound
-//    (greedy.h), the engine's probe feasibility thresholds, and the
-//    dimensioner's coverage-prefix bound — all bit-identical to their
-//    pre-refactor in-place arithmetic;
+//  * direct callers of the stateless bounds — the engine and the exact
+//    solver (the fractional server bound), the engine's probe feasibility
+//    thresholds, and the dimensioner's coverage prefix;
 //  * solve::BranchAndBoundSolver, which drives the incremental
 //    partial-assignment state (Place/Unplace + CompletionBound) as its
 //    node-pruning engine;
@@ -126,11 +125,10 @@ struct ClassMix {
 /// propagation).
 class BoundEngine {
  public:
-  // --- Stateless bounds (thin-caller targets) ---
+  // --- Stateless bounds ---
 
   /// Idealized fractional lower bound on the server count: workloads are
-  /// divisible and resources independent (core::FractionalLowerBound's
-  /// arithmetic, moved verbatim).
+  /// divisible and resources independent.
   static int FractionalServerBound(const ConsolidationProblem& problem);
 
   /// Cost any feasible plan on the placable prefix [0, k) undercuts: the

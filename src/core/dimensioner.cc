@@ -85,15 +85,6 @@ std::vector<std::vector<int>> CandidateOrders(
   return orders;
 }
 
-/// Shortest prefix of `order` whose idealized (fractional) aggregate
-/// capacity covers the peak demand on every axis (arithmetic now lives in
-/// the unified bound layer; GreedySeed still ranks candidate orders by it).
-int CoveragePrefix(const LoadAccountant& acct,
-                   const LoadAccountant::AggregateDemand& demand,
-                   int min_servers, const std::vector<int>& order) {
-  return BoundEngine::CoveragePrefix(acct, demand, min_servers, order);
-}
-
 /// First m of the purchase order, as an ascending server-index subset.
 std::vector<int> SubsetOf(const std::vector<int>& order, int m) {
   std::vector<int> subset(order.begin(), order.begin() + m);
@@ -119,9 +110,6 @@ DimensioningResult FleetDimensioner::Run(
   const int min_servers = MinServersOf(problem_);
   const int num_classes = problem_.fleet.num_classes();
 
-  const auto stop = [&] {
-    return options_.should_stop && options_.should_stop();
-  };
   // Fleet cost of the class-aware greedy baseline: the known-feasible
   // anchor bounding the knapsack (legacy anchored its upper K on the
   // greedy server count the same way).
@@ -238,7 +226,6 @@ DimensioningResult FleetDimensioner::Run(
   // Mixes arrive cost-ascending, so the first probe-feasible one is the
   // cheapest reachable — nothing cheaper remains to try.
   for (const ClassMix& mix : mixes) {
-    if (stop()) break;
     Assignment a;
     const std::vector<int> servers = subset_for(mix.counts);
     if (servers.empty()) continue;
@@ -248,7 +235,7 @@ DimensioningResult FleetDimensioner::Run(
     }
   }
 
-  if (!result.found && !stop()) {
+  if (!result.found) {
     // No bounded-budget mix held the load (or the knapsack was anchored
     // out): relax to the whole placable fleet plus pins once, the
     // full-order fallback of the retired prefix search. The engine's
@@ -289,7 +276,7 @@ Assignment FleetDimensioner::GreedySeed(const ConsolidationProblem& problem,
   int seed_m = 0;
   double seed_cost = std::numeric_limits<double>::infinity();
   for (const std::vector<int>& order : orders) {
-    const int m = CoveragePrefix(acct, demand, min_servers, order);
+    const int m = BoundEngine::CoveragePrefix(acct, demand, min_servers, order);
     if (m <= 0) continue;
     double cost = 0;
     for (int i = 0; i < m; ++i) {

@@ -49,7 +49,7 @@ class FleetDimensioner {
   /// greedy baseline (may be infeasible/empty): when feasible, its fleet
   /// cost seeds the upper budget the way the greedy server count seeds the
   /// legacy upper K. `on_improve` (may be empty) fires on every improving
-  /// feasible probe, so the engine can stream incumbents to a portfolio.
+  /// feasible probe, so the engine can draw it on its incumbent curve.
   DimensioningResult Run(const GreedyResult& greedy_upper,
                          const std::function<void(const Assignment&)>&
                              on_improve = nullptr);

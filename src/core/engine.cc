@@ -17,6 +17,9 @@ namespace kairos::core {
 
 namespace {
 
+/// DIRECT's local/global balance (Jones' epsilon) for every engine run.
+constexpr double kDirectEpsilon = 1e-3;
+
 /// Scope guard flushing the thread's evaluator op tallies to the sink on
 /// every exit path of an instrumented solve (no-op on a null sink).
 struct EvalOpsFlusher {
@@ -121,7 +124,7 @@ Assignment ConsolidationEngine::RunDirect(Evaluator* ev, int budget,
   opt::DirectOptimizer direct;
   opt::DirectOptions opts;
   opts.max_evaluations = budget;
-  opts.epsilon = options_.direct_epsilon;
+  opts.epsilon = kDirectEpsilon;
   opts.target_value = target_value;
   // Each DIRECT point moves one coordinate of an evaluated centre, so most
   // of its servers hold a slot set the run has already priced.
@@ -244,7 +247,6 @@ void ConsolidationEngine::LocalSearch(Evaluator* ev, int max_sweeps, util::Rng* 
 
 bool ConsolidationEngine::ProbeKImpl(int k, int direct_budget, Assignment* out) {
   if (k < 1) return false;
-  if (options_.should_stop && options_.should_stop()) return false;
   util::Rng rng(options_.seed ^ (0x9E37ULL * static_cast<uint64_t>(k)));
 
   // 1. Multi-resource greedy restricted to k servers, then local search.
@@ -286,7 +288,6 @@ bool ConsolidationEngine::ProbeKImpl(int k, int direct_budget, Assignment* out) 
 bool ConsolidationEngine::ProbeServersImpl(const std::vector<int>& servers,
                                            int direct_budget, Assignment* out) {
   if (servers.empty()) return false;
-  if (options_.should_stop && options_.should_stop()) return false;
   const int k = problem_.ServerCap();
   util::Rng rng(options_.seed ^
                 (0xB06DULL * (static_cast<uint64_t>(servers.size()) + 1)));
@@ -347,7 +348,7 @@ ConsolidationPlan ConsolidationEngine::Solve() {
   if (num_slots == 0) return plan;
   const int hard_cap = problem_.ServerCap();
 
-  plan.fractional_lower_bound = FractionalLowerBound(problem_);
+  plan.fractional_lower_bound = BoundEngine::FractionalServerBound(problem_);
 
   // Greedy baseline & upper bound.
   const GreedyResult greedy = GreedyBaseline(problem_, hard_cap);
@@ -364,17 +365,12 @@ ConsolidationPlan ConsolidationEngine::Solve() {
   std::vector<int> chosen_servers;
   bool polished_multi_greedy_fallback = false;
 
+  // Draws each improving probe on the incumbent curve.
   const auto broadcast = [this](const Assignment& a, int k) {
-    if (!options_.on_incumbent && options_.sink == nullptr) return;
+    if (options_.sink == nullptr) return;
     Evaluator ev(problem_, k);
     ev.Load(a.server_of_slot);
     EmitIncumbent(ev.current_cost(), ev.IsFeasible());
-    if (options_.on_incumbent) {
-      options_.on_incumbent(a, ev.current_cost(), ev.IsFeasible());
-    }
-  };
-  const auto stop_requested = [this] {
-    return options_.should_stop && options_.should_stop();
   };
 
   // Cost-based dimensioning replaces the count-prefix binary search on
@@ -404,7 +400,7 @@ ConsolidationPlan ConsolidationEngine::Solve() {
       best_k = upper;
       broadcast(best, best_k);
       int lo = lower, hi = upper;
-      while (lo < hi && !stop_requested()) {
+      while (lo < hi) {
         const int mid = lo + (hi - lo) / 2;
         Assignment mid_a;
         if (ProbeK(mid, options_.probe_direct_evaluations, &mid_a)) {
@@ -418,7 +414,7 @@ ConsolidationPlan ConsolidationEngine::Solve() {
       }
     } else {
       // Relax upward until something fits.
-      for (int k = upper + 1; k <= hard_cap && !stop_requested(); ++k) {
+      for (int k = upper + 1; k <= hard_cap; ++k) {
         Assignment a2;
         if (ProbeK(k, options_.probe_direct_evaluations, &a2)) {
           best = a2;
@@ -507,16 +503,6 @@ ConsolidationPlan ConsolidationEngine::PolishPlan(const Assignment& incumbent, i
   // Standalone polish runs (warm-started re-solves) credit their evaluator
   // ops too; under the portfolio the worker's bracket subsumes this.
   EvalOpsFlusher ops_flusher{options_.sink};
-  // When the race is already over, skip the polish entirely: report the
-  // incumbent as-is so the portfolio can join quickly.
-  if (options_.should_stop && options_.should_stop()) {
-    ConsolidationPlan plan = FinalizePlan(problem_, incumbent.server_of_slot, k);
-    EmitIncumbent(plan.objective, plan.feasible);
-    if (options_.on_incumbent) {
-      options_.on_incumbent(plan.assignment, plan.objective, plan.feasible);
-    }
-    return plan;
-  }
 
   // DIRECT for global moves, then local search, keeping the best feasible
   // incumbent. One evaluator serves both phases: everything the first
@@ -529,8 +515,7 @@ ConsolidationPlan ConsolidationEngine::PolishPlan(const Assignment& incumbent, i
   std::vector<int> best_assign = ev.assignment();
   const bool best_feasible = ev.IsFeasible();
 
-  if (options_.use_bounded_k &&
-      !(options_.should_stop && options_.should_stop())) {
+  if (options_.use_bounded_k) {
     int evals = 0;
     Assignment polished =
         RunDirect(&ev, options_.direct_evaluations, -1e300, &evals, targets);
@@ -546,9 +531,6 @@ ConsolidationPlan ConsolidationEngine::PolishPlan(const Assignment& incumbent, i
   ConsolidationPlan plan = FinalizePlan(problem_, best_assign, k);
   plan.probe_attempts = probe_attempts_;
   EmitIncumbent(plan.objective, plan.feasible);
-  if (options_.on_incumbent) {
-    options_.on_incumbent(plan.assignment, plan.objective, plan.feasible);
-  }
   return plan;
 }
 

@@ -7,7 +7,6 @@
 #define KAIROS_CORE_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,18 +34,6 @@ struct EngineOptions {
   /// open a cheaper class declared late. Disable to solve the full space
   /// directly (the ablation of the solver-performance experiment).
   bool use_bounded_k = true;
-  /// DIRECT local/global balance.
-  double direct_epsilon = 1e-3;
-
-  /// Called whenever the engine improves its incumbent (after each
-  /// successful feasibility probe and after the final polish). Lets a
-  /// portfolio runner broadcast partial results while the solve is still
-  /// running. May be empty.
-  std::function<void(const Assignment&, double objective, bool feasible)>
-      on_incumbent;
-  /// Polled between probe/polish phases; returning true aborts the solve
-  /// early with the best incumbent found so far. May be empty.
-  std::function<bool()> should_stop;
 
   /// Observability sink (metrics + trace), nullable. When attached the
   /// engine records every feasibility probe ("probe"/"budget_probe"

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/bounds.h"
 #include "core/load_accountant.h"
 
 namespace kairos::core {
@@ -462,11 +461,6 @@ Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_serv
   out.server_of_slot = std::move(assignment);
   if (feasible) *feasible = clean;
   return out;
-}
-
-int FractionalLowerBound(const ConsolidationProblem& problem) {
-  // The arithmetic moved verbatim into the unified bound layer.
-  return BoundEngine::FractionalServerBound(problem);
 }
 
 }  // namespace kairos::core

@@ -1,9 +1,10 @@
-// Baseline packers and bounds (Sections 6 and 7.3):
+// Baseline packers (Sections 6 and 7.3):
 //  * single-resource greedy bin packing — the paper's comparison baseline:
 //    considers one resource, places each workload on the most-loaded server
 //    where it fits, discards solutions violating the other resources;
-//  * a multi-resource greedy used to seed the solver / upper-bound K;
-//  * the fractional idealized lower bound on the number of servers.
+//  * a multi-resource greedy used to seed the solver / upper-bound K.
+// The fractional lower bound on the server count lives in core/bounds.h
+// (BoundEngine::FractionalServerBound).
 #ifndef KAIROS_CORE_GREEDY_H_
 #define KAIROS_CORE_GREEDY_H_
 
@@ -59,10 +60,6 @@ Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_serv
 /// Shared by the greedy packers and core::FleetDimensioner's purchase
 /// order.
 std::vector<int> DenseServerOrder(const LoadAccountant& acct);
-
-/// Idealized fractional lower bound on the server count: workloads are
-/// divisible and resources independent.
-int FractionalLowerBound(const ConsolidationProblem& problem);
 
 }  // namespace kairos::core
 

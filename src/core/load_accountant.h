@@ -8,9 +8,10 @@
 // per-class model::DiskResource) that price the aggregates.
 //
 // Consumers: core::Evaluator (one-shot + incremental move evaluation over
-// the flat arrays), both greedy packers and FractionalLowerBound
-// (core/greedy.cc), the engine's probe threshold, and — through the same
-// per-class models — sim::CapacityLedger and online::MigrationPlanner.
+// the flat arrays), both greedy packers (core/greedy.cc), core::BoundEngine's
+// fractional server bound and the engine's probe thresholds, and — through
+// the same per-class models — sim::CapacityLedger and
+// online::MigrationPlanner.
 //
 // Layout: series are stored flat as slot-major / server-major blocks of
 // num_samples doubles (SlotSeries(a, s)[t]), so the hot MoveDelta path
@@ -107,8 +108,8 @@ class LoadAccountant {
 
   /// Peak aggregate demand per axis (all slots summed per sample) plus the
   /// total working set — the fractional "the fleet together must cover
-  /// this" figure shared by FractionalLowerBound and the cost-based
-  /// dimensioner's coverage checks.
+  /// this" figure shared by BoundEngine::FractionalServerBound and the
+  /// cost-based dimensioner's coverage checks.
   struct AggregateDemand {
     double peak_cpu = 0;
     double peak_ram = 0;

@@ -41,9 +41,9 @@ bool MatchesAny(const std::vector<std::string>& patterns,
   return false;
 }
 
-std::string Fmt(double v) {
+std::string Fmt(double v, int digits = 6) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
   return buf;
 }
 
@@ -109,12 +109,6 @@ std::vector<KpiValue> ComputeDerivedKpis(const Sink& sink) {
   if (latency != nullptr && latency->total > 0) {
     kpis.push_back({"online.detect_to_migrate_mean_seconds",
                     latency->sum / static_cast<double>(latency->total)});
-  }
-  const int64_t* improvements =
-      FindCounter(snap, "portfolio.incumbent_improvements");
-  if (improvements != nullptr) {
-    kpis.push_back({"portfolio.incumbent_improvements",
-                    static_cast<double>(*improvements)});
   }
   return kpis;
 }
@@ -242,9 +236,10 @@ DiffResult DiffReports(const util::JsonValue& baseline,
         continue;
       }
       if (cur_value->number != base_value.number) {
+        // Every digit: two plan digests may differ in their low bits only.
         const std::string msg = "counter " + name + ": baseline " +
-                                Fmt(base_value.number) + ", current " +
-                                Fmt(cur_value->number);
+                                Fmt(base_value.number, 17) + ", current " +
+                                Fmt(cur_value->number, 17);
         if (gated) {
           fail(msg);
         } else {

@@ -69,7 +69,6 @@ struct KpiValue {
 ///                                 controller.ingest_seconds gauge
 ///   online.detect_to_migrate_mean_seconds
 ///                                 histogram sum / total
-///   portfolio.incumbent_improvements  echoed as a KPI for trend lines
 std::vector<KpiValue> ComputeDerivedKpis(const Sink& sink);
 
 /// Writes one complete BENCH_<name>.json document. `config` entries are

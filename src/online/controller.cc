@@ -416,8 +416,6 @@ void ConsolidationController::Resolve(core::ConsolidationProblem* problem,
   solve::PortfolioOptions options;
   options.threads = config_.threads;
   options.budget = budget;
-  // No target objective: early-stop would make the winner depend on thread
-  // scheduling and break history determinism.
   const solve::PortfolioResult result =
       solve::PortfolioRunner(options).Run(*problem, specs);
   ++solves_;

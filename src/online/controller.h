@@ -13,8 +13,9 @@
 // MigrationPlanner.
 //
 // Determinism: fixed telemetry + ControllerConfig::seed give a
-// byte-identical RenderHistory() regardless of portfolio thread count (no
-// early-stop target is set, so the portfolio winner is schedule-independent).
+// byte-identical RenderHistory() regardless of portfolio thread count (every
+// portfolio member stops only on its budget, so the winner is
+// schedule-independent).
 #ifndef KAIROS_ONLINE_CONTROLLER_H_
 #define KAIROS_ONLINE_CONTROLLER_H_
 
@@ -84,7 +85,7 @@ struct ControllerConfig {
   int ingest_threads = 1;
   int ingest_stripes = 0;
 
-  /// Portfolio raced at each re-solve (registry names).
+  /// Portfolio raced at each re-solve (CreateSolver names).
   std::vector<std::string> solvers = {"polish", "greedy", "anneal", "tabu"};
   solve::SolveBudget budget = MakeDefaultBudget();
   /// Portfolio threads (0 = auto). Results are thread-count independent.

@@ -14,8 +14,7 @@ class GreedyBaselineSolver : public Solver {
  public:
   std::string name() const override { return "greedy"; }
   core::ConsolidationPlan Solve(const core::ConsolidationProblem& problem,
-                                const SolveBudget& budget,
-                                SharedIncumbent* incumbent) override;
+                                const SolveBudget& budget) override;
 };
 
 /// core::GreedyMultiResource — the multi-resource greedy used to seed the
@@ -24,20 +23,17 @@ class GreedyMultiSolver : public Solver {
  public:
   std::string name() const override { return "greedy-multi"; }
   core::ConsolidationPlan Solve(const core::ConsolidationProblem& problem,
-                                const SolveBudget& budget,
-                                SharedIncumbent* incumbent) override;
+                                const SolveBudget& budget) override;
 };
 
 /// core::ConsolidationEngine — bounded-K binary search over DIRECT probes
-/// plus local-search polish. Streams probe incumbents to the shared
-/// incumbent and honours its stop flag between phases.
+/// plus local-search polish.
 class EngineSolver : public Solver {
  public:
   explicit EngineSolver(uint64_t seed) : seed_(seed) {}
   std::string name() const override { return "engine"; }
   core::ConsolidationPlan Solve(const core::ConsolidationProblem& problem,
-                                const SolveBudget& budget,
-                                SharedIncumbent* incumbent) override;
+                                const SolveBudget& budget) override;
 
  private:
   uint64_t seed_;
@@ -53,8 +49,7 @@ class WarmStartPolishSolver : public Solver {
   explicit WarmStartPolishSolver(uint64_t seed) : seed_(seed) {}
   std::string name() const override { return "polish"; }
   core::ConsolidationPlan Solve(const core::ConsolidationProblem& problem,
-                                const SolveBudget& budget,
-                                SharedIncumbent* incumbent) override;
+                                const SolveBudget& budget) override;
 
  private:
   uint64_t seed_;

@@ -9,13 +9,32 @@
 
 namespace kairos::solve {
 
+namespace {
+
+/// Initial acceptance temperature as a fraction of the start cost.
+constexpr double kInitialTempFraction = 0.02;
+/// Geometric cooling rate applied once per epoch.
+constexpr double kCooling = 0.95;
+/// Moves per epoch, as a multiple of the slot count.
+constexpr int kEpochSlotsFactor = 8;
+/// Probability of proposing a swap instead of a relocation.
+constexpr double kSwapProbability = 0.25;
+/// Heterogeneous fleets only: probability of proposing a cross-class
+/// "re-class" move — one server's whole unpinned payload migrates onto an
+/// empty server of a different machine class, as one
+/// Evaluator::ApplyPackage (at most 2 pricings) that a reject undoes from
+/// its snapshot (0 pricings). Never drawn on uniform fleets, so the
+/// homogeneous move stream is untouched.
+constexpr double kReclassProbability = 0.08;
+
+}  // namespace
+
 bool AnnealFloorRejects(double floor, double u, double temperature) {
   return u > 0 && u >= std::exp(-floor / temperature) * (1 + 0x1p-40);
 }
 
 core::ConsolidationPlan AnnealingSolver::Solve(
-    const core::ConsolidationProblem& problem, const SolveBudget& budget,
-    SharedIncumbent* incumbent) {
+    const core::ConsolidationProblem& problem, const SolveBudget& budget) {
   const int cap = HardCap(problem);
   util::Rng rng(seed_);
 
@@ -24,58 +43,18 @@ core::ConsolidationPlan AnnealingSolver::Solve(
   core::Evaluator ev(problem, cap);
   ev.Load(seed_assignment.server_of_slot);
   const int slots = ev.num_slots();
-
-  std::vector<int> best = ev.assignment();
-  double best_cost = ev.current_cost();
-  bool best_feasible = ev.IsFeasible();
-  if (incumbent) {
-    incumbent->Offer(best, best_cost, best_feasible, name());
-  }
-
-  // Incumbent-curve trace ids, interned once so the per-improvement cost is
-  // one branch plus a ring write (never an RNG touch).
-  obs::Sink* const sink = budget.sink;
-  uint32_t obs_track = 0, obs_incumbent = 0;
-  obs::Counter* improvements = nullptr;
-  if (sink != nullptr) {
-    obs_track =
-        sink->trace().InternTrack(name() + "/" + std::to_string(seed_));
-    obs_incumbent = sink->trace().InternName("incumbent");
-    improvements = sink->metrics().counter(name() + ".improvements");
-    // Iteration-0 point: every attached run exports a curve with >= 1 point.
-    sink->trace().Emit(obs_track, obs_incumbent, obs::EventKind::kPoint,
-                       /*i0=*/0, /*i1=*/best_feasible ? 1 : 0,
-                       /*d0=*/best_cost);
-  }
+  BestSoFar best(ev, name(), seed_, budget.sink);
 
   if (slots < 2 || cap < 2) {
-    return core::FinalizePlan(problem, best, cap);
+    return core::FinalizePlan(problem, best.assignment(), cap);
   }
-
-  int it = 0;
-  const auto record_if_best = [&] {
-    const bool feasible = ev.IsFeasible();
-    if ((feasible && !best_feasible) ||
-        (feasible == best_feasible && ev.current_cost() < best_cost)) {
-      best = ev.assignment();
-      best_cost = ev.current_cost();
-      best_feasible = feasible;
-      if (sink != nullptr) {
-        sink->trace().Emit(obs_track, obs_incumbent, obs::EventKind::kPoint,
-                           /*i0=*/it, /*i1=*/best_feasible ? 1 : 0,
-                           /*d0=*/best_cost);
-        improvements->Add(1);
-      }
-      if (incumbent) incumbent->Offer(best, best_cost, best_feasible, name());
-    }
-  };
 
   // Temperature scaled to the seed cost so acceptance behaves consistently
   // across problem sizes (the objective spans orders of magnitude between
   // feasible and penalized regions).
-  double temperature = std::max(
-      1.0, options_.initial_temp_fraction * std::abs(ev.current_cost()));
-  const int epoch = std::max(1, options_.epoch_slots_factor * slots);
+  double temperature =
+      std::max(1.0, kInitialTempFraction * std::abs(ev.current_cost()));
+  const int epoch = std::max(1, kEpochSlotsFactor * slots);
 
   // Cross-class moves only exist on non-uniform fleets; the gate also keeps
   // the RNG stream (and thus every result) bit-identical on uniform ones.
@@ -86,14 +65,10 @@ core::ConsolidationPlan AnnealingSolver::Solve(
   // server. Unmasked fleets keep the classic RNG stream bit-for-bit.
   const sim::FleetSpec::PlacementMask mask = problem.fleet.PlacementTargets(cap);
 
-  for (it = 0; it < budget.max_iterations; ++it) {
-    if (incumbent && it % options_.stop_poll_interval == 0 &&
-        incumbent->ShouldStop()) {
-      break;
-    }
-    if (it > 0 && it % epoch == 0) temperature *= options_.cooling;
+  for (int it = 0; it < budget.max_iterations; ++it) {
+    if (it > 0 && it % epoch == 0) temperature *= kCooling;
 
-    if (fleet_moves && rng.NextDouble() < options_.reclass_probability) {
+    if (fleet_moves && rng.NextDouble() < kReclassProbability) {
       // Re-class: migrate one server's whole unpinned payload onto an empty
       // server of a different machine class (e.g. two legacy boxes folding
       // onto one big target) — a package move single relocations only reach
@@ -108,14 +83,14 @@ core::ConsolidationPlan AnnealingSolver::Solve(
           rng.UniformInt(0, static_cast<int64_t>(targets.size()) - 1))];
       const double delta = ev.ApplyPackage(movers, to);
       if (delta <= 0) {
-        record_if_best();
+        best.Record(ev, it);
       } else if (rng.NextDouble() >= std::exp(-delta / temperature)) {
         ev.UndoPackage();
       }
       continue;
     }
 
-    if (rng.NextDouble() < options_.swap_probability) {
+    if (rng.NextDouble() < kSwapProbability) {
       // Swap the servers of two unpinned slots.
       const int a = static_cast<int>(rng.UniformInt(0, slots - 1));
       const int b = static_cast<int>(rng.UniformInt(0, slots - 1));
@@ -133,7 +108,7 @@ core::ConsolidationPlan AnnealingSolver::Solve(
       ev.ApplyMove(b, sa);
       const double delta = ev.current_cost() - before;
       if (delta <= 0) {
-        record_if_best();
+        best.Record(ev, it);
       } else if (rng.NextDouble() >= std::exp(-delta / temperature)) {
         ev.ApplyMove(b, sb);  // reject: roll back
         ev.ApplyMove(a, sa);
@@ -148,13 +123,13 @@ core::ConsolidationPlan AnnealingSolver::Solve(
       if (mask.masked) {
         // Uniform over placable servers != from; when `from` itself is
         // drained (an evacuation move) every target is valid.
-        const auto it = std::lower_bound(mask.targets.begin(),
-                                         mask.targets.end(), from);
+        const auto pos = std::lower_bound(mask.targets.begin(),
+                                          mask.targets.end(), from);
         const int n = static_cast<int>(mask.targets.size());
-        if (it != mask.targets.end() && *it == from) {
+        if (pos != mask.targets.end() && *pos == from) {
           if (n < 2) continue;
           int idx = static_cast<int>(rng.UniformInt(0, n - 2));
-          if (idx >= static_cast<int>(it - mask.targets.begin())) ++idx;
+          if (idx >= static_cast<int>(pos - mask.targets.begin())) ++idx;
           to = mask.targets[idx];
         } else {
           to = mask.targets[static_cast<size_t>(rng.UniformInt(0, n - 1))];
@@ -179,12 +154,12 @@ core::ConsolidationPlan AnnealingSolver::Solve(
       const double delta = ev.MoveDelta(slot, to);
       if (delta <= 0 || rng.NextDouble() < std::exp(-delta / temperature)) {
         ev.ApplyMove(slot, to);
-        if (delta <= 0) record_if_best();
+        if (delta <= 0) best.Record(ev, it);
       }
     }
   }
 
-  return core::FinalizePlan(problem, best, cap);
+  return core::FinalizePlan(problem, best.assignment(), cap);
 }
 
 }  // namespace kairos::solve

@@ -22,38 +22,14 @@ bool AnnealFloorRejects(double floor, double u, double temperature);
 /// the best-ever assignment (which starts at the seed) is what is reported.
 class AnnealingSolver : public Solver {
  public:
-  struct Options {
-    /// Initial acceptance temperature as a fraction of the seed cost.
-    double initial_temp_fraction = 0.02;
-    /// Geometric cooling rate applied once per epoch.
-    double cooling = 0.95;
-    /// Moves per epoch, as a multiple of the slot count.
-    int epoch_slots_factor = 8;
-    /// Probability of proposing a swap instead of a relocation.
-    double swap_probability = 0.25;
-    /// Heterogeneous fleets only: probability of proposing a cross-class
-    /// "re-class" move — one server's whole unpinned payload migrates onto
-    /// an empty server of a different machine class, as one
-    /// Evaluator::ApplyPackage (at most 2 pricings) that a reject undoes
-    /// from its snapshot (0 pricings). Never drawn on uniform fleets, so
-    /// the homogeneous move stream is untouched.
-    double reclass_probability = 0.08;
-    /// ShouldStop() poll interval, in moves.
-    int stop_poll_interval = 256;
-  };
-
   explicit AnnealingSolver(uint64_t seed) : seed_(seed) {}
-  AnnealingSolver(uint64_t seed, const Options& options)
-      : seed_(seed), options_(options) {}
 
   std::string name() const override { return "anneal"; }
   core::ConsolidationPlan Solve(const core::ConsolidationProblem& problem,
-                                const SolveBudget& budget,
-                                SharedIncumbent* incumbent) override;
+                                const SolveBudget& budget) override;
 
  private:
   uint64_t seed_;
-  Options options_;
 };
 
 }  // namespace kairos::solve

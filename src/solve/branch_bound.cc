@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/bounds.h"
-#include "core/greedy.h"
 #include "obs/sink.h"
 
 namespace kairos::solve {
@@ -50,8 +49,7 @@ std::vector<int> BranchSlotOrder(const core::LoadAccountant& acct, int cap) {
 }  // namespace
 
 core::ConsolidationPlan BranchAndBoundSolver::Solve(
-    const core::ConsolidationProblem& problem, const SolveBudget& budget,
-    SharedIncumbent* incumbent) {
+    const core::ConsolidationProblem& problem, const SolveBudget& budget) {
   const auto start_time = std::chrono::steady_clock::now();
   const int cap = HardCap(problem);
   const int num_slots = problem.TotalSlots();
@@ -63,7 +61,6 @@ core::ConsolidationPlan BranchAndBoundSolver::Solve(
   core::Evaluator ev(problem, cap);
   std::vector<int> best_assignment = start.server_of_slot;
   double best_cost = ev.Evaluate(best_assignment);
-  bool best_feasible = false;
 
   core::BoundEngine engine(problem, cap);
   const core::LoadAccountant& acct = engine.accountant();
@@ -143,34 +140,9 @@ core::ConsolidationPlan BranchAndBoundSolver::Solve(
   // on truncation.
   double lb_abandoned = std::numeric_limits<double>::infinity();
 
-  const auto offer_best = [&] {
-    if (incumbent != nullptr) {
-      incumbent->Offer(best_assignment, best_cost, best_feasible, name());
-    }
-  };
   const auto slack = [&] { return 1e-7 * std::max(1.0, std::fabs(best_cost)); };
-  const auto out_of_budget = [&] {
-    if (nodes >= max_nodes) return true;
-    if ((nodes & 0xFF) == 0) {
-      if (incumbent != nullptr && incumbent->ShouldStop()) return true;
-      if (budget.exact_max_seconds > 0.0) {
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start_time)
-                .count();
-        if (elapsed >= budget.exact_max_seconds) return true;
-      }
-    }
-    return false;
-  };
 
   if (num_slots > 0) {
-    // Feasibility of the warm start decides whether it may stand as the
-    // final answer when the search finds nothing better.
-    ev.Load(best_assignment);
-    best_feasible = ev.IsFeasible();
-    offer_best();
-
     std::vector<Frame> stack;
     stack.reserve(std::min<size_t>(num_slots, 4096));
     Frame root;
@@ -191,7 +163,7 @@ core::ConsolidationPlan BranchAndBoundSolver::Solve(
         stack.pop_back();
         continue;
       }
-      if (out_of_budget()) {
+      if (nodes >= max_nodes) {
         truncated = true;
         continue;
       }
@@ -212,8 +184,6 @@ core::ConsolidationPlan BranchAndBoundSolver::Solve(
         if (exact_cost < best_cost) {
           best_cost = exact_cost;
           best_assignment = std::move(assignment);
-          best_feasible = ev.IsFeasible();
-          offer_best();
         }
         continue;
       }
@@ -227,7 +197,8 @@ core::ConsolidationPlan BranchAndBoundSolver::Solve(
 
   core::ConsolidationPlan plan =
       core::FinalizePlan(problem, best_assignment, cap);
-  plan.fractional_lower_bound = core::FractionalLowerBound(problem);
+  plan.fractional_lower_bound =
+      core::BoundEngine::FractionalServerBound(problem);
   plan.exact_search = true;
   plan.exact_nodes = nodes;
   plan.proved_optimal = !truncated;
@@ -249,10 +220,6 @@ core::ConsolidationPlan BranchAndBoundSolver::Solve(
         .counter(plan.proved_optimal ? "exact.proved_optimal"
                                      : "exact.truncated")
         ->Add(1);
-  }
-  if (incumbent != nullptr) {
-    incumbent->Offer(plan.assignment.server_of_slot, plan.objective,
-                     plan.feasible, name());
   }
   return plan;
 }

@@ -1,4 +1,4 @@
-// The exact portfolio member (registry name "exact"): depth-first
+// The exact portfolio member (solver name "exact"): depth-first
 // branch-and-bound over the slot->server assignment encoding, pruned by
 // core::BoundEngine's incremental committed cost + admissible completion
 // bound (the "ILP Modulo Data" decomposition: an exact master search
@@ -11,11 +11,11 @@
 // or the problem's current assignment distinguishes them, so only the first
 // closed undistinguished server per class is branched on.
 //
-// Deterministic: the node budget (SolveBudget::exact_max_nodes) is the
-// primary limit; the optional wall-clock cap (exact_max_seconds) is off by
-// default. On truncation the plan carries an upper bound on the optimality
-// gap; an exhausted search sets proved_optimal (ConsolidationPlan's exact
-// fields), which bench_solver_performance turns into solver.gap_to_exact.
+// Deterministic: the node budget (SolveBudget::exact_max_nodes) is the only
+// limit, so the result never depends on machine speed. On truncation the
+// plan carries an upper bound on the optimality gap; an exhausted search
+// sets proved_optimal (ConsolidationPlan's exact fields), which
+// bench_solver_performance turns into solver.gap_to_exact.
 #ifndef KAIROS_SOLVE_BRANCH_BOUND_H_
 #define KAIROS_SOLVE_BRANCH_BOUND_H_
 
@@ -32,8 +32,7 @@ class BranchAndBoundSolver : public Solver {
   std::string name() const override { return "exact"; }
 
   core::ConsolidationPlan Solve(const core::ConsolidationProblem& problem,
-                                const SolveBudget& budget,
-                                SharedIncumbent* incumbent) override;
+                                const SolveBudget& budget) override;
 
  private:
   uint64_t seed_;

@@ -39,8 +39,6 @@ PortfolioResult PortfolioRunner::Run(
   result.members.resize(specs.size());
   if (specs.empty()) return result;
 
-  SharedIncumbent incumbent(options_.target_objective);
-
   int threads = options_.threads;
   if (threads <= 0) {
     const int hw = static_cast<int>(std::thread::hardware_concurrency());
@@ -83,13 +81,13 @@ PortfolioResult PortfolioRunner::Run(
       member.seed = specs[i].seed;
       const auto solver_start = std::chrono::steady_clock::now();
       std::unique_ptr<Solver> solver =
-          SolverRegistry::Global().Create(specs[i].solver, specs[i].seed);
+          CreateSolver(specs[i].solver, specs[i].seed);
       if (solver) {
         obs::ScopedSpan member_span(sink, member_tracks.empty() ? 0
                                                                 : member_tracks[i],
                                     solver_name_id, /*i0=*/i);
         core::ResetEvalOps();
-        member.plan = solver->Solve(problem, options_.budget, &incumbent);
+        member.plan = solver->Solve(problem, options_.budget);
         core::FlushEvalOps(sink);
       }
       member.solve_seconds = Seconds(solver_start);
@@ -106,8 +104,8 @@ PortfolioResult PortfolioRunner::Run(
     for (auto& th : pool) th.join();
   }
 
-  // Deterministic winner selection over the complete member results (not
-  // over incumbent publish order, which is timing-dependent).
+  // Deterministic winner selection over the complete member results, in
+  // spec order.
   for (size_t i = 0; i < result.members.size(); ++i) {
     const core::ConsolidationPlan& plan = result.members[i].plan;
     if (plan.assignment.server_of_slot.empty()) continue;  // unknown solver
@@ -124,15 +122,8 @@ PortfolioResult PortfolioRunner::Run(
     member.plan.server_loads = {};
   }
 
-  result.early_stopped = incumbent.ShouldStop();
-  result.incumbent_improvements = incumbent.improvements();
   result.wall_seconds = Seconds(start);
-  if (sink != nullptr) {
-    sink->Count("portfolio.runs");
-    if (result.early_stopped) sink->Count("portfolio.early_stops");
-    sink->Count("portfolio.incumbent_improvements",
-                result.incumbent_improvements);
-  }
+  if (sink != nullptr) sink->Count("portfolio.runs");
   return result;
 }
 

@@ -1,12 +1,7 @@
-// PortfolioRunner: races N registered solvers concurrently against one
-// SharedIncumbent. Each solver is deterministic given its seed and never
-// reads the incumbent back into its trajectory, so without a target
-// objective the winning plan is a pure function of (problem, specs,
-// budget) — thread count and scheduling only change wall-clock, not
-// results. With a target objective set the race early-stops as soon as any
-// solver reaches it; the winner is then guaranteed to meet the target, but
-// its identity may vary between runs, because solvers interrupted by the
-// stop flag return their (timing-dependent) best-so-far.
+// PortfolioRunner: runs N solvers concurrently and keeps the best plan.
+// Every solver is a pure function of (problem, budget, seed) that stops
+// only on its budget, so the winning plan is a pure function of (problem,
+// specs, budget): thread count and scheduling change wall-clock only.
 #ifndef KAIROS_SOLVE_PORTFOLIO_H_
 #define KAIROS_SOLVE_PORTFOLIO_H_
 
@@ -18,7 +13,7 @@
 
 namespace kairos::solve {
 
-/// One portfolio member: a registry key plus its deterministic seed.
+/// One portfolio member: a CreateSolver name plus its deterministic seed.
 struct PortfolioSolverSpec {
   std::string solver;
   uint64_t seed = 1;
@@ -29,9 +24,6 @@ struct PortfolioOptions {
   int threads = 0;
   /// Per-solver work limits.
   SolveBudget budget;
-  /// Early-stop: abort all solvers once a feasible plan at or below this
-  /// objective is found. Default: run every solver to completion.
-  double target_objective = SharedIncumbent::Unbounded();
 };
 
 /// Per-solver outcome, in spec order.
@@ -48,10 +40,8 @@ struct PortfolioResult {
   /// The winning plan (deterministic tie-break: feasible first, then lower
   /// objective, then fewer servers, then lower spec index).
   core::ConsolidationPlan best;
-  int winner_index = -1;       ///< Index into `members` / the spec list.
-  std::string winner;          ///< Solver name of the winner.
-  bool early_stopped = false;  ///< Target objective reached before all done.
-  int incumbent_improvements = 0;
+  int winner_index = -1;  ///< Index into `members` / the spec list.
+  std::string winner;     ///< Solver name of the winner.
   double wall_seconds = 0;
   std::vector<PortfolioMemberResult> members;
 };
@@ -62,7 +52,7 @@ class PortfolioRunner {
   explicit PortfolioRunner(PortfolioOptions options = PortfolioOptions())
       : options_(options) {}
 
-  /// Races `specs` (looked up in SolverRegistry::Global()) on the problem.
+  /// Runs `specs` (built with CreateSolver) on the problem.
   /// Unknown solver names are reported with an infeasible empty plan.
   PortfolioResult Run(const core::ConsolidationProblem& problem,
                       const std::vector<PortfolioSolverSpec>& specs) const;

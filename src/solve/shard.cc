@@ -18,6 +18,12 @@ namespace {
 
 using util::UnionFind;
 
+/// Cross-shard rebalance after stitching: donor->receiver rounds, slots
+/// moved per round, and receiver servers scored per batched delta.
+constexpr int kRebalanceRounds = 2;
+constexpr int kRebalanceMaxMoves = 32;
+constexpr int kRebalanceMaxTargets = 64;
+
 /// Local index of global server `server` within the ascending `servers`
 /// map; -1 when the shard does not own it.
 int LocalServerIndex(const std::vector<int>& servers, int server) {
@@ -375,12 +381,9 @@ std::vector<int> SolveShardLocal(const FleetShard& shard,
   std::string name = options.local_solver;
   if (name.empty()) name = slots <= 96 ? "engine" : "greedy-multi";
   if (name == "sharded") name = "greedy-multi";  // no recursive sharding
-  auto solver = SolverRegistry::Global().Create(name, shard.seed);
-  if (solver == nullptr) {
-    solver = SolverRegistry::Global().Create("greedy-multi", shard.seed);
-  }
-  const core::ConsolidationPlan plan =
-      solver->Solve(shard.problem, budget, /*incumbent=*/nullptr);
+  auto solver = CreateSolver(name, shard.seed);
+  if (solver == nullptr) solver = CreateSolver("greedy-multi", shard.seed);
+  const core::ConsolidationPlan plan = solver->Solve(shard.problem, budget);
 
   std::vector<int> out = plan.assignment.server_of_slot;
   out.resize(slots, 0);
@@ -397,12 +400,9 @@ std::vector<int> SolveShardLocal(const FleetShard& shard,
 /// and takes the best strictly improving move. Sequential and
 /// RNG-free — byte-identical at any thread count.
 int RebalanceAcrossShards(const std::vector<FleetShard>& shards,
-                          core::Evaluator* ev, const ShardOptions& options) {
+                          core::Evaluator* ev) {
   const int S = static_cast<int>(shards.size());
-  if (S <= 1 || options.rebalance_rounds <= 0 ||
-      options.rebalance_max_moves <= 0) {
-    return 0;
-  }
+  if (S <= 1) return 0;
   const core::LoadAccountant& acct = ev->accountant();
   const int cap = ev->max_servers();
   const int num_slots = ev->num_slots();
@@ -442,7 +442,7 @@ int RebalanceAcrossShards(const std::vector<FleetShard>& shards,
   int total_moves = 0;
   std::vector<int> targets;
   std::vector<double> deltas;
-  for (int round = 0; round < options.rebalance_rounds; ++round) {
+  for (int round = 0; round < kRebalanceRounds; ++round) {
     // Shard pressure from the *current* placement (moves shift it).
     std::vector<double> violation(S, 0.0), load(S, 0.0);
     for (int j = 0; j < cap; ++j) {
@@ -492,8 +492,8 @@ int RebalanceAcrossShards(const std::vector<FleetShard>& shards,
                 if (a.score != b.score) return a.score > b.score;
                 return a.slot < b.slot;
               });
-    if (static_cast<int>(candidates.size()) > 4 * options.rebalance_max_moves) {
-      candidates.resize(4 * options.rebalance_max_moves);
+    if (static_cast<int>(candidates.size()) > 4 * kRebalanceMaxMoves) {
+      candidates.resize(4 * kRebalanceMaxMoves);
     }
 
     // Receiver targets: placable servers, emptiest first (occupancy at
@@ -505,14 +505,14 @@ int RebalanceAcrossShards(const std::vector<FleetShard>& shards,
     std::stable_sort(targets.begin(), targets.end(), [&](int a, int b) {
       return acct.ServerCount(a) < acct.ServerCount(b);
     });
-    if (static_cast<int>(targets.size()) > options.rebalance_max_targets) {
-      targets.resize(options.rebalance_max_targets);
+    if (static_cast<int>(targets.size()) > kRebalanceMaxTargets) {
+      targets.resize(kRebalanceMaxTargets);
     }
     if (targets.empty()) break;
 
     int moves_this_round = 0;
     for (const Candidate& cand : candidates) {
-      if (moves_this_round >= options.rebalance_max_moves) break;
+      if (moves_this_round >= kRebalanceMaxMoves) break;
       ev->MoveDeltaBatch(cand.slot, targets, &deltas, /*cutoff=*/-1e-9);
       int pick = -1;
       double pick_delta = -1e-9;
@@ -594,8 +594,7 @@ ShardedSolver::ShardedSolver(uint64_t seed, ShardOptions options)
     : seed_(seed), options_(std::move(options)) {}
 
 core::ConsolidationPlan ShardedSolver::Solve(
-    const core::ConsolidationProblem& problem, const SolveBudget& budget,
-    SharedIncumbent* incumbent) {
+    const core::ConsolidationProblem& problem, const SolveBudget& budget) {
   const int cap = HardCap(problem);
   if (problem.TotalSlots() == 0) {
     if (cap < 1) {
@@ -653,7 +652,7 @@ core::ConsolidationPlan ShardedSolver::Solve(
       ev.ApplyMove(sl, pin);
     }
   }
-  const int rebalance_moves = RebalanceAcrossShards(shards, &ev, options_);
+  const int rebalance_moves = RebalanceAcrossShards(shards, &ev);
 
   core::ConsolidationPlan plan = core::FinalizePlan(problem, ev.assignment(), cap);
   if (budget.sink != nullptr) {
@@ -666,10 +665,6 @@ core::ConsolidationPlan ShardedSolver::Solve(
                trace.InternName("incumbent"), obs::EventKind::kPoint,
                /*i0=*/0, /*i1=*/plan.feasible ? 1 : 0, /*d0=*/plan.objective);
     core::FlushEvalOps(budget.sink);
-  }
-  if (incumbent != nullptr) {
-    incumbent->Offer(plan.assignment.server_of_slot, plan.objective,
-                     plan.feasible, name());
   }
   return plan;
 }

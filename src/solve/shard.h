@@ -32,13 +32,7 @@ struct ShardOptions {
   /// Worker threads for the shard solves; <= 0 uses hardware concurrency.
   /// Any value yields the same plan.
   int threads = 0;
-  /// Cross-shard rebalance: donor->receiver passes after stitching. Each
-  /// round moves at most rebalance_max_moves slots; 0 disables the pass.
-  int rebalance_rounds = 2;
-  int rebalance_max_moves = 32;
-  /// Candidate target servers per batched delta evaluation.
-  int rebalance_max_targets = 64;
-  /// Registry name of the per-shard solver; empty picks "engine" for small
+  /// CreateSolver name of the per-shard solver; empty picks "engine" for small
   /// shards and "greedy-multi" for large ones. "sharded" itself is
   /// rejected (no recursive sharding).
   std::string local_solver;
@@ -112,7 +106,7 @@ class ShardPartitioner {
   std::vector<VClass> vclasses_;
 };
 
-/// The "sharded" registry solver: partition, parallel shard solves,
+/// The "sharded" solver: partition, parallel shard solves,
 /// stitch, pin repair, bounded cross-shard rebalance (batched MoveDelta),
 /// FinalizePlan. Plans are a pure function of (problem, budget, seed,
 /// options) — never of the thread count.
@@ -123,8 +117,7 @@ class ShardedSolver : public Solver {
   std::string name() const override { return "sharded"; }
 
   core::ConsolidationPlan Solve(const core::ConsolidationProblem& problem,
-                                const SolveBudget& budget,
-                                SharedIncumbent* incumbent) override;
+                                const SolveBudget& budget) override;
 
  private:
   uint64_t seed_;

@@ -1,7 +1,5 @@
 #include "solve/solver.h"
 
-#include <algorithm>
-
 #include "core/dimensioner.h"
 #include "core/evaluator.h"
 #include "core/greedy.h"
@@ -79,85 +77,54 @@ core::Assignment StartAssignment(const core::ConsolidationProblem& problem,
   return start;
 }
 
-SolverRegistry& SolverRegistry::Global() {
-  // Built-ins are registered here, not via static self-registration objects:
-  // those get dead-stripped out of static libraries.
-  static SolverRegistry* registry = [] {
-    auto* r = new SolverRegistry();
-    r->Register("greedy", [](uint64_t) {
-      return std::make_unique<GreedyBaselineSolver>();
-    });
-    r->Register("greedy-multi", [](uint64_t) {
-      return std::make_unique<GreedyMultiSolver>();
-    });
-    r->Register("engine", [](uint64_t seed) {
-      return std::make_unique<EngineSolver>(seed);
-    });
-    r->Register("anneal", [](uint64_t seed) {
-      return std::make_unique<AnnealingSolver>(seed);
-    });
-    r->Register("tabu", [](uint64_t seed) {
-      return std::make_unique<TabuSolver>(seed);
-    });
-    r->Register("polish", [](uint64_t seed) {
-      return std::make_unique<WarmStartPolishSolver>(seed);
-    });
-    r->Register("sharded", [](uint64_t seed) {
-      return std::make_unique<ShardedSolver>(seed);
-    });
-    r->Register("exact", [](uint64_t seed) {
-      return std::make_unique<BranchAndBoundSolver>(seed);
-    });
-    return r;
-  }();
-  return *registry;
+BestSoFar::BestSoFar(const core::Evaluator& ev, const std::string& name,
+                     uint64_t seed, obs::Sink* sink)
+    : assignment_(ev.assignment()),
+      cost_(ev.current_cost()),
+      feasible_(ev.IsFeasible()),
+      sink_(sink) {
+  if (sink_ == nullptr) return;
+  track_ = sink_->trace().InternTrack(name + "/" + std::to_string(seed));
+  incumbent_ = sink_->trace().InternName("incumbent");
+  improvements_ = sink_->metrics().counter(name + ".improvements");
+  sink_->trace().Emit(track_, incumbent_, obs::EventKind::kPoint, /*i0=*/0,
+                      /*i1=*/feasible_ ? 1 : 0, /*d0=*/cost_);
 }
 
-bool SolverRegistry::Register(const std::string& name, SolverFactory factory) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ContainsLocked(name)) return false;
-  entries_.emplace_back(name, std::move(factory));
-  return true;
-}
-
-std::unique_ptr<Solver> SolverRegistry::Create(const std::string& name,
-                                               uint64_t seed) const {
-  SolverFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [key, f] : entries_) {
-      if (key == name) {
-        factory = f;
-        break;
-      }
-    }
+void BestSoFar::Record(const core::Evaluator& ev, int iteration) {
+  const bool feasible = ev.IsFeasible();
+  if (!((feasible && !feasible_) ||
+        (feasible == feasible_ && ev.current_cost() < cost_))) {
+    return;
   }
-  return factory ? factory(seed) : nullptr;
-}
-
-bool SolverRegistry::ContainsLocked(const std::string& name) const {
-  for (const auto& [key, factory] : entries_) {
-    if (key == name) return true;
+  assignment_ = ev.assignment();
+  cost_ = ev.current_cost();
+  feasible_ = feasible;
+  if (sink_ != nullptr) {
+    sink_->trace().Emit(track_, incumbent_, obs::EventKind::kPoint,
+                        /*i0=*/iteration, /*i1=*/feasible_ ? 1 : 0,
+                        /*d0=*/cost_);
+    improvements_->Add(1);
   }
-  return false;
 }
 
-bool SolverRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ContainsLocked(name);
+std::unique_ptr<Solver> CreateSolver(const std::string& name, uint64_t seed) {
+  if (name == "anneal") return std::make_unique<AnnealingSolver>(seed);
+  if (name == "engine") return std::make_unique<EngineSolver>(seed);
+  if (name == "exact") return std::make_unique<BranchAndBoundSolver>(seed);
+  if (name == "greedy") return std::make_unique<GreedyBaselineSolver>();
+  if (name == "greedy-multi") return std::make_unique<GreedyMultiSolver>();
+  if (name == "polish") return std::make_unique<WarmStartPolishSolver>(seed);
+  if (name == "sharded") return std::make_unique<ShardedSolver>(seed);
+  if (name == "tabu") return std::make_unique<TabuSolver>(seed);
+  return nullptr;
 }
 
-std::vector<std::string> SolverRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, factory] : entries_) names.push_back(key);
-  std::sort(names.begin(), names.end());
+const std::vector<std::string>& SolverNames() {
+  static const std::vector<std::string> names = {
+      "anneal", "engine", "exact", "greedy", "greedy-multi",
+      "polish", "sharded", "tabu"};
   return names;
-}
-
-std::vector<std::string> RegisteredSolverNames() {
-  return SolverRegistry::Global().Names();
 }
 
 }  // namespace kairos::solve

@@ -1,25 +1,22 @@
-// The pluggable Placer interface of the solver portfolio (ROADMAP: race
+// The Placer interface of the solver portfolio (ROADMAP: race
 // multiple strategies instead of betting on one algorithm, in the spirit of
 // solver-portfolio architectures). A Solver turns a ConsolidationProblem
-// into a ConsolidationPlan within a budget, publishing incumbents to a
-// SharedIncumbent so sibling solvers can early-stop.
+// into a ConsolidationPlan within a budget.
 //
-// Implementations must be deterministic: the returned plan is a pure
-// function of (problem, budget, seed). The incumbent is write/poll-only
-// (see shared_incumbent.h), so thread scheduling never changes results.
+// The contract: a solver's plan is a pure function of (problem, budget,
+// seed), and the budget is its only stop rule. Nothing a sibling solver
+// does can reach it, so running members in parallel changes wall-clock
+// only.
 #ifndef KAIROS_SOLVE_SOLVER_H_
 #define KAIROS_SOLVE_SOLVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/problem.h"
-#include "solve/shared_incumbent.h"
 
 namespace kairos::solve {
 
@@ -35,13 +32,9 @@ struct SolveBudget {
   /// Local-search sweep cap for the engine adapter.
   int local_search_max_sweeps = 60;
   /// Node budget for the "exact" branch-and-bound solver (one node per
-  /// attempted placement). The deterministic primary limit: large
-  /// instances return the warm-start incumbent plus a gap bound instead of
-  /// running away.
+  /// attempted placement), its only limit: large instances return the
+  /// warm-start incumbent plus a gap bound instead of running away.
   int64_t exact_max_nodes = 50000;
-  /// Optional wall-clock cap for "exact" (seconds; 0 disables). Off by
-  /// default so results stay machine-independent.
-  double exact_max_seconds = 0.0;
   /// Warm-start seed (one server index per slot, all within [0, HardCap)).
   /// When valid, the metaheuristics and the "polish" solver start from it
   /// instead of the greedy packing whenever it scores no worse; empty means
@@ -82,58 +75,54 @@ bool ValidSeedAssignment(const core::ConsolidationProblem& problem, int cap,
 core::Assignment StartAssignment(const core::ConsolidationProblem& problem,
                                  int cap, const SolveBudget& budget);
 
-/// A portfolio member. Implementations should poll
-/// `incumbent->ShouldStop()` periodically and return their best-so-far when
-/// it fires, and publish improving plans via `incumbent->Offer()`.
-/// `incumbent` may be null for standalone use.
+/// The best-so-far record of a move-based search (anneal, tabu): the best
+/// assignment, its cost and feasibility (feasible beats infeasible, then
+/// lower cost wins). With a sink it also draws the search's incumbent curve
+/// ("incumbent" points on track "<name>/<seed>", starting with an
+/// iteration-0 point) and counts improvements in "<name>.improvements"; it
+/// never touches an RNG stream, so plans are the same with or without one.
+class BestSoFar {
+ public:
+  /// Starts at `ev`'s loaded assignment.
+  BestSoFar(const core::Evaluator& ev, const std::string& name, uint64_t seed,
+            obs::Sink* sink);
+
+  /// Takes `ev`'s current assignment when it beats the best; `iteration`
+  /// labels the curve point.
+  void Record(const core::Evaluator& ev, int iteration);
+
+  const std::vector<int>& assignment() const { return assignment_; }
+  double cost() const { return cost_; }
+
+ private:
+  std::vector<int> assignment_;
+  double cost_ = 0;
+  bool feasible_ = false;
+  obs::Sink* sink_ = nullptr;
+  uint32_t track_ = 0;
+  uint32_t incumbent_ = 0;
+  obs::Counter* improvements_ = nullptr;
+};
+
+/// A portfolio member: deterministic in (problem, budget, seed), stopping
+/// only on its budget.
 class Solver {
  public:
   virtual ~Solver() = default;
 
-  /// Registry key / report label.
+  /// Factory key / report label.
   virtual std::string name() const = 0;
 
   virtual core::ConsolidationPlan Solve(const core::ConsolidationProblem& problem,
-                                        const SolveBudget& budget,
-                                        SharedIncumbent* incumbent) = 0;
+                                        const SolveBudget& budget) = 0;
 };
 
-/// Builds a solver from a deterministic seed.
-using SolverFactory = std::function<std::unique_ptr<Solver>(uint64_t seed)>;
+/// The built-in solver `name` seeded with `seed`; null for an unknown name.
+std::unique_ptr<Solver> CreateSolver(const std::string& name, uint64_t seed);
 
-/// String-keyed solver factory registry. Global() comes pre-populated with
-/// the built-ins: "greedy", "greedy-multi", "engine", "anneal", "tabu",
-/// "polish", "sharded", "exact".
-/// Thread-safe: registration and lookup may race with in-flight portfolio
-/// runs.
-class SolverRegistry {
- public:
-  /// The process-wide registry (built-ins registered on first use).
-  static SolverRegistry& Global();
-
-  /// Registers a factory under `name`; returns false (and leaves the
-  /// existing entry) when the name is taken.
-  bool Register(const std::string& name, SolverFactory factory);
-
-  /// Instantiates `name` with `seed`; null when unknown.
-  std::unique_ptr<Solver> Create(const std::string& name, uint64_t seed) const;
-
-  bool Contains(const std::string& name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
- private:
-  bool ContainsLocked(const std::string& name) const;
-
-  mutable std::mutex mu_;
-  std::vector<std::pair<std::string, SolverFactory>> entries_;
-};
-
-/// Sorted names of every solver in SolverRegistry::Global() — use this to
-/// enumerate the portfolio instead of hard-coding built-in names, so newly
-/// registered strategies are picked up automatically.
-std::vector<std::string> RegisteredSolverNames();
+/// The names CreateSolver knows, sorted: "anneal", "engine", "exact",
+/// "greedy", "greedy-multi", "polish", "sharded", "tabu".
+const std::vector<std::string>& SolverNames();
 
 }  // namespace kairos::solve
 

@@ -10,9 +10,27 @@
 
 namespace kairos::solve {
 
+namespace {
+
+/// Base tabu tenure, in iterations; the effective tenure adds a seeded
+/// jitter in [0, kTenureJitter] so cycles of any fixed length break.
+constexpr int kTenure = 12;
+constexpr int kTenureJitter = 6;
+/// Every kKickInterval non-improving iterations, apply a random swap kick
+/// to escape the current basin.
+constexpr int kKickInterval = 40;
+/// Heterogeneous fleets only: every kReclassInterval non-improving
+/// iterations, kick one server's whole unpinned payload onto an empty
+/// server of a different machine class as one Evaluator::ApplyPackage (at
+/// most 2 pricings; the budget counts one evaluation per moved slot).
+/// Never fires on uniform fleets, keeping the homogeneous search
+/// bit-identical.
+constexpr int kReclassInterval = 25;
+
+}  // namespace
+
 core::ConsolidationPlan TabuSolver::Solve(
-    const core::ConsolidationProblem& problem, const SolveBudget& budget,
-    SharedIncumbent* incumbent) {
+    const core::ConsolidationProblem& problem, const SolveBudget& budget) {
   const int cap = HardCap(problem);
   util::Rng rng(seed_);
 
@@ -21,54 +39,16 @@ core::ConsolidationPlan TabuSolver::Solve(
   core::Evaluator ev(problem, cap);
   ev.Load(seed_assignment.server_of_slot);
   const int slots = ev.num_slots();
-
-  std::vector<int> best = ev.assignment();
-  double best_cost = ev.current_cost();
-  bool best_feasible = ev.IsFeasible();
-  if (incumbent) {
-    incumbent->Offer(best, best_cost, best_feasible, name());
-  }
-
-  // Incumbent-curve trace ids, interned once so the per-improvement cost is
-  // one branch plus a ring write (never an RNG touch).
-  obs::Sink* const sink = budget.sink;
-  uint32_t obs_track = 0, obs_incumbent = 0;
-  obs::Counter* improvements = nullptr;
-  if (sink != nullptr) {
-    obs_track =
-        sink->trace().InternTrack(name() + "/" + std::to_string(seed_));
-    obs_incumbent = sink->trace().InternName("incumbent");
-    improvements = sink->metrics().counter(name() + ".improvements");
-    // Iteration-0 point: every attached run exports a curve with >= 1 point.
-    sink->trace().Emit(obs_track, obs_incumbent, obs::EventKind::kPoint,
-                       /*i0=*/0, /*i1=*/best_feasible ? 1 : 0,
-                       /*d0=*/best_cost);
-  }
+  BestSoFar best(ev, name(), seed_, budget.sink);
 
   if (slots < 1 || cap < 2) {
-    return core::FinalizePlan(problem, best, cap);
+    return core::FinalizePlan(problem, best.assignment(), cap);
   }
 
   // tabu_until[slot * cap + server] > iteration forbids moving `slot` back
   // onto `server` (set when the slot leaves it).
   std::vector<int> tabu_until(static_cast<size_t>(slots) * cap, -1);
   int iteration = 0;
-  const auto record_if_best = [&] {
-    const bool feasible = ev.IsFeasible();
-    if ((feasible && !best_feasible) ||
-        (feasible == best_feasible && ev.current_cost() < best_cost)) {
-      best = ev.assignment();
-      best_cost = ev.current_cost();
-      best_feasible = feasible;
-      if (sink != nullptr) {
-        sink->trace().Emit(obs_track, obs_incumbent, obs::EventKind::kPoint,
-                           /*i0=*/iteration, /*i1=*/best_feasible ? 1 : 0,
-                           /*d0=*/best_cost);
-        improvements->Add(1);
-      }
-      if (incumbent) incumbent->Offer(best, best_cost, best_feasible, name());
-    }
-  };
 
   // Cross-class moves only exist on non-uniform fleets; the gate also keeps
   // the RNG stream (and thus every result) bit-identical on uniform ones.
@@ -92,28 +72,21 @@ core::ConsolidationPlan TabuSolver::Solve(
   std::vector<double> scan_deltas;
   scan_targets.reserve(mask.targets.size());
 
-  bool out_of_budget = false;
-  while (evals < max_evals && !out_of_budget) {
+  while (evals < max_evals) {
     ++iteration;
 
     // Best-improvement scan over all (unpinned slot, server) relocations.
-    // Budget and the shared stop flag are checked per slot: one scan costs
-    // ~slots*cap evaluations, which can dwarf the whole budget on large
-    // problems. Each slot scores its whole target row in one
-    // MoveDeltaBatch call (bit-identical to per-target MoveDelta), so the
-    // from-side what-if is priced once per slot. The running best delta is
-    // the cutoff: a target whose floor is not below it cannot win (the
-    // pick is strict <, and aspiration only filters), so empty targets
-    // floored there need no pricing.
+    // The budget is checked per slot: one scan costs ~slots*cap
+    // evaluations, which can dwarf the whole budget on large problems.
+    // Each slot scores its whole target row in one MoveDeltaBatch call
+    // (bit-identical to per-target MoveDelta), so the from-side what-if is
+    // priced once per slot. The running best delta is the cutoff: a target
+    // whose floor is not below it cannot win (the pick is strict <, and
+    // aspiration only filters), so empty targets floored there need no
+    // pricing.
     double best_delta = std::numeric_limits<double>::infinity();
     int best_slot = -1, best_to = -1;
-    for (int slot = 0; slot < slots && !out_of_budget; ++slot) {
-      if (evals >= max_evals ||
-          (incumbent && slot % options_.stop_poll_interval == 0 &&
-           incumbent->ShouldStop())) {
-        out_of_budget = true;
-        break;
-      }
+    for (int slot = 0; slot < slots && evals < max_evals; ++slot) {
       if (ev.PinOfSlot(slot) >= 0) continue;
       const int from = ev.assignment()[slot];
       scan_targets.clear();
@@ -127,7 +100,7 @@ core::ConsolidationPlan TabuSolver::Solve(
         const double d = scan_deltas[i];
         const bool is_tabu = tabu_until[slot * cap + to] > iteration;
         // Aspiration: a tabu move is allowed when it beats the best-ever.
-        if (is_tabu && ev.current_cost() + d >= best_cost) continue;
+        if (is_tabu && ev.current_cost() + d >= best.cost()) continue;
         if (d < best_delta) {
           best_delta = d;
           best_slot = slot;
@@ -139,18 +112,17 @@ core::ConsolidationPlan TabuSolver::Solve(
 
     const int from = ev.assignment()[best_slot];
     ev.ApplyMove(best_slot, best_to);
-    const int tenure = options_.tenure +
-                       static_cast<int>(rng.UniformInt(0, options_.tenure_jitter));
+    const int tenure =
+        kTenure + static_cast<int>(rng.UniformInt(0, kTenureJitter));
     tabu_until[best_slot * cap + from] = iteration + tenure;
 
     if (best_delta < -1e-12) {
-      record_if_best();
+      best.Record(ev, iteration);
       since_improvement = 0;
     } else {
       ++since_improvement;
       // Periodic swap kick to leave the current basin.
-      if (options_.kick_interval > 0 &&
-          since_improvement % options_.kick_interval == 0) {
+      if (since_improvement % kKickInterval == 0) {
         const int a = static_cast<int>(rng.UniformInt(0, slots - 1));
         const int b = static_cast<int>(rng.UniformInt(0, slots - 1));
         if (a != b && ev.PinOfSlot(a) < 0 && ev.PinOfSlot(b) < 0 &&
@@ -162,7 +134,7 @@ core::ConsolidationPlan TabuSolver::Solve(
             ev.ApplyMove(a, sb);
             ev.ApplyMove(b, sa);
             evals += 2;
-            record_if_best();
+            best.Record(ev, iteration);
           }
         }
       }
@@ -171,8 +143,7 @@ core::ConsolidationPlan TabuSolver::Solve(
       // package move that crosses the "open a bigger box" cost barrier. It
       // prices its two servers once; the budget still counts one
       // evaluation per moved slot.
-      if (fleet_moves && options_.reclass_interval > 0 &&
-          since_improvement % options_.reclass_interval == 0) {
+      if (fleet_moves && since_improvement % kReclassInterval == 0) {
         const int slot = static_cast<int>(rng.UniformInt(0, slots - 1));
         const int from = ev.assignment()[slot];
         const std::vector<int> targets = EmptyCrossClassServers(problem, ev, from);
@@ -182,13 +153,13 @@ core::ConsolidationPlan TabuSolver::Solve(
               rng.UniformInt(0, static_cast<int64_t>(targets.size()) - 1))];
           ev.ApplyPackage(movers, to);
           evals += static_cast<long>(movers.size());
-          record_if_best();
+          best.Record(ev, iteration);
         }
       }
     }
   }
 
-  return core::FinalizePlan(problem, best, cap);
+  return core::FinalizePlan(problem, best.assignment(), cap);
 }
 
 }  // namespace kairos::solve

@@ -14,37 +14,14 @@ namespace kairos::solve {
 /// seed).
 class TabuSolver : public Solver {
  public:
-  struct Options {
-    /// Base tabu tenure, in iterations; the effective tenure adds a small
-    /// seeded jitter so cycles of any fixed length break.
-    int tenure = 12;
-    int tenure_jitter = 6;
-    /// Every `kick_interval` non-improving iterations, apply a random swap
-    /// kick to escape the current basin.
-    int kick_interval = 40;
-    /// Heterogeneous fleets only: every `reclass_interval` non-improving
-    /// iterations, kick one server's whole unpinned payload onto an empty
-    /// server of a different machine class as one Evaluator::ApplyPackage
-    /// (at most 2 pricings; the budget counts one evaluation per moved
-    /// slot). Never fires on uniform fleets, keeping the homogeneous
-    /// search bit-identical.
-    int reclass_interval = 25;
-    /// ShouldStop() poll interval, in iterations.
-    int stop_poll_interval = 64;
-  };
-
   explicit TabuSolver(uint64_t seed) : seed_(seed) {}
-  TabuSolver(uint64_t seed, const Options& options)
-      : seed_(seed), options_(options) {}
 
   std::string name() const override { return "tabu"; }
   core::ConsolidationPlan Solve(const core::ConsolidationProblem& problem,
-                                const SolveBudget& budget,
-                                SharedIncumbent* incumbent) override;
+                                const SolveBudget& budget) override;
 
  private:
   uint64_t seed_;
-  Options options_;
 };
 
 }  // namespace kairos::solve

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bounds.h"
 #include "core/greedy.h"
 #include "util/units.h"
 
@@ -59,14 +60,14 @@ TEST(GreedyTest, FractionalBound) {
   ConsolidationProblem prob;
   // 10 workloads x 24 GB = 240 GB; capacity 91.2 GB -> ceil = 3.
   for (int i = 0; i < 10; ++i) prob.workloads.push_back(MakeProfile("w", 0.5, 24.0));
-  EXPECT_EQ(FractionalLowerBound(prob), 3);
+  EXPECT_EQ(BoundEngine::FractionalServerBound(prob), 3);
 }
 
 TEST(GreedyTest, FractionalBoundCpuBinding) {
   ConsolidationProblem prob;
   // 8 workloads x 4 cores = 32 cores; capacity 10.8 -> ceil = 3.
   for (int i = 0; i < 8; ++i) prob.workloads.push_back(MakeProfile("w", 4.0, 2.0));
-  EXPECT_EQ(FractionalLowerBound(prob), 3);
+  EXPECT_EQ(BoundEngine::FractionalServerBound(prob), 3);
 }
 
 TEST(EngineTest, TrivialSingleServer) {

@@ -6,7 +6,7 @@
 // count-prefix search, byte-for-byte at every portfolio thread count. Also
 // unit-covers the pieces this rides on: the disk-aware DenseServerOrder
 // score, the subset-restricted greedy packing, and the bounded-best-class
-// FractionalLowerBound.
+// BoundEngine::FractionalServerBound.
 #include "core/dimensioner.h"
 
 #include <gtest/gtest.h>
@@ -62,7 +62,7 @@ core::EngineOptions EngineOptionsFor(const solve::SolveBudget& budget) {
 
 std::vector<solve::PortfolioSolverSpec> AllSpecs(uint64_t seed) {
   std::vector<solve::PortfolioSolverSpec> specs;
-  for (const std::string& name : solve::RegisteredSolverNames()) {
+  for (const std::string& name : solve::SolverNames()) {
     specs.push_back({name, seed});
     seed = seed * 0x9E3779B97F4A7C15ULL + 1;
   }
@@ -101,10 +101,10 @@ TEST(CostBudgetDimensioningTest, RaidDeclaredLastBeatsPrefixAndGreedy) {
   EXPECT_GT(cost_plan.budget_probes, 0);
 
   // Never worse than the class-aware greedy baseline's fleet cost...
-  auto greedy_solver = solve::SolverRegistry::Global().Create("greedy", 11);
+  auto greedy_solver = solve::CreateSolver("greedy", 11);
   ASSERT_NE(greedy_solver, nullptr);
   const core::ConsolidationPlan greedy_plan =
-      greedy_solver->Solve(problem, budget, nullptr);
+      greedy_solver->Solve(problem, budget);
   ASSERT_TRUE(greedy_plan.feasible);
   EXPECT_LE(cost_plan.fleet_cost, greedy_plan.fleet_cost + 1e-9);
 
@@ -376,7 +376,7 @@ TEST(FractionalLowerBoundTest, BoundedBestClassSpillsToSmallerClasses) {
   }
   problem.fleet.classes.clear();
   problem.fleet.AddClass(small, 20, 1.0).AddClass(big, 1, 2.0);
-  const int bound = core::FractionalLowerBound(problem);
+  const int bound = core::BoundEngine::FractionalServerBound(problem);
   EXPECT_GT(bound, 2);  // the old all-best-class bound
   EXPECT_LE(bound, 10);
 
@@ -387,7 +387,7 @@ TEST(FractionalLowerBoundTest, BoundedBestClassSpillsToSmallerClasses) {
   }
   uniform.fleet = sim::FleetSpec::Homogeneous(big);
   const double usable = big.StandardCores() * uniform.cpu_headroom;
-  EXPECT_EQ(core::FractionalLowerBound(uniform),
+  EXPECT_EQ(core::BoundEngine::FractionalServerBound(uniform),
             static_cast<int>(std::ceil(30.0 / usable)));
 }
 

@@ -69,10 +69,10 @@ void ExpectMatchesBruteForce(const core::ConsolidationProblem& problem) {
   const int cap = solve::HardCap(problem);
   const double brute = BruteForceBest(problem, cap);
 
-  auto solver = solve::SolverRegistry::Global().Create("exact", 17);
+  auto solver = solve::CreateSolver("exact", 17);
   ASSERT_NE(solver, nullptr);
   const core::ConsolidationPlan plan =
-      solver->Solve(problem, TestBudget(), nullptr);
+      solver->Solve(problem, TestBudget());
 
   EXPECT_TRUE(plan.exact_search);
   EXPECT_TRUE(plan.proved_optimal);
@@ -87,11 +87,6 @@ void ExpectMatchesBruteForce(const core::ConsolidationProblem& problem) {
       oracle::Objective(problem, plan.assignment.server_of_slot);
   EXPECT_LE(std::abs(plan.objective - rescored),
             1e-6 * std::max(1.0, std::abs(rescored)));
-}
-
-TEST(ExactSolverTest, RegisteredInPortfolioRegistry) {
-  const std::vector<std::string> names = solve::RegisteredSolverNames();
-  EXPECT_NE(std::find(names.begin(), names.end(), "exact"), names.end());
 }
 
 TEST(ExactSolverTest, MatchesBruteForceUniformFleet) {
@@ -132,9 +127,9 @@ TEST(ExactSolverTest, MatchesBruteForceWithPins) {
   problem.max_servers = 3;
   ExpectMatchesBruteForce(problem);
 
-  auto solver = solve::SolverRegistry::Global().Create("exact", 17);
+  auto solver = solve::CreateSolver("exact", 17);
   const core::ConsolidationPlan plan =
-      solver->Solve(problem, TestBudget(), nullptr);
+      solver->Solve(problem, TestBudget());
   EXPECT_EQ(plan.assignment.server_of_slot[0], 1);
 }
 
@@ -150,9 +145,9 @@ TEST(ExactSolverTest, RespectsNodeBudgetAndReportsGap) {
 
   solve::SolveBudget budget = TestBudget();
   budget.exact_max_nodes = 40;  // far too few for 18 slots x 12 servers
-  auto solver = solve::SolverRegistry::Global().Create("exact", 17);
+  auto solver = solve::CreateSolver("exact", 17);
   ASSERT_NE(solver, nullptr);
-  const core::ConsolidationPlan plan = solver->Solve(problem, budget, nullptr);
+  const core::ConsolidationPlan plan = solver->Solve(problem, budget);
 
   EXPECT_TRUE(plan.exact_search);
   EXPECT_FALSE(plan.proved_optimal);
@@ -179,10 +174,10 @@ TEST(ExactSolverTest, DeterministicAcrossRuns) {
   problem.fleet.AddClass(sim::MachineSpec::Server1(), 3, 0.8)
       .AddClass(sim::MachineSpec::ConsolidationTarget(), 3, 1.0);
 
-  auto a = solve::SolverRegistry::Global().Create("exact", 23);
-  auto b = solve::SolverRegistry::Global().Create("exact", 23);
-  const core::ConsolidationPlan pa = a->Solve(problem, TestBudget(), nullptr);
-  const core::ConsolidationPlan pb = b->Solve(problem, TestBudget(), nullptr);
+  auto a = solve::CreateSolver("exact", 23);
+  auto b = solve::CreateSolver("exact", 23);
+  const core::ConsolidationPlan pa = a->Solve(problem, TestBudget());
+  const core::ConsolidationPlan pb = b->Solve(problem, TestBudget());
   EXPECT_EQ(pa.assignment.server_of_slot, pb.assignment.server_of_slot);
   EXPECT_EQ(pa.objective, pb.objective);
   EXPECT_EQ(pa.exact_nodes, pb.exact_nodes);
@@ -198,15 +193,15 @@ TEST(ExactSolverTest, RenderGapLineGatedOnExactSearch) {
       sim::FleetSpec::Homogeneous(sim::MachineSpec::ConsolidationTarget());
   problem.max_servers = 3;
 
-  auto exact = solve::SolverRegistry::Global().Create("exact", 17);
+  auto exact = solve::CreateSolver("exact", 17);
   const core::ConsolidationPlan exact_plan =
-      exact->Solve(problem, TestBudget(), nullptr);
+      exact->Solve(problem, TestBudget());
   EXPECT_NE(exact_plan.Render().find("exact:"), std::string::npos);
   EXPECT_NE(exact_plan.Render().find("proved optimal"), std::string::npos);
 
-  auto engine = solve::SolverRegistry::Global().Create("engine", 17);
+  auto engine = solve::CreateSolver("engine", 17);
   const core::ConsolidationPlan engine_plan =
-      engine->Solve(problem, TestBudget(), nullptr);
+      engine->Solve(problem, TestBudget());
   EXPECT_EQ(engine_plan.Render().find("exact:"), std::string::npos);
 }
 

@@ -1,7 +1,7 @@
 // Heterogeneous-fleet coverage: FleetSpec/EffectiveCapacity units, the
 // identical-machines equivalence property (a FleetSpec of identical
 // machines must reproduce the homogeneous path byte-for-byte for every
-// registered solver and thread count), the mixed-generation cost win the
+// built-in solver and thread count), the mixed-generation cost win the
 // bench reports, per-class capacity in the ledger/migration planner, and
 // the online controller's class-targeted drain.
 #include "sim/fleet.h"
@@ -152,14 +152,14 @@ TEST(FleetEquivalenceTest, EverySolverBitIdenticalOnIdenticalMachines) {
   const core::ConsolidationProblem fleet = EquivalenceProblem(true);
   const solve::SolveBudget budget = EquivalenceBudget();
 
-  for (const std::string& name : solve::RegisteredSolverNames()) {
-    auto solver_hom = solve::SolverRegistry::Global().Create(name, 11);
-    auto solver_fleet = solve::SolverRegistry::Global().Create(name, 11);
+  for (const std::string& name : solve::SolverNames()) {
+    auto solver_hom = solve::CreateSolver(name, 11);
+    auto solver_fleet = solve::CreateSolver(name, 11);
     ASSERT_NE(solver_hom, nullptr) << name;
     const core::ConsolidationPlan plan_hom =
-        solver_hom->Solve(hom, budget, nullptr);
+        solver_hom->Solve(hom, budget);
     const core::ConsolidationPlan plan_fleet =
-        solver_fleet->Solve(fleet, budget, nullptr);
+        solver_fleet->Solve(fleet, budget);
     EXPECT_EQ(plan_hom.assignment.server_of_slot,
               plan_fleet.assignment.server_of_slot)
         << name;
@@ -174,7 +174,7 @@ TEST(FleetEquivalenceTest, PortfolioBitIdenticalAcrossThreadCounts) {
 
   std::vector<solve::PortfolioSolverSpec> specs;
   uint64_t seed = 5;
-  for (const std::string& name : solve::RegisteredSolverNames()) {
+  for (const std::string& name : solve::SolverNames()) {
     specs.push_back({name, seed});
     seed = seed * 0x9E3779B97F4A7C15ULL + 1;
   }
@@ -246,7 +246,7 @@ TEST(FleetHeterogeneousTest, MixedFleetStrictlyCheaperThanWeakestOnly) {
 
   std::vector<solve::PortfolioSolverSpec> specs;
   uint64_t seed = 17;
-  for (const std::string& name : solve::RegisteredSolverNames()) {
+  for (const std::string& name : solve::SolverNames()) {
     specs.push_back({name, seed});
     seed = seed * 0x9E3779B97F4A7C15ULL + 1;
   }

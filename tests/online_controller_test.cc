@@ -288,14 +288,14 @@ TEST(WarmStartTest, StartAssignmentPrefersCheaperIncumbent) {
 }
 
 TEST(WarmStartTest, PolishSolverRegisteredAndEnumerable) {
-  const std::vector<std::string> names = solve::RegisteredSolverNames();
+  const std::vector<std::string> names = solve::SolverNames();
   for (const char* expected :
        {"anneal", "engine", "greedy", "greedy-multi", "polish", "tabu"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  auto polish = solve::SolverRegistry::Global().Create("polish", 3);
+  auto polish = solve::CreateSolver("polish", 3);
   ASSERT_NE(polish, nullptr);
   EXPECT_EQ(polish->name(), "polish");
 }

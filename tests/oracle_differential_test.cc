@@ -1,4 +1,4 @@
-// Differential suite: core::Evaluator and every registered solver against
+// Differential suite: core::Evaluator and every built-in solver against
 // the naive reference checker (tests/oracle/reference_checker.h), which
 // shares no code with core/. Seeded uniform and mixed-fleet instances carry
 // every objective term — a nonlinear disk model (shared and per class),
@@ -271,7 +271,7 @@ TEST(OracleDifferentialTest, IncrementalStateAndMoveQueriesMatchChecker) {
   EXPECT_GT(floors_finite, 1000);
 }
 
-// Every registered solver's plan, re-scored by the checker, carries the
+// Every built-in solver's plan, re-scored by the checker, carries the
 // objective and feasibility the solver reported.
 TEST(OracleDifferentialTest, EverySolverPlanRescoresToItsObjective) {
   solve::SolveBudget budget;
@@ -280,15 +280,15 @@ TEST(OracleDifferentialTest, EverySolverPlanRescoresToItsObjective) {
   budget.probe_direct_evaluations = 100;
   budget.local_search_max_sweeps = 10;
   budget.exact_max_nodes = 20000;
-  const std::vector<std::string> names = solve::RegisteredSolverNames();
+  const std::vector<std::string> names = solve::SolverNames();
   ASSERT_GE(names.size(), 8u);
   for (bool mixed : {false, true}) {
     for (uint64_t seed = 1; seed <= 2; ++seed) {
       const Instance in = MakeInstance(seed, mixed);
       for (const std::string& name : names) {
-        auto solver = solve::SolverRegistry::Global().Create(name, seed);
+        auto solver = solve::CreateSolver(name, seed);
         ASSERT_NE(solver, nullptr) << name;
-        const core::ConsolidationPlan plan = solver->Solve(in.problem, budget, nullptr);
+        const core::ConsolidationPlan plan = solver->Solve(in.problem, budget);
         const std::vector<int>& a = plan.assignment.server_of_slot;
         ASSERT_EQ(static_cast<int>(a.size()), in.problem.TotalSlots()) << name;
         const oracle::ReferenceScore ref = oracle::Score(in.problem, a);

@@ -178,6 +178,16 @@ TEST(DiffReportsTest, CounterMismatchFailsExactly) {
   EXPECT_FALSE(result.ok);
   ASSERT_EQ(result.failures.size(), 1u);
   EXPECT_NE(result.failures[0].find("engine.probes"), std::string::npos);
+
+  // A 52-bit plan digest that differs in its last bit reads differently.
+  const obs::DiffResult digest = obs::DiffReports(
+      MustParse(SinkReport(849922875454918, 2.0, 50.0)),
+      MustParse(SinkReport(849922875454919, 2.0, 50.0)), obs::DiffOptions{});
+  ASSERT_EQ(digest.failures.size(), 1u);
+  EXPECT_NE(digest.failures[0].find(
+                "baseline 849922875454918, current 849922875454919"),
+            std::string::npos)
+      << digest.failures[0];
 }
 
 TEST(DiffReportsTest, ExactCounterGlobsDemoteOtherCountersToNotes) {

@@ -1,6 +1,6 @@
 // Resource-axis layer integration coverage: (a) the legacy shared disk
 // model and per-class disk models resolving to the same model are
-// byte-for-byte equivalent across every registered solver and 1/2/4
+// byte-for-byte equivalent across every built-in solver and 1/2/4
 // portfolio threads, (b) the hard drain mask shrinks the search space and
 // keeps every solver off drained servers, (c) the migration ledger's
 // disk-aware spill check flags a staged plan that transiently overloads a
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "core/bounds.h"
 #include "core/engine.h"
 #include "core/evaluator.h"
 #include "core/greedy.h"
@@ -67,7 +68,7 @@ solve::SolveBudget SmallBudget() {
 
 std::vector<solve::PortfolioSolverSpec> AllSolverSpecs(uint64_t seed) {
   std::vector<solve::PortfolioSolverSpec> specs;
-  for (const std::string& name : solve::RegisteredSolverNames()) {
+  for (const std::string& name : solve::SolverNames()) {
     specs.push_back({name, seed});
     seed = seed * 0x9E3779B97F4A7C15ULL + 1;
   }
@@ -122,8 +123,8 @@ TEST(ResourceAxisEquivalenceTest, EvaluatorBitIdentical) {
     EXPECT_EQ(ev_legacy.Evaluate(assignment), ev_class.Evaluate(assignment));
   }
   // The greedy packers and the bound see the same per-class axis.
-  EXPECT_EQ(core::FractionalLowerBound(legacy),
-            core::FractionalLowerBound(per_class));
+  EXPECT_EQ(core::BoundEngine::FractionalServerBound(legacy),
+            core::BoundEngine::FractionalServerBound(per_class));
 }
 
 TEST(ResourceAxisEquivalenceTest, EverySolverBitIdentical) {
@@ -131,12 +132,12 @@ TEST(ResourceAxisEquivalenceTest, EverySolverBitIdentical) {
   const core::ConsolidationProblem per_class = DiskEquivalenceProblem(true);
   const solve::SolveBudget budget = SmallBudget();
 
-  for (const std::string& name : solve::RegisteredSolverNames()) {
-    auto solver_legacy = solve::SolverRegistry::Global().Create(name, 23);
-    auto solver_class = solve::SolverRegistry::Global().Create(name, 23);
+  for (const std::string& name : solve::SolverNames()) {
+    auto solver_legacy = solve::CreateSolver(name, 23);
+    auto solver_class = solve::CreateSolver(name, 23);
     ASSERT_NE(solver_legacy, nullptr) << name;
-    const core::ConsolidationPlan a = solver_legacy->Solve(legacy, budget, nullptr);
-    const core::ConsolidationPlan b = solver_class->Solve(per_class, budget, nullptr);
+    const core::ConsolidationPlan a = solver_legacy->Solve(legacy, budget);
+    const core::ConsolidationPlan b = solver_class->Solve(per_class, budget);
     EXPECT_EQ(a.assignment.server_of_slot, b.assignment.server_of_slot) << name;
     EXPECT_EQ(a.objective, b.objective) << name;
     EXPECT_EQ(a.feasible, b.feasible) << name;
@@ -198,12 +199,12 @@ TEST(DrainMaskTest, ShrinksSearchSpaceAndKeepsSolversOffDrainedServers) {
   ASSERT_EQ(static_cast<int>(placable.size()), 20);
   for (int j : placable) EXPECT_GE(j, 30);
 
-  // Every registered solver stays off the drained class.
+  // Every built-in solver stays off the drained class.
   const solve::SolveBudget budget = SmallBudget();
-  for (const std::string& name : solve::RegisteredSolverNames()) {
-    auto solver = solve::SolverRegistry::Global().Create(name, 7);
+  for (const std::string& name : solve::SolverNames()) {
+    auto solver = solve::CreateSolver(name, 7);
     ASSERT_NE(solver, nullptr) << name;
-    const core::ConsolidationPlan plan = solver->Solve(prob, budget, nullptr);
+    const core::ConsolidationPlan plan = solver->Solve(prob, budget);
     for (int s : plan.assignment.server_of_slot) {
       EXPECT_FALSE(prob.fleet.DrainedServer(s))
           << name << " placed a slot on drained server " << s;

@@ -53,40 +53,26 @@ core::ConsolidationProblem MixedProblem() {
   return prob;
 }
 
-TEST(SolverRegistryTest, BuiltinsRegistered) {
-  auto& registry = SolverRegistry::Global();
-  for (const char* name : {"greedy", "greedy-multi", "engine", "anneal", "tabu"}) {
-    EXPECT_TRUE(registry.Contains(name)) << name;
-    auto solver = registry.Create(name, 7);
+TEST(SolverFactoryTest, NamesAreTheEightBuiltinsSorted) {
+  const std::vector<std::string> expected = {
+      "anneal", "engine", "exact", "greedy", "greedy-multi",
+      "polish", "sharded", "tabu"};
+  EXPECT_EQ(SolverNames(), expected);
+  for (const std::string& name : SolverNames()) {
+    const auto solver = CreateSolver(name, 7);
     ASSERT_NE(solver, nullptr) << name;
     EXPECT_EQ(solver->name(), name);
   }
 }
 
-TEST(SolverRegistryTest, UnknownNameReturnsNull) {
-  EXPECT_EQ(SolverRegistry::Global().Create("no-such-solver", 1), nullptr);
-  EXPECT_FALSE(SolverRegistry::Global().Contains("no-such-solver"));
-}
-
-TEST(SolverRegistryTest, CustomRegistrationAndDuplicateRejection) {
-  auto& registry = SolverRegistry::Global();
-  const std::string name = "test-custom-greedy";
-  if (!registry.Contains(name)) {
-    EXPECT_TRUE(registry.Register(name, [](uint64_t) {
-      return std::make_unique<GreedyBaselineSolver>();
-    }));
-  }
-  // Second registration under the same key is rejected.
-  EXPECT_FALSE(registry.Register(name, [](uint64_t) {
-    return std::make_unique<GreedyMultiSolver>();
-  }));
-  EXPECT_NE(registry.Create(name, 1), nullptr);
+TEST(SolverFactoryTest, UnknownNameReturnsNull) {
+  EXPECT_EQ(CreateSolver("no-such-solver", 1), nullptr);
 }
 
 TEST(SolveAdaptersTest, GreedySolverMatchesGreedyBaseline) {
   const auto prob = SmallProblem();
   GreedyBaselineSolver solver;
-  const auto plan = solver.Solve(prob, SolveBudget{}, nullptr);
+  const auto plan = solver.Solve(prob, SolveBudget{});
   const auto direct = core::GreedyBaseline(prob, HardCap(prob));
   EXPECT_TRUE(plan.feasible);
   EXPECT_EQ(plan.servers_used, direct.servers_used);
@@ -102,7 +88,7 @@ TEST(SolveMetaheuristicTest, AnnealNeverWorseThanGreedySeed) {
 
   for (uint64_t s : {1ULL, 2ULL, 42ULL}) {
     AnnealingSolver sa(s);
-    const auto plan = sa.Solve(prob, SolveBudget{}, nullptr);
+    const auto plan = sa.Solve(prob, SolveBudget{});
     EXPECT_LE(plan.objective, seed_cost) << "seed " << s;
   }
 }
@@ -117,7 +103,7 @@ TEST(SolveMetaheuristicTest, TabuNeverWorseThanGreedySeed) {
 
   for (uint64_t s : {1ULL, 2ULL, 42ULL}) {
     TabuSolver tabu(s);
-    const auto plan = tabu.Solve(prob, SolveBudget{}, nullptr);
+    const auto plan = tabu.Solve(prob, SolveBudget{});
     EXPECT_LE(plan.objective, seed_cost) << "seed " << s;
   }
 }
@@ -127,12 +113,12 @@ TEST(SolveMetaheuristicTest, MetaheuristicsFindFeasiblePacking) {
   const auto prob = SmallProblem();
   SolveBudget budget;
   AnnealingSolver sa(3);
-  const auto sa_plan = sa.Solve(prob, budget, nullptr);
+  const auto sa_plan = sa.Solve(prob, budget);
   EXPECT_TRUE(sa_plan.feasible);
   EXPECT_LE(sa_plan.servers_used, 3);
 
   TabuSolver tabu(3);
-  const auto tabu_plan = tabu.Solve(prob, budget, nullptr);
+  const auto tabu_plan = tabu.Solve(prob, budget);
   EXPECT_TRUE(tabu_plan.feasible);
   EXPECT_EQ(tabu_plan.servers_used, 2);
 }
@@ -187,49 +173,6 @@ TEST(SolveMetaheuristicTest, AnnealFloorRejectNeverRejectsAnAcceptedMove) {
   EXPECT_TRUE(AnnealFloorRejects(1e6, 0x1p-53, 1.0));
   EXPECT_TRUE(AnnealFloorRejects(10.0, 0.5, 1.0));
   EXPECT_FALSE(AnnealFloorRejects(10.0, 1e-6, 1.0));
-}
-
-TEST(SharedIncumbentTest, TracksBestAndCounts) {
-  SharedIncumbent incumbent;
-  EXPECT_FALSE(incumbent.Best().valid);
-  EXPECT_TRUE(incumbent.Offer({0, 0}, 10.0, false, "a"));
-  // Feasible beats infeasible even at higher objective.
-  EXPECT_TRUE(incumbent.Offer({0, 1}, 20.0, true, "b"));
-  // Worse feasible does not improve.
-  EXPECT_FALSE(incumbent.Offer({1, 1}, 25.0, true, "c"));
-  EXPECT_TRUE(incumbent.Offer({1, 0}, 5.0, true, "d"));
-  const auto best = incumbent.Best();
-  EXPECT_TRUE(best.valid);
-  EXPECT_EQ(best.source, "d");
-  EXPECT_DOUBLE_EQ(best.objective, 5.0);
-  EXPECT_EQ(incumbent.offers(), 4);
-  EXPECT_EQ(incumbent.improvements(), 3);
-  EXPECT_FALSE(incumbent.ShouldStop());
-}
-
-TEST(SharedIncumbentTest, EarlyStopFiresAtTarget) {
-  SharedIncumbent incumbent(/*target_objective=*/100.0);
-  incumbent.Offer({0}, 150.0, true, "a");
-  EXPECT_FALSE(incumbent.ShouldStop());
-  incumbent.Offer({0}, 90.0, false, "a");  // infeasible: no stop
-  EXPECT_FALSE(incumbent.ShouldStop());
-  incumbent.Offer({0}, 90.0, true, "a");
-  EXPECT_TRUE(incumbent.ShouldStop());
-}
-
-TEST(SharedIncumbentTest, PortfolioEarlyStopsOnTarget) {
-  const auto prob = SmallProblem();
-  // Any feasible 2-server plan has objective just above 2 * kServerCost;
-  // a generous target fires as soon as one is found.
-  PortfolioOptions options;
-  options.target_objective = 3.0 * core::kServerCost;
-  options.budget.max_iterations = 200000000;  // would run long without the stop
-  PortfolioRunner runner(options);
-  const auto result =
-      runner.Run(prob, {{"greedy", 1}, {"anneal", 2}, {"tabu", 3}});
-  EXPECT_TRUE(result.early_stopped);
-  EXPECT_TRUE(result.best.feasible);
-  EXPECT_LE(result.best.objective, options.target_objective);
 }
 
 TEST(PortfolioTest, BeatsOrMatchesSingleEngine) {
@@ -322,6 +265,54 @@ TEST(PortfolioTest, ReclassPlansIdenticalAcrossThreadCounts) {
           << specs[i].solver << " run " << r;
       EXPECT_EQ(std::memcmp(&a.objective, &b.objective, sizeof(double)), 0)
           << specs[i].solver << " run " << r;
+    }
+  }
+}
+
+TEST(PortfolioTest, MemberPlansEqualStandaloneSolves) {
+  // The solve/ contract: a member's plan is a pure function of (problem,
+  // budget, seed), so running it beside its siblings, on any thread count,
+  // gives the plan it gives alone.
+  trace::ScenarioConfig config;
+  config.workloads = 12;
+  config.steps = 24;
+  config.seed = 5;
+  trace::FleetScenario scenario =
+      trace::MakeFleetScenario(trace::FleetScenarioKind::kScaleUpVsScaleOut, config);
+  core::ConsolidationProblem mixed;
+  mixed.workloads = std::move(scenario.profiles);
+  mixed.fleet = std::move(scenario.fleet);
+  ASSERT_FALSE(mixed.fleet.Uniform());
+  core::ConsolidationProblem uniform = MixedProblem();
+  ASSERT_TRUE(uniform.fleet.Uniform());
+
+  SolveBudget budget;
+  budget.max_iterations = 6000;
+  budget.direct_evaluations = 600;
+  budget.probe_direct_evaluations = 200;
+  const auto specs = PortfolioRunner::DefaultSpecs(13);
+  for (const core::ConsolidationProblem* prob : {&uniform, &mixed}) {
+    std::vector<core::ConsolidationPlan> alone;
+    for (const PortfolioSolverSpec& spec : specs) {
+      alone.push_back(
+          CreateSolver(spec.solver, spec.seed)->Solve(*prob, budget));
+    }
+    for (int threads : {1, 4}) {
+      PortfolioOptions options;
+      options.threads = threads;
+      options.budget = budget;
+      const PortfolioResult result = PortfolioRunner(options).Run(*prob, specs);
+      ASSERT_EQ(result.members.size(), specs.size());
+      for (size_t i = 0; i < specs.size(); ++i) {
+        const core::ConsolidationPlan& plan = result.members[i].plan;
+        EXPECT_EQ(plan.assignment.server_of_slot,
+                  alone[i].assignment.server_of_slot)
+            << specs[i].solver << " at " << threads << " threads";
+        EXPECT_EQ(std::memcmp(&plan.objective, &alone[i].objective,
+                              sizeof(double)),
+                  0)
+            << specs[i].solver << " at " << threads << " threads";
+      }
     }
   }
 }

@@ -203,7 +203,7 @@ TEST(ShardPartitionerTest, MoreShardsThanWorkloadsLeavesEmptyShards) {
 
   // The sharded solver still produces a valid single-workload plan.
   ShardedSolver solver(3, options);
-  const core::ConsolidationPlan plan = solver.Solve(prob, SolveBudget{}, nullptr);
+  const core::ConsolidationPlan plan = solver.Solve(prob, SolveBudget{});
   ASSERT_EQ(plan.assignment.server_of_slot.size(), 1u);
   EXPECT_TRUE(plan.feasible);
   EXPECT_EQ(plan.servers_used, 1);
@@ -226,14 +226,6 @@ TEST(ShardPartitionerTest, AutoShardCountClampsToServerCap) {
 // ShardedSolver
 // ---------------------------------------------------------------------------
 
-TEST(ShardedSolverTest, RegisteredInTheGlobalRegistry) {
-  auto& registry = SolverRegistry::Global();
-  ASSERT_TRUE(registry.Contains("sharded"));
-  auto solver = registry.Create("sharded", 7);
-  ASSERT_NE(solver, nullptr);
-  EXPECT_EQ(solver->name(), "sharded");
-}
-
 TEST(ShardedSolverTest, ByteIdenticalPlansAtAnyThreadCount) {
   core::ConsolidationProblem prob = TwoClassProblem(16);
   prob.workloads[2].replicas = 2;
@@ -245,7 +237,7 @@ TEST(ShardedSolverTest, ByteIdenticalPlansAtAnyThreadCount) {
     options.num_shards = 3;
     options.threads = threads;
     ShardedSolver solver(11, options);
-    return solver.Solve(prob, SolveBudget{}, nullptr);
+    return solver.Solve(prob, SolveBudget{});
   };
   const core::ConsolidationPlan one = solve(1);
   for (int threads : {2, 4, 8}) {
@@ -266,7 +258,7 @@ TEST(ShardedSolverTest, HonoursPinsReplicasAndAntiAffinity) {
   ShardOptions options;
   options.num_shards = 3;
   ShardedSolver solver(11, options);
-  const core::ConsolidationPlan plan = solver.Solve(prob, SolveBudget{}, nullptr);
+  const core::ConsolidationPlan plan = solver.Solve(prob, SolveBudget{});
   const std::vector<int>& a = plan.assignment.server_of_slot;
   ASSERT_EQ(static_cast<int>(a.size()), prob.TotalSlots());
   EXPECT_TRUE(plan.feasible);
@@ -285,7 +277,7 @@ TEST(ShardedSolverTest, SingleShardDegeneratesGracefully) {
   ShardOptions options;
   options.num_shards = 1;
   ShardedSolver solver(5, options);
-  const core::ConsolidationPlan plan = solver.Solve(prob, SolveBudget{}, nullptr);
+  const core::ConsolidationPlan plan = solver.Solve(prob, SolveBudget{});
   EXPECT_TRUE(plan.feasible);
   EXPECT_EQ(static_cast<int>(plan.assignment.server_of_slot.size()),
             prob.TotalSlots());
@@ -295,7 +287,7 @@ TEST(ShardedSolverTest, EmptyProblemYieldsEmptyPlan) {
   core::ConsolidationProblem prob;
   ShardOptions options;
   ShardedSolver solver(1, options);
-  const core::ConsolidationPlan plan = solver.Solve(prob, SolveBudget{}, nullptr);
+  const core::ConsolidationPlan plan = solver.Solve(prob, SolveBudget{});
   EXPECT_TRUE(plan.assignment.server_of_slot.empty());
   EXPECT_EQ(plan.servers_used, 0);
 }
@@ -313,7 +305,7 @@ TEST(ShardRepairTest, RepairsLocallyAndNeverWorsensCost) {
   options.num_shards = 2;
   ShardedSolver solver(11, options);
   const core::ConsolidationPlan incumbent =
-      solver.Solve(prob, SolveBudget{}, nullptr);
+      solver.Solve(prob, SolveBudget{});
   prob.current_assignment = incumbent.assignment.server_of_slot;
 
   const int cap = prob.ServerCap();
