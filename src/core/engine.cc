@@ -51,39 +51,33 @@ void ConsolidationEngine::EmitIncumbent(double objective, bool feasible) {
 }
 
 bool ConsolidationEngine::ProbeK(int k, int direct_budget, Assignment* out) {
-  ++probe_attempts_;
   const int evals_before = evaluations_;
-  const bool feasible = ProbeKImpl(k, direct_budget, out);
-  if (options_.sink != nullptr) {
-    obs::TraceSink& trace = options_.sink->trace();
-    trace.Emit(ObsTrack(), trace.InternName("probe"), obs::EventKind::kPoint,
-               /*i0=*/k, /*i1=*/feasible ? 1 : 0,
-               /*d0=*/static_cast<double>(evaluations_ - evals_before));
-    options_.sink->metrics().counter("engine.probes")->Add(1);
-    if (feasible) {
-      options_.sink->metrics().counter("engine.probes_feasible")->Add(1);
-    }
-  }
+  const bool feasible = ProbeImpl(k, nullptr, direct_budget, out);
+  RecordProbe(k, feasible, evals_before);
   return feasible;
 }
 
 bool ConsolidationEngine::ProbeServers(const std::vector<int>& servers,
                                        int direct_budget, Assignment* out) {
-  ++probe_attempts_;
   const int evals_before = evaluations_;
-  const bool feasible = ProbeServersImpl(servers, direct_budget, out);
-  if (options_.sink != nullptr) {
-    obs::TraceSink& trace = options_.sink->trace();
-    trace.Emit(ObsTrack(), trace.InternName("probe"), obs::EventKind::kPoint,
-               /*i0=*/static_cast<int64_t>(servers.size()),
-               /*i1=*/feasible ? 1 : 0,
-               /*d0=*/static_cast<double>(evaluations_ - evals_before));
-    options_.sink->metrics().counter("engine.probes")->Add(1);
-    if (feasible) {
-      options_.sink->metrics().counter("engine.probes_feasible")->Add(1);
-    }
-  }
+  const bool feasible =
+      ProbeImpl(problem_.ServerCap(), &servers, direct_budget, out);
+  RecordProbe(static_cast<int64_t>(servers.size()), feasible, evals_before);
   return feasible;
+}
+
+void ConsolidationEngine::RecordProbe(int64_t size, bool feasible,
+                                      int evals_before) {
+  ++probe_attempts_;
+  if (options_.sink == nullptr) return;
+  obs::TraceSink& trace = options_.sink->trace();
+  trace.Emit(ObsTrack(), trace.InternName("probe"), obs::EventKind::kPoint,
+             /*i0=*/size, /*i1=*/feasible ? 1 : 0,
+             /*d0=*/static_cast<double>(evaluations_ - evals_before));
+  options_.sink->metrics().counter("engine.probes")->Add(1);
+  if (feasible) {
+    options_.sink->metrics().counter("engine.probes_feasible")->Add(1);
+  }
 }
 
 Assignment ConsolidationEngine::DecodePoint(const std::vector<double>& x, int k,
@@ -245,17 +239,22 @@ void ConsolidationEngine::LocalSearch(Evaluator* ev, int max_sweeps, util::Rng* 
   }
 }
 
-bool ConsolidationEngine::ProbeKImpl(int k, int direct_budget, Assignment* out) {
-  if (k < 1) return false;
-  util::Rng rng(options_.seed ^ (0x9E37ULL * static_cast<uint64_t>(k)));
+bool ConsolidationEngine::ProbeImpl(int k, const std::vector<int>* servers,
+                                    int direct_budget, Assignment* out) {
+  if (servers != nullptr ? servers->empty() : k < 1) return false;
+  util::Rng rng(options_.seed ^
+                (servers != nullptr
+                     ? 0xB06DULL * (static_cast<uint64_t>(servers->size()) + 1)
+                     : 0x9E37ULL * static_cast<uint64_t>(k)));
 
-  // 1. Multi-resource greedy restricted to k servers, then local search.
+  // 1. Multi-resource greedy restricted to the k servers (or the subset),
+  //    then local search over the same servers.
   bool greedy_clean = false;
-  Assignment seed = GreedyMultiResource(problem_, k, &greedy_clean);
+  Assignment seed = GreedyMultiResource(problem_, k, &greedy_clean, servers);
   Evaluator ev(problem_, k);
   ev.Load(seed.server_of_slot);
   if (!ev.IsFeasible()) {
-    LocalSearch(&ev, options_.local_search_max_sweeps, &rng);
+    LocalSearch(&ev, options_.local_search_max_sweeps, &rng, servers);
   }
   if (ev.IsFeasible()) {
     if (out) out->server_of_slot = ev.assignment();
@@ -263,63 +262,23 @@ bool ConsolidationEngine::ProbeKImpl(int k, int direct_budget, Assignment* out) 
   }
 
   // 2. DIRECT global probe with early stop at the first feasible value,
-  //    then a final repair pass. The probe encodes the *placable* servers
-  //    of the fleet-order prefix [0, k), so any feasible plan there costs
-  //    at most the sum of those servers' weighted server costs plus a
-  //    balance tail of e each — a looser bound (e.g. fleet-wide max
+  //    then a final repair pass. Any feasible plan costs at most the sum of
+  //    the probed servers' weighted server costs plus a balance tail of e
+  //    each. The count probe encodes the *placable* servers of the
+  //    fleet-order prefix [0, k): a looser bound (e.g. fleet-wide max
   //    weight) would let an infeasible all-cheap-class plan pass as
-  //    "feasible" and stop DIRECT early.
+  //    "feasible" and stop DIRECT early. The subset probe sums its members.
   const double feasible_threshold =
-      BoundEngine::PrefixFeasibleThreshold(problem_, ev.accountant(), k);
-  int evals = 0;
-  Assignment candidate = RunDirect(&ev, direct_budget, feasible_threshold, &evals);
-  evaluations_ += evals;
-  ev.Load(candidate.server_of_slot);
-  if (!ev.IsFeasible()) {
-    LocalSearch(&ev, options_.local_search_max_sweeps, &rng);
-  }
-  if (ev.IsFeasible()) {
-    if (out) out->server_of_slot = ev.assignment();
-    return true;
-  }
-  return false;
-}
-
-bool ConsolidationEngine::ProbeServersImpl(const std::vector<int>& servers,
-                                           int direct_budget, Assignment* out) {
-  if (servers.empty()) return false;
-  const int k = problem_.ServerCap();
-  util::Rng rng(options_.seed ^
-                (0xB06DULL * (static_cast<uint64_t>(servers.size()) + 1)));
-
-  // 1. Multi-resource greedy restricted to the subset, then local search
-  //    over the same subset.
-  bool greedy_clean = false;
-  Assignment seed = GreedyMultiResource(problem_, k, &greedy_clean, &servers);
-  Evaluator ev(problem_, k);
-  ev.Load(seed.server_of_slot);
-  if (!ev.IsFeasible()) {
-    LocalSearch(&ev, options_.local_search_max_sweeps, &rng, &servers);
-  }
-  if (ev.IsFeasible()) {
-    if (out) out->server_of_slot = ev.assignment();
-    return true;
-  }
-
-  // 2. DIRECT global probe over the subset encoding with early stop at the
-  //    first feasible value, then a final repair pass. Any feasible plan
-  //    within the subset costs at most the sum of the members' weighted
-  //    server costs plus a balance tail of e each — the subset analogue of
-  //    the prefix probe's threshold.
-  const double feasible_threshold =
-      BoundEngine::SubsetFeasibleThreshold(ev.accountant(), servers);
+      servers != nullptr
+          ? BoundEngine::SubsetFeasibleThreshold(ev.accountant(), *servers)
+          : BoundEngine::PrefixFeasibleThreshold(problem_, ev.accountant(), k);
   int evals = 0;
   Assignment candidate =
-      RunDirect(&ev, direct_budget, feasible_threshold, &evals, &servers);
+      RunDirect(&ev, direct_budget, feasible_threshold, &evals, servers);
   evaluations_ += evals;
   ev.Load(candidate.server_of_slot);
   if (!ev.IsFeasible()) {
-    LocalSearch(&ev, options_.local_search_max_sweeps, &rng, &servers);
+    LocalSearch(&ev, options_.local_search_max_sweeps, &rng, servers);
   }
   if (ev.IsFeasible()) {
     if (out) out->server_of_slot = ev.assignment();

@@ -135,11 +135,15 @@ class ConsolidationEngine {
                                const std::vector<int>* targets = nullptr);
 
  private:
-  /// Un-instrumented probe bodies (ProbeK/ProbeServers wrap them with the
-  /// probe counter and trace emission).
-  bool ProbeKImpl(int k, int direct_budget, Assignment* out);
-  bool ProbeServersImpl(const std::vector<int>& servers, int direct_budget,
-                        Assignment* out);
+  /// The un-instrumented probe body behind ProbeK (`servers` null: the
+  /// count prefix [0, k)) and ProbeServers (`servers` the subset, `k` the
+  /// server cap): a greedy seed plus local search, then DIRECT to the
+  /// feasibility threshold plus a repair pass.
+  bool ProbeImpl(int k, const std::vector<int>* servers, int direct_budget,
+                 Assignment* out);
+  /// Counts one probe attempt and, with a sink attached, emits its "probe"
+  /// point (i0 = `size`, d0 = DIRECT evaluations since `evals_before`).
+  void RecordProbe(int64_t size, bool feasible, int evals_before);
 
   /// Interned trace ids for this engine's track, lazily created on the
   /// first instrumented event (the engine is internally single-threaded).

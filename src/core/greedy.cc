@@ -48,13 +48,12 @@ struct FleetView {
   }
 
   double Weight(int j) const { return acct.ClassWeight(acct.ClassOfServer(j)); }
-  /// Headroomed linear capacities via the class's axis models (bitwise
-  /// equal to EffectiveCapacity's precomputed products).
+  /// Headroomed linear capacities of server `j`'s class.
   double CpuCap(int j) const {
-    return acct.AxisModel(Axis::kCpu, acct.ClassOfServer(j)).UsableCapacity(0.0);
+    return acct.CapacityOfClass(acct.ClassOfServer(j)).cpu_cores;
   }
   double RamCap(int j) const {
-    return acct.AxisModel(Axis::kRam, acct.ClassOfServer(j)).UsableCapacity(0.0);
+    return acct.CapacityOfClass(acct.ClassOfServer(j)).ram_bytes;
   }
   /// The per-class nonlinear disk axis of server `j`.
   const model::DiskResource& DiskOf(int j) const {

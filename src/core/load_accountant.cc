@@ -62,16 +62,10 @@ LoadAccountant::LoadAccountant(const ConsolidationProblem& problem,
   class_weight_.reserve(classes);
   class_drained_.reserve(classes);
   class_disk_.reserve(classes);
-  class_cpu_.reserve(classes);
-  class_ram_.reserve(classes);
   for (int c = 0; c < classes; ++c) {
     const sim::MachineClass& mc = problem.fleet.classes[c];
     class_weight_.push_back(mc.cost_weight);
     class_drained_.push_back(mc.drained ? 1 : 0);
-    class_cpu_.emplace_back("cpu", class_caps_[c].cpu_full_cores,
-                            problem.cpu_headroom);
-    class_ram_.emplace_back("ram", class_caps_[c].ram_full_bytes,
-                            problem.ram_headroom);
     class_disk_.emplace_back(problem.DiskModelOfClass(c),
                              problem.DiskHeadroomOfClass(c));
   }

@@ -3,15 +3,15 @@
 // used to re-derive from the workload profiles by hand — replica expansion,
 // per-instance CPU-overhead subtraction, sample-count truncation — in one
 // contiguous structure-of-arrays layout, (b) the per-server aggregate load
-// matrices those slots sum into, and (c) the per-class resource models
-// (linear CPU/RAM capacities via sim::EffectiveCapacity, the nonlinear
-// per-class model::DiskResource) that price the aggregates.
+// matrices those slots sum into, and (c) the per-class capacities that
+// price the aggregates (constant CPU/RAM capacities via
+// sim::EffectiveCapacity, the nonlinear per-class model::DiskResource).
 //
 // Consumers: core::Evaluator (one-shot + incremental move evaluation over
-// the flat arrays), both greedy packers (core/greedy.cc), core::BoundEngine's
-// fractional server bound and the engine's probe thresholds, and — through
-// the same per-class models — sim::CapacityLedger and
-// online::MigrationPlanner.
+// the flat arrays), both greedy packers (core/greedy.cc), and
+// core::BoundEngine's fractional server bound and the engine's probe
+// thresholds. sim::CapacityLedger (the online migration planner's spill
+// check) builds its own per-class DiskResources from the same fleet.
 //
 // Layout: series are stored flat as slot-major / server-major blocks of
 // num_samples doubles (SlotSeries(a, s)[t]), so the hot MoveDelta path
@@ -34,9 +34,9 @@ inline constexpr int kNumAxes = 3;
 class LoadAccountant {
  public:
   /// Flattens `problem`'s workloads into per-slot matrices and derives the
-  /// per-class models for servers [0, num_servers). Pass
+  /// per-class capacities for servers [0, num_servers). Pass
   /// `track_server_load = false` when the consumer only reads slot data
-  /// and per-class models (the greedy packers keep their own bins): the
+  /// and per-class capacities (the greedy packers keep their own bins): the
   /// per-server aggregate matrices are then not allocated and
   /// Apply()/ServerSeries() must not be called.
   LoadAccountant(const ConsolidationProblem& problem, int num_servers,
@@ -77,7 +77,7 @@ class LoadAccountant {
   /// Zeroes every server aggregate (fresh packing / reload).
   void Clear();
 
-  // --- Per-class resource models ---
+  // --- Per-class capacities ---
   int num_classes() const { return static_cast<int>(class_caps_.size()); }
   int ClassOfServer(int server) const { return class_of_[server]; }
   const sim::EffectiveCapacity& CapacityOfClass(int c) const {
@@ -88,23 +88,6 @@ class LoadAccountant {
   /// The nonlinear disk axis of a class (inactive when the class resolves
   /// to no valid model).
   const model::DiskResource& Disk(int c) const { return class_disk_[c]; }
-
-  /// The resource model pricing axis `a` on class `c`: LinearResource for
-  /// CPU/RAM, the DiskResource for the update-rate axis. Hot loops hoist
-  /// the models' (constant) capacities out instead of calling through the
-  /// interface per sample; this accessor is the axis-generic view for
-  /// everything else.
-  const model::ResourceModel& AxisModel(Axis a, int c) const {
-    switch (a) {
-      case Axis::kCpu:
-        return class_cpu_[c];
-      case Axis::kRam:
-        return class_ram_[c];
-      case Axis::kRate:
-        return class_disk_[c];
-    }
-    return class_disk_[c];  // unreachable
-  }
 
   /// Peak aggregate demand per axis (all slots summed per sample) plus the
   /// total working set — the fractional "the fleet together must cover
@@ -163,12 +146,10 @@ class LoadAccountant {
   std::vector<double> server_ws_;
   std::vector<int> server_count_;
 
-  // Per-class models (indexed like the problem fleet's classes).
+  // Per-class capacities (indexed like the problem fleet's classes).
   std::vector<sim::EffectiveCapacity> class_caps_;
   std::vector<double> class_weight_;
   std::vector<char> class_drained_;
-  std::vector<model::LinearResource> class_cpu_;
-  std::vector<model::LinearResource> class_ram_;
   std::vector<model::DiskResource> class_disk_;
   std::vector<int> class_of_;
   std::vector<int> placable_;

@@ -1,112 +1,59 @@
-// The resource-axis layer: how per-workload loads combine on a shared
-// server and how much combined load a server sustains. The paper's central
-// modeling claim (Section 4) is that CPU and RAM combine (near-)linearly
-// under consolidation while disk I/O combines nonlinearly and must be
-// predicted by a measured model — a ResourceModel captures exactly that
-// split, so the evaluator, the greedy packers, the capacity ledger, and the
-// online migration planner all price an axis through one interface instead
-// of hand-rolling its arithmetic at every call site.
-//
-// Loads on every axis *aggregate* by summation (the paper's combining
-// property: N databases behave like one database at the summed inputs);
-// what differs per axis is the *capacity* available to the aggregate:
-//   * LinearResource — capacity is a constant (CPU cores, RAM bytes,
-//     a fixed IOPS budget): utilization is load/capacity, linear in load.
-//   * DiskResource — capacity is the saturation frontier of a fitted
-//     DiskModel evaluated at the aggregate working set: adding working set
-//     to a server shrinks the sustainable update rate for everyone on it.
-//     With no (or an invalid) model the axis degrades to LinearResource
-//     semantics with an unbounded default capacity, i.e. unconstrained.
+// The nonlinear disk axis. The paper's central modeling claim (Section 4)
+// is that CPU and RAM combine (near-)linearly under consolidation while
+// disk I/O combines nonlinearly and must be predicted by a measured model.
+// Loads on every axis *aggregate* by summation (N databases behave like one
+// database at the summed inputs); what differs per axis is the *capacity*
+// available to the aggregate. CPU and RAM capacities are constants per
+// machine class (sim::EffectiveCapacity holds them with their headroom);
+// the disk capacity is the saturation frontier of a fitted DiskModel
+// evaluated at the aggregate working set, so adding working set to a
+// server shrinks the sustainable update rate for everyone on it.
+// DiskResource prices that axis for the evaluator, the greedy packers, the
+// capacity ledger and the online migration planner alike.
 #ifndef KAIROS_MODEL_RESOURCE_MODEL_H_
 #define KAIROS_MODEL_RESOURCE_MODEL_H_
 
 #include <algorithm>
-#include <string>
-#include <utility>
 
 #include "model/disk_model.h"
 
 namespace kairos::model {
 
-/// Capacity semantics of one resource axis on one machine class. The
-/// auxiliary scalar `aux` is the axis's capacity input aggregated over the
-/// co-located workloads (the summed working set for disk; unused for linear
-/// axes).
-class ResourceModel {
- public:
-  virtual ~ResourceModel() = default;
-
-  /// Axis label for reports ("cpu", "ram", "disk", ...).
-  virtual std::string name() const = 0;
-
-  /// True when the axis imposes a real constraint. Inactive axes are
-  /// skipped by consumers (the classic "no disk model" setup).
-  virtual bool active() const { return true; }
-
-  /// Full capacity available to an aggregate load at `aux` (the balance
-  /// term's denominator — no safety headroom).
-  virtual double Capacity(double aux) const = 0;
-
-  /// Safety-headroom fraction in (0, 1]; the constraint-checked capacity is
-  /// headroom() * Capacity(aux).
-  virtual double headroom() const { return 1.0; }
-
-  /// Headroomed capacity (the violation threshold).
-  double UsableCapacity(double aux) const { return headroom() * Capacity(aux); }
-
-  /// Utilization fraction of an aggregate `load` at `aux`, against the full
-  /// capacity. 0 when the axis has no capacity at all.
-  double Utilization(double load, double aux) const {
-    const double cap = Capacity(aux);
-    return cap > 0 ? load / cap : 0.0;
-  }
-};
-
-/// An axis whose capacity is a constant: CPU standard-cores and RAM bytes,
-/// where the paper measures near-perfectly linear combination.
-class LinearResource final : public ResourceModel {
- public:
-  LinearResource(std::string name, double capacity, double headroom)
-      : name_(std::move(name)), capacity_(capacity), headroom_(headroom) {}
-
-  std::string name() const override { return name_; }
-  double Capacity(double /*aux*/) const override { return capacity_; }
-  double headroom() const override { return headroom_; }
-
- private:
-  std::string name_;
-  double capacity_ = 0;
-  double headroom_ = 1.0;
-};
-
-/// The nonlinear disk axis: capacity is the fitted model's saturation
-/// frontier at the aggregate working set, so utilization is monotone in
-/// *both* the update rate and the working set other tenants bring along.
-/// With a null/invalid model the axis reduces to linear semantics at
-/// `fallback_capacity` (unbounded by default — no constraint).
-class DiskResource final : public ResourceModel {
+/// The disk axis of one machine class: capacity is the fitted model's
+/// saturation frontier at the aggregate working set, so utilization is
+/// monotone in *both* the update rate and the working set other tenants
+/// bring along. With a null/invalid model the axis is inactive and its
+/// capacity unbounded (no constraint — the classic "no disk model" setup).
+class DiskResource {
  public:
   static constexpr double kUnbounded = 1e300;
 
   DiskResource() = default;
-  explicit DiskResource(const DiskModel* model, double headroom = 0.9,
-                        double fallback_capacity = kUnbounded)
-      : model_(model), headroom_(headroom), fallback_(fallback_capacity) {}
+  explicit DiskResource(const DiskModel* model, double headroom = 0.9)
+      : model_(model), headroom_(headroom) {}
 
-  std::string name() const override { return "disk"; }
-  bool active() const override { return model_ != nullptr && model_->valid(); }
-  double Capacity(double working_set_bytes) const override {
-    if (!active()) return fallback_;
+  /// True when the axis imposes a real constraint. Inactive axes are
+  /// skipped by consumers.
+  bool active() const { return model_ != nullptr && model_->valid(); }
+
+  /// Full capacity available to an aggregate load at `working_set_bytes`
+  /// (the balance term's denominator — no safety headroom).
+  double Capacity(double working_set_bytes) const {
+    if (!active()) return kUnbounded;
     return model_->MaxSustainableRate(std::max(0.0, working_set_bytes));
   }
-  double headroom() const override { return headroom_; }
 
-  const DiskModel* disk_model() const { return model_; }
+  /// Safety-headroom fraction in (0, 1].
+  double headroom() const { return headroom_; }
+
+  /// Headroomed capacity (the violation threshold).
+  double UsableCapacity(double working_set_bytes) const {
+    return headroom() * Capacity(working_set_bytes);
+  }
 
  private:
   const DiskModel* model_ = nullptr;
   double headroom_ = 0.9;
-  double fallback_ = kUnbounded;
 };
 
 }  // namespace kairos::model

@@ -129,7 +129,7 @@ bool ConsolidationController::Ingest(const std::vector<TelemetrySample>& samples
   return true;
 }
 
-int ConsolidationController::RunToEnd(TelemetryFeed* feed) {
+int ConsolidationController::RunToEnd(ReplayFeed* feed) {
   std::vector<TelemetrySample> samples;
   int steps = 0;
   while (feed->Next(&samples)) {
@@ -303,7 +303,7 @@ void ConsolidationController::RunControl(const std::string& forced_reason) {
   }
   const DriftDecision decision = DetectDrift(forecast_violation);
   EmitStage(obs_detect_, decision.resolve ? 1 : 0);
-  if (decision.resolve) Resolve(&problem, decision.reason, &decision);
+  if (decision.resolve) Resolve(&problem, decision.reason);
 }
 
 DriftDecision ConsolidationController::DetectDrift(bool forecast_violation) {
@@ -337,8 +337,7 @@ DriftDecision ConsolidationController::DetectDrift(bool forecast_violation) {
 }
 
 void ConsolidationController::Resolve(core::ConsolidationProblem* problem,
-                                      const std::string& reason,
-                                      const DriftDecision* drift) {
+                                      const std::string& reason) {
   const std::vector<int> before = assignment_;
 
   solve::SolveBudget budget = config_.budget;
@@ -359,51 +358,6 @@ void ConsolidationController::Resolve(core::ConsolidationProblem* problem,
       if (s >= active_servers_) s %= active_servers_;
     }
     budget.seed_assignment = std::move(seed);
-  }
-
-  // Shard-routed drift repair: a drift re-solve names one workload, so
-  // before paying for the full portfolio, re-solve just the fleet shard
-  // that owns it and keep every other slot where it is. Falls through to
-  // the portfolio (with identical seeds to the gate-off path) when the
-  // repair does not pay off.
-  if (config_.shard_repair && config_.migration_aware && !before.empty() &&
-      reason.rfind("drift:", 0) == 0) {
-    if (drift != nullptr && drift->drifted_streams > 1) {
-      // Drift spanning several streams (often several shards) is beyond any
-      // single shard's repair: escalate straight to the global portfolio.
-      // Its seeds below are identical to the gate-off path, so the
-      // escalated re-solve is exactly a full re-solve.
-      if (config_.sink != nullptr) {
-        config_.sink->Count("controller.drift_escalations");
-      }
-    } else {
-      // The scan already names the drifted stream; fall back to parsing the
-      // reason only for callers that hand in a bare "drift:<name>" string.
-      int drifted = drift != nullptr ? drift->first_stream : -1;
-      if (drifted < 0) {
-        const std::string name = reason.substr(6);
-        for (size_t w = 0; w < config_.base.workloads.size(); ++w) {
-          if (config_.base.workloads[w].name == name) {
-            drifted = static_cast<int>(w);
-            break;
-          }
-        }
-      }
-      core::ConsolidationPlan repaired;
-      if (drifted >= 0 &&
-          solve::ShardRepair(*problem, budget, config_.shard,
-                             MixSeed(config_.seed, solves_,
-                                     static_cast<int>(config_.solvers.size())),
-                             drifted, &repaired)) {
-        ++solves_;
-        EmitStage(obs_resolve_, /*value=*/-2);  // -2 marks a shard repair
-        if (config_.sink != nullptr) {
-          config_.sink->Count("controller.shard_repairs");
-        }
-        AdoptPlan(*problem, reason, "shard-repair", repaired, before);
-        return;
-      }
-    }
   }
 
   std::vector<solve::PortfolioSolverSpec> specs;
@@ -430,17 +384,11 @@ void ConsolidationController::Resolve(core::ConsolidationProblem* problem,
     return;
   }
 
-  AdoptPlan(*problem, reason, result.winner, result.best, before);
-}
-
-void ConsolidationController::AdoptPlan(
-    const core::ConsolidationProblem& problem, const std::string& reason,
-    const std::string& winner, const core::ConsolidationPlan& plan,
-    const std::vector<int>& before) {
+  const core::ConsolidationPlan& plan = result.best;
   ControlEvent event;
   event.step = step_;
   event.reason = reason;
-  event.winner = winner;
+  event.winner = result.winner;
   event.servers_before =
       before.empty() ? 0 : core::Assignment{before}.ServersUsed();
   event.servers_after = plan.servers_used;
@@ -452,7 +400,7 @@ void ConsolidationController::AdoptPlan(
 
   MigrationPlan migration;
   if (!before.empty()) {
-    migration = planner_.Plan(problem, before, plan.assignment.server_of_slot);
+    migration = planner_.Plan(*problem, before, plan.assignment.server_of_slot);
     event.moves = migration.total_moves();
     event.stages = static_cast<int>(migration.stages.size());
     event.migration_safe = migration.safe;

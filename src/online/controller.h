@@ -7,10 +7,10 @@
 // One Ingest() per monitoring step. The controller bootstraps a plan once
 // enough samples accumulated, then re-solves only when the drift detector
 // fires (profile deviation or a forecast constraint violation) or when a
-// server is drained. Re-solves extend the problem with the incumbent
-// placement and a migration cost, warm-start the solver portfolio from the
-// incumbent, and sequence the resulting moves through the spill-checked
-// MigrationPlanner.
+// server is drained. Every re-solve takes the same path: it extends the
+// problem with the incumbent placement and a migration cost, warm-starts
+// the whole solver portfolio from the incumbent, and sequences the
+// winner's moves through the spill-checked MigrationPlanner.
 //
 // Determinism: fixed telemetry + ControllerConfig::seed give a
 // byte-identical RenderHistory() regardless of portfolio thread count (every
@@ -32,7 +32,6 @@
 #include "online/streaming_profile.h"
 #include "online/telemetry.h"
 #include "solve/portfolio.h"
-#include "solve/shard.h"
 
 namespace kairos::online {
 
@@ -61,17 +60,6 @@ struct ControllerConfig {
   /// the cold-re-solve baseline (fresh solve, no move penalty).
   bool migration_aware = true;
   double migration_cost_weight = 25.0;
-
-  /// Shard-routed drift repair: when a drift re-solve names a single
-  /// workload, first re-solve only the fleet shard owning it
-  /// (solve::ShardRepair, warm-started from the incumbent) and adopt the
-  /// stitched plan when it scores no worse; fall back to the full
-  /// portfolio otherwise. Off by default — existing transcripts stay
-  /// byte-identical. Requires migration_aware (the repair stitches around
-  /// the incumbent placement).
-  bool shard_repair = false;
-  /// Partitioner knobs for the shard-routed repair.
-  solve::ShardOptions shard;
 
   /// Striped ingestion (online/ingest.h): every step goes through the
   /// controller's IngestPlane. ingest_threads > 1 runs each stripe's batch
@@ -151,7 +139,7 @@ class ConsolidationController {
   bool Ingest(const std::vector<TelemetrySample>& samples);
 
   /// Drains every step from `feed`; returns the number of steps ingested.
-  int RunToEnd(TelemetryFeed* feed);
+  int RunToEnd(ReplayFeed* feed);
 
   /// Retires the highest-indexed server *in use*: shrinks the fleet by one
   /// and forces an evacuating re-solve. Returns false without draining when
@@ -201,22 +189,15 @@ class ConsolidationController {
 
  private:
   void RunControl(const std::string& forced_reason);
-  /// `drift` carries the scan detail of a drift-triggered re-solve (null
-  /// for bootstrap/forced/violation reasons): multi-stream drift escalates
-  /// past the shard repair to the full portfolio.
-  void Resolve(core::ConsolidationProblem* problem, const std::string& reason,
-               const DriftDecision* drift = nullptr);
-  /// Adopts `plan` as the incumbent: control event, staged migration plan,
-  /// stage timeline, counters, drift rebase. The shared tail of the full
-  /// portfolio re-solve and the shard-routed repair.
-  void AdoptPlan(const core::ConsolidationProblem& problem,
-                 const std::string& reason, const std::string& winner,
-                 const core::ConsolidationPlan& plan,
-                 const std::vector<int>& before);
+  /// The one re-solve path (bootstrap, drift, violation forecast, drains):
+  /// races the warm-started portfolio on `problem` and adopts the winner —
+  /// control event, staged migration plan, stage timeline, counters, drift
+  /// rebase.
+  void Resolve(core::ConsolidationProblem* problem, const std::string& reason);
   std::vector<monitor::ProfileStats> CurrentStats();
   /// Drift check for the current step: a violation forecast fires at once
   /// (ignoring the cooldown); otherwise per-stripe ScanRange on the ingest
-  /// plane, folded in stripe order, plus shard attribution for escalation.
+  /// plane, folded in stripe order.
   DriftDecision DetectDrift(bool forecast_violation);
 
   /// Lazily interns the controller's trace ids (no-op without a sink).

@@ -13,9 +13,8 @@
 // striped ingestion tier can scan each shard's stripe on its own worker and
 // fold the per-shard results in shard order — Decide() then builds the same
 // decision at every stripe and thread count. The decision also reports
-// *how many* streams (and shards) drifted: the controller uses a
-// single-stream drift for the local shard repair and escalates multi-stream
-// or cross-shard drift to a global re-solve.
+// *how many* streams (and shards) drifted; those counts are observability
+// only: every drift decision triggers the same global re-solve.
 #ifndef KAIROS_ONLINE_DRIFT_H_
 #define KAIROS_ONLINE_DRIFT_H_
 
@@ -50,11 +49,10 @@ struct DriftDecision {
   std::string reason;  // "violation-forecast", "drift:<workload>", or ""
   /// Lowest-indexed drifted stream (-1 for violation forecasts / no drift).
   int first_stream = -1;
-  /// Streams past the drift threshold (0 for violation forecasts). A
-  /// value > 1 means a single-shard repair cannot cover the change.
+  /// Streams past the drift threshold (0 for violation forecasts).
   int drifted_streams = 0;
   /// Ingest shards with at least one drifted stream. Depends on the stripe
-  /// layout (observability / escalation only — never on the transcript).
+  /// layout (observability only — never on the transcript).
   int drifted_shards = 0;
 };
 

@@ -1,5 +1,5 @@
 // Striped parallel telemetry ingestion: the throughput tier between a
-// TelemetryFeed and the StreamingProfileBuilder.
+// ReplayFeed and the StreamingProfileBuilder.
 //
 // Workloads are striped across S shards — fixed contiguous ranges decided
 // once from the stream count (never from the thread count) — and each shard

@@ -7,7 +7,7 @@
 
 namespace kairos::online {
 
-void TelemetryFeed::AttachSink(obs::Sink* sink) {
+void ReplayFeed::AttachSink(obs::Sink* sink) {
   if (sink == nullptr) {
     steps_emitted_ = nullptr;
     samples_emitted_ = nullptr;
@@ -15,12 +15,6 @@ void TelemetryFeed::AttachSink(obs::Sink* sink) {
   }
   steps_emitted_ = sink->metrics().counter("telemetry.steps_emitted");
   samples_emitted_ = sink->metrics().counter("telemetry.samples_emitted");
-}
-
-void TelemetryFeed::CountEmitted(size_t samples) {
-  if (steps_emitted_ == nullptr) return;
-  steps_emitted_->Add(1);
-  samples_emitted_->Add(static_cast<int64_t>(samples));
 }
 
 ReplayFeed::ReplayFeed(std::vector<std::string> names,
@@ -88,10 +82,6 @@ ReplayFeed ReplayFeed::FromRun(const workload::RunResult& run,
   return ReplayFeed(std::move(names), std::move(steps));
 }
 
-int ReplayFeed::num_workloads() const { return static_cast<int>(names_.size()); }
-
-std::string ReplayFeed::workload_name(int w) const { return names_[w]; }
-
 bool ReplayFeed::Next(std::vector<TelemetrySample>* out) {
   if (cursor_ >= steps_.size()) return false;
   // assign() reuses the caller's buffer: after the first step the loop
@@ -99,7 +89,10 @@ bool ReplayFeed::Next(std::vector<TelemetrySample>* out) {
   // allocates (every step has the same workload count).
   const std::vector<TelemetrySample>& step = steps_[cursor_++];
   out->assign(step.begin(), step.end());
-  CountEmitted(out->size());
+  if (steps_emitted_ != nullptr) {
+    steps_emitted_->Add(1);
+    samples_emitted_->Add(static_cast<int64_t>(out->size()));
+  }
   return true;
 }
 

@@ -1,7 +1,7 @@
 // Telemetry ingestion for the online consolidation controller: one
 // TelemetrySample per workload per monitoring step, pulled from a
-// TelemetryFeed. Feeds replay historical rrdtool-style series
-// (trace::Dataset / trace::MakeScenario profiles) or re-shape a live
+// ReplayFeed. A feed replays historical rrdtool-style series
+// (trace::Dataset / trace::MakeScenario profiles) or re-shapes a live
 // workload::Driver run into per-workload samples.
 #ifndef KAIROS_ONLINE_TELEMETRY_H_
 #define KAIROS_ONLINE_TELEMETRY_H_
@@ -27,37 +27,10 @@ struct TelemetrySample {
   double working_set_bytes = 0;
 };
 
-/// A stream of telemetry steps; each step yields one sample per workload,
+/// A stream of telemetry steps replaying pre-recorded per-step samples
+/// (e.g. converted trace series); each step yields one sample per workload,
 /// in a fixed workload order.
-class TelemetryFeed {
- public:
-  virtual ~TelemetryFeed() = default;
-
-  virtual int num_workloads() const = 0;
-  virtual std::string workload_name(int w) const = 0;
-
-  /// Fills `out` (resized to num_workloads()) with the next step's samples.
-  /// Returns false when the feed is exhausted (out untouched).
-  virtual bool Next(std::vector<TelemetrySample>* out) = 0;
-
-  /// Attaches an observability sink: every successful Next() counts into
-  /// "telemetry.steps_emitted" / "telemetry.samples_emitted". Counter
-  /// handles are cached here once, so the per-step cost is two relaxed
-  /// adds; a null sink detaches (one branch per step).
-  void AttachSink(obs::Sink* sink);
-
- protected:
-  /// Subclasses call this once per successful Next() with the step's
-  /// sample count.
-  void CountEmitted(size_t samples);
-
- private:
-  obs::Counter* steps_emitted_ = nullptr;
-  obs::Counter* samples_emitted_ = nullptr;
-};
-
-/// Replays pre-recorded per-step samples, e.g. converted trace series.
-class ReplayFeed : public TelemetryFeed {
+class ReplayFeed {
  public:
   ReplayFeed(std::vector<std::string> names,
              std::vector<std::vector<TelemetrySample>> steps);
@@ -73,16 +46,26 @@ class ReplayFeed : public TelemetryFeed {
   static ReplayFeed FromRun(const workload::RunResult& run,
                             const std::vector<double>& working_set_bytes);
 
-  int num_workloads() const override;
-  std::string workload_name(int w) const override;
-  bool Next(std::vector<TelemetrySample>* out) override;
-
+  int num_workloads() const { return static_cast<int>(names_.size()); }
+  std::string workload_name(int w) const { return names_[w]; }
   int steps_total() const { return static_cast<int>(steps_.size()); }
+
+  /// Fills `out` (resized to num_workloads()) with the next step's samples.
+  /// Returns false when the feed is exhausted (out untouched).
+  bool Next(std::vector<TelemetrySample>* out);
+
+  /// Attaches an observability sink: every successful Next() counts into
+  /// "telemetry.steps_emitted" / "telemetry.samples_emitted". Counter
+  /// handles are cached here once, so the per-step cost is two relaxed
+  /// adds; a null sink detaches (one branch per step).
+  void AttachSink(obs::Sink* sink);
 
  private:
   std::vector<std::string> names_;
   std::vector<std::vector<TelemetrySample>> steps_;  // [step][workload]
   size_t cursor_ = 0;
+  obs::Counter* steps_emitted_ = nullptr;
+  obs::Counter* samples_emitted_ = nullptr;
 };
 
 }  // namespace kairos::online

@@ -1,6 +1,5 @@
 #include "sim/capacity.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace kairos::sim {
@@ -35,14 +34,10 @@ CapacityLedger::CapacityLedger(const FleetSpec& fleet, int num_servers,
   ws_.assign(num_servers, 0.0);
 }
 
-CapacityLedger::CapacityLedger(const MachineSpec& machine, int num_servers,
-                               int samples, double cpu_headroom,
-                               double ram_headroom, double ram_overhead_bytes)
-    : CapacityLedger(FleetSpec::Homogeneous(machine), num_servers, samples,
-                     cpu_headroom, ram_headroom, ram_overhead_bytes) {}
-
 bool CapacityLedger::CanAdd(int server, const std::vector<double>& cpu_cores,
-                            const std::vector<double>& ram_bytes) const {
+                            const std::vector<double>& ram_bytes,
+                            const std::vector<double>& update_rows_per_sec,
+                            double working_set_bytes) const {
   assert(server >= 0 && server < num_servers());
   assert(static_cast<int>(cpu_cores.size()) >= samples_ &&
          static_cast<int>(ram_bytes.size()) >= samples_);
@@ -52,14 +47,6 @@ bool CapacityLedger::CanAdd(int server, const std::vector<double>& cpu_cores,
     if (cpu[t] + cpu_cores[t] > cpu_capacity_[server]) return false;
     if (ram[t] + ram_bytes[t] > ram_capacity_[server]) return false;
   }
-  return true;
-}
-
-bool CapacityLedger::CanAdd(int server, const std::vector<double>& cpu_cores,
-                            const std::vector<double>& ram_bytes,
-                            const std::vector<double>& update_rows_per_sec,
-                            double working_set_bytes) const {
-  if (!CanAdd(server, cpu_cores, ram_bytes)) return false;
   const model::DiskResource& disk = class_disk_[class_of_[server]];
   if (!disk.active()) return true;
   assert(static_cast<int>(update_rows_per_sec.size()) >= samples_);
@@ -71,61 +58,34 @@ bool CapacityLedger::CanAdd(int server, const std::vector<double>& cpu_cores,
   return true;
 }
 
-void CapacityLedger::AddCpuRam(int server, const std::vector<double>& cpu_cores,
-                               const std::vector<double>& ram_bytes,
-                               double sign) {
+void CapacityLedger::Apply(int server, const std::vector<double>& cpu_cores,
+                           const std::vector<double>& ram_bytes,
+                           const std::vector<double>& update_rows_per_sec,
+                           double working_set_bytes, double sign) {
   assert(server >= 0 && server < num_servers());
+  assert(static_cast<int>(update_rows_per_sec.size()) >= samples_);
   for (int t = 0; t < samples_; ++t) {
     cpu_[server][t] += sign * cpu_cores[t];
     ram_[server][t] += sign * ram_bytes[t];
+    rate_[server][t] += sign * update_rows_per_sec[t];
   }
-}
-
-void CapacityLedger::Add(int server, const std::vector<double>& cpu_cores,
-                         const std::vector<double>& ram_bytes) {
-  // Mixing arities on a disk-constrained class leaves rate/ws books stale.
-  assert(!class_disk_[class_of_[server]].active());
-  AddCpuRam(server, cpu_cores, ram_bytes, +1.0);
+  ws_[server] += sign * working_set_bytes;
 }
 
 void CapacityLedger::Add(int server, const std::vector<double>& cpu_cores,
                          const std::vector<double>& ram_bytes,
                          const std::vector<double>& update_rows_per_sec,
                          double working_set_bytes) {
-  AddCpuRam(server, cpu_cores, ram_bytes, +1.0);
-  assert(static_cast<int>(update_rows_per_sec.size()) >= samples_);
-  for (int t = 0; t < samples_; ++t) {
-    rate_[server][t] += update_rows_per_sec[t];
-  }
-  ws_[server] += working_set_bytes;
-}
-
-void CapacityLedger::Remove(int server, const std::vector<double>& cpu_cores,
-                            const std::vector<double>& ram_bytes) {
-  assert(!class_disk_[class_of_[server]].active());
-  AddCpuRam(server, cpu_cores, ram_bytes, -1.0);
+  Apply(server, cpu_cores, ram_bytes, update_rows_per_sec, working_set_bytes,
+        +1.0);
 }
 
 void CapacityLedger::Remove(int server, const std::vector<double>& cpu_cores,
                             const std::vector<double>& ram_bytes,
                             const std::vector<double>& update_rows_per_sec,
                             double working_set_bytes) {
-  AddCpuRam(server, cpu_cores, ram_bytes, -1.0);
-  assert(static_cast<int>(update_rows_per_sec.size()) >= samples_);
-  for (int t = 0; t < samples_; ++t) {
-    rate_[server][t] -= update_rows_per_sec[t];
-  }
-  ws_[server] -= working_set_bytes;
-}
-
-double CapacityLedger::PeakDiskFraction(int server) const {
-  assert(server >= 0 && server < num_servers());
-  const model::DiskResource& disk = class_disk_[class_of_[server]];
-  if (!disk.active()) return 0.0;
-  const double cap = disk.UsableCapacity(ws_[server]);
-  const double peak =
-      *std::max_element(rate_[server].begin(), rate_[server].end());
-  return cap > 0 ? peak / cap : 0.0;
+  Apply(server, cpu_cores, ram_bytes, update_rows_per_sec, working_set_bytes,
+        -1.0);
 }
 
 }  // namespace kairos::sim

@@ -21,7 +21,6 @@
 
 #include "model/resource_model.h"
 #include "sim/fleet.h"
-#include "sim/machine.h"
 
 namespace kairos::sim {
 
@@ -43,52 +42,34 @@ class CapacityLedger {
                  const model::DiskModel* shared_disk_model = nullptr,
                  double shared_disk_headroom = 0.9);
 
-  /// Homogeneous convenience: every server is one `machine`.
-  CapacityLedger(const MachineSpec& machine, int num_servers, int samples,
-                 double cpu_headroom, double ram_headroom,
-                 double ram_overhead_bytes);
-
   int num_servers() const { return static_cast<int>(cpu_.size()); }
 
   /// True when adding the series to `server` keeps every sample within the
-  /// headroomed capacity — CPU/RAM only (no disk demand supplied).
-  bool CanAdd(int server, const std::vector<double>& cpu_cores,
-              const std::vector<double>& ram_bytes) const;
-
-  /// Disk-aware admission: additionally checks the update rate against the
-  /// server class's headroomed sustainable rate at the combined working
-  /// set (ledger working set + `working_set_bytes`). Classes without a
-  /// disk model skip the disk check.
+  /// headroomed CPU/RAM capacity and the update rate within the server
+  /// class's headroomed sustainable rate at the combined working set
+  /// (ledger working set + `working_set_bytes`). Classes without a disk
+  /// model skip the disk check.
   bool CanAdd(int server, const std::vector<double>& cpu_cores,
               const std::vector<double>& ram_bytes,
               const std::vector<double>& update_rows_per_sec,
               double working_set_bytes) const;
 
-  /// CPU/RAM-only mutators. Asserts (debug builds) that the server's class
-  /// has no active disk axis: mixing these with the disk-aware overloads
-  /// would leave rate/working-set state stale and let the spill check admit
-  /// an overloading move against empty disk books.
-  void Add(int server, const std::vector<double>& cpu_cores,
-           const std::vector<double>& ram_bytes);
+  /// Books (Add) or releases (Remove) one load on `server`.
   void Add(int server, const std::vector<double>& cpu_cores,
            const std::vector<double>& ram_bytes,
            const std::vector<double>& update_rows_per_sec,
            double working_set_bytes);
   void Remove(int server, const std::vector<double>& cpu_cores,
-              const std::vector<double>& ram_bytes);
-  void Remove(int server, const std::vector<double>& cpu_cores,
               const std::vector<double>& ram_bytes,
               const std::vector<double>& update_rows_per_sec,
               double working_set_bytes);
 
-  /// Worst-sample disk load of `server` as a fraction of its headroomed
-  /// sustainable rate at the current ledger working set (0 when the
-  /// server's class has no disk model).
-  double PeakDiskFraction(int server) const;
-
  private:
-  void AddCpuRam(int server, const std::vector<double>& cpu_cores,
-                 const std::vector<double>& ram_bytes, double sign);
+  /// Adds (`sign` +1) or removes (-1) one load from `server`'s books.
+  void Apply(int server, const std::vector<double>& cpu_cores,
+             const std::vector<double>& ram_bytes,
+             const std::vector<double>& update_rows_per_sec,
+             double working_set_bytes, double sign);
 
   int samples_;
   std::vector<double> cpu_capacity_;  // per server: cores * headroom

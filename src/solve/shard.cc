@@ -535,61 +535,6 @@ int RebalanceAcrossShards(const std::vector<FleetShard>& shards,
 
 }  // namespace
 
-bool ShardRepair(const core::ConsolidationProblem& problem,
-                 const SolveBudget& budget, const ShardOptions& options,
-                 uint64_t master_seed, int workload,
-                 core::ConsolidationPlan* plan) {
-  const int cap = HardCap(problem);
-  const int total_slots = problem.TotalSlots();
-  if (workload < 0 || workload >= static_cast<int>(problem.workloads.size())) {
-    return false;
-  }
-  if (static_cast<int>(problem.current_assignment.size()) != total_slots) {
-    return false;
-  }
-  for (int s : problem.current_assignment) {
-    if (s < 0 || s >= cap) return false;  // stranded incumbent: full re-solve
-  }
-
-  const ShardPartitioner partitioner(problem, options);
-  const std::vector<FleetShard> shards = partitioner.Partition(master_seed);
-  const FleetShard* target = nullptr;
-  for (const FleetShard& shard : shards) {
-    if (std::binary_search(shard.workloads.begin(), shard.workloads.end(),
-                           workload)) {
-      target = &shard;
-      break;
-    }
-  }
-  if (target == nullptr || target->servers.empty()) return false;
-
-  const bool warm = ValidSeedAssignment(problem, cap, budget.seed_assignment);
-  const std::vector<int> local =
-      SolveShardLocal(*target, budget, static_cast<int>(shards.size()),
-                      warm ? &budget.seed_assignment : nullptr, options);
-
-  std::vector<int> stitched = problem.current_assignment;
-  for (int ls = 0; ls < static_cast<int>(target->slots.size()); ++ls) {
-    stitched[target->slots[ls]] = target->servers[local[ls]];
-  }
-
-  core::Evaluator ev(problem, cap);
-  ev.Load(problem.current_assignment);
-  const double cost_old = ev.current_cost();
-  const bool feasible_old = ev.IsFeasible();
-  ev.Load(stitched);
-  for (int sl = 0; sl < ev.num_slots(); ++sl) {
-    const int pin = ev.PinOfSlot(sl);
-    if (pin >= 0 && pin < cap && ev.assignment()[sl] != pin) {
-      ev.ApplyMove(sl, pin);
-    }
-  }
-  if (ev.current_cost() > cost_old) return false;
-  if (feasible_old && !ev.IsFeasible()) return false;
-  *plan = core::FinalizePlan(problem, ev.assignment(), cap);
-  return true;
-}
-
 ShardedSolver::ShardedSolver(uint64_t seed, ShardOptions options)
     : seed_(seed), options_(std::move(options)) {}
 

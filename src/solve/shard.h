@@ -64,8 +64,9 @@ uint64_t ShardSeed(uint64_t master_seed, int shard_id);
 /// virtual class regardless of how it is declared, so behaviourally
 /// identical fleet representations partition identically. Workloads are
 /// routed whole (all replicas together), anti-affinity groups atomically
-/// (union-find), pinned groups to the shard owning the pin, migration-aware
-/// groups to the shard owning their current server, and the rest
+/// (union-find), pinned groups to the shard owning the pin, groups of a
+/// problem that carries a current_assignment to the shard owning their
+/// current server (when it fits their replicas), and the rest
 /// longest-processing-time-first onto the shard with the most normalized
 /// headroom. The partition uses only behavioural values (capacities, cost
 /// weights, demand peaks) — never pointer identity or declaration layout.
@@ -123,21 +124,6 @@ class ShardedSolver : public Solver {
   uint64_t seed_;
   ShardOptions options_;
 };
-
-/// Shard-routed drift repair (the online controller's fast path): partition
-/// `problem`, re-solve only the shard whose routing owns `workload`
-/// (warm-started from the budget's seed when it carries over), and keep
-/// every other slot at problem.current_assignment. Returns true — filling
-/// *plan — when the stitched plan scores no worse than the incumbent
-/// placement and is no less feasible; false when the problem carries no
-/// in-range incumbent, the workload index is invalid, or the local
-/// re-solve did not pay off (callers then fall back to a full re-solve).
-/// Deterministic: a pure function of (problem, budget, options, seed,
-/// workload).
-bool ShardRepair(const core::ConsolidationProblem& problem,
-                 const SolveBudget& budget, const ShardOptions& options,
-                 uint64_t master_seed, int workload,
-                 core::ConsolidationPlan* plan);
 
 }  // namespace kairos::solve
 

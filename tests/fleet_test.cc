@@ -313,8 +313,10 @@ TEST(FleetHeterogeneousTest, CapacityLedgerUsesPerServerCapacity) {
 
   const std::vector<double> cpu(4, 0.5);
   const std::vector<double> ram(4, 60.0 * static_cast<double>(util::kGiB));
-  EXPECT_FALSE(ledger.CanAdd(0, cpu, ram));  // 60 GB > Server1's 32 GB
-  EXPECT_TRUE(ledger.CanAdd(1, cpu, ram));   // fits the 96 GB target
+  const std::vector<double> no_rate(4, 0.0);
+  // 60 GB exceeds Server1's 32 GB and fits the 96 GB target.
+  EXPECT_FALSE(ledger.CanAdd(0, cpu, ram, no_rate, 0.0));
+  EXPECT_TRUE(ledger.CanAdd(1, cpu, ram, no_rate, 0.0));
 }
 
 TEST(FleetHeterogeneousTest, MigrationSpillCheckRespectsClassCapacity) {

@@ -189,20 +189,22 @@ TEST(MigrationTest, SwapDeadlockBouncesThroughSpareServer) {
   sim::CapacityLedger ledger(prob.fleet, 3, 4, prob.cpu_headroom,
                              prob.ram_headroom,
                              static_cast<double>(prob.instance_ram_overhead_bytes));
+  const std::vector<double> no_rate(4, 0.0);
   std::vector<int> state = {0, 1};
   for (int s = 0; s < 2; ++s) {
     ledger.Add(state[s], prob.workloads[s].cpu_cores.values(),
-               prob.workloads[s].ram_bytes.values());
+               prob.workloads[s].ram_bytes.values(), no_rate, 0.0);
   }
   for (const auto& stage : plan.stages) {
     for (const auto& m : stage.moves) {
       EXPECT_EQ(m.from, state[m.slot]);
       EXPECT_TRUE(ledger.CanAdd(m.to, prob.workloads[m.slot].cpu_cores.values(),
-                                prob.workloads[m.slot].ram_bytes.values()));
+                                prob.workloads[m.slot].ram_bytes.values(),
+                                no_rate, 0.0));
       ledger.Add(m.to, prob.workloads[m.slot].cpu_cores.values(),
-                 prob.workloads[m.slot].ram_bytes.values());
+                 prob.workloads[m.slot].ram_bytes.values(), no_rate, 0.0);
       ledger.Remove(m.from, prob.workloads[m.slot].cpu_cores.values(),
-                    prob.workloads[m.slot].ram_bytes.values());
+                    prob.workloads[m.slot].ram_bytes.values(), no_rate, 0.0);
       state[m.slot] = m.to;
     }
   }
@@ -467,23 +469,6 @@ TEST(ControllerTest, DrainRefusalPointsAtDrainClassOnHeterogeneousFleet) {
   EXPECT_NE(why.find("DrainClass"), std::string::npos) << why;
   EXPECT_NE(why.find(config.base.fleet.Render()), std::string::npos) << why;
   EXPECT_EQ(controller.active_servers(), 4);  // fleet unchanged
-}
-
-TEST(ControllerTest, ShardRepairGateKeepsHistoryDeterministic) {
-  const trace::ScenarioTelemetry scenario = DiurnalScenario();
-  ControllerConfig config = MakeControllerConfig(scenario, true);
-  config.shard_repair = true;
-  config.shard.num_shards = 2;
-
-  config.threads = 1;
-  const std::string one_thread = RunScenarioHistory(scenario, config);
-  config.threads = 4;
-  const std::string four_threads = RunScenarioHistory(scenario, config);
-  const std::string four_again = RunScenarioHistory(scenario, config);
-
-  EXPECT_FALSE(one_thread.empty());
-  EXPECT_EQ(one_thread, four_threads);
-  EXPECT_EQ(four_threads, four_again);
 }
 
 TEST(ControllerTest, StableTrafficNeverResolvesAfterBootstrap) {

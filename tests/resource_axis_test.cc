@@ -261,18 +261,16 @@ TEST(DiskAwareLedgerTest, LedgerTracksRateAndWorkingSet) {
 
   EXPECT_TRUE(ledger.CanAdd(0, cpu, ram, rate, 10e9));
   ledger.Add(0, cpu, ram, rate, 10e9);
-  EXPECT_GT(ledger.PeakDiskFraction(0), 0.5);
   // A second identical tenant would exceed the headroomed frontier at the
   // *combined* working set.
   EXPECT_FALSE(ledger.CanAdd(0, cpu, ram, rate, 10e9));
-  // CPU/RAM-only admission still passes: disk is what binds.
-  EXPECT_TRUE(ledger.CanAdd(0, cpu, ram));
+  // The same CPU/RAM with no disk demand still passes: disk is what binds.
+  EXPECT_TRUE(ledger.CanAdd(0, cpu, ram, std::vector<double>(4, 0.0), 0.0));
   // The other (empty) server takes it.
   EXPECT_TRUE(ledger.CanAdd(1, cpu, ram, rate, 10e9));
   // Removing the load frees the axis again.
   ledger.Remove(0, cpu, ram, rate, 10e9);
   EXPECT_TRUE(ledger.CanAdd(0, cpu, ram, rate, 10e9));
-  EXPECT_EQ(ledger.PeakDiskFraction(0), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-// Unit and property tests of the resource-axis layer (model/resource_model.h):
-// linear axes combine additively, the nonlinear disk combiner is monotone
-// in added working set, and an invalid disk model degrades the axis to
-// linear semantics (the classic "no disk constraint" setup).
+// Unit and property tests of the disk axis (model/resource_model.h): the
+// nonlinear disk combiner is monotone in added working set, and an invalid
+// disk model leaves the axis inactive and unbounded (the classic "no disk
+// constraint" setup).
 #include "model/resource_model.h"
 
 #include <gtest/gtest.h>
@@ -15,28 +15,6 @@ namespace {
 model::DiskModel AnalyticSpindleModel() {
   return model::BuildAnalyticModel(sim::DiskSpec{}, model::AnalyticConfig{},
                                    96e9, 4000.0);
-}
-
-TEST(LinearResourceTest, ConstantCapacityAndHeadroom) {
-  const model::LinearResource cpu("cpu", 12.0, 0.9);
-  EXPECT_EQ(cpu.name(), "cpu");
-  EXPECT_TRUE(cpu.active());
-  EXPECT_EQ(cpu.Capacity(0.0), 12.0);
-  EXPECT_EQ(cpu.Capacity(1e12), 12.0);  // aux is ignored
-  EXPECT_EQ(cpu.UsableCapacity(0.0), 12.0 * 0.9);
-  EXPECT_DOUBLE_EQ(cpu.Utilization(6.0, 0.0), 0.5);
-}
-
-TEST(LinearResourceTest, UtilizationIsAdditiveInLoad) {
-  const model::LinearResource ram("ram", 96e9, 0.95);
-  // Linear combination: the utilization of a summed load is the sum of the
-  // utilizations — the paper's CPU/RAM combining property.
-  for (double a : {1e9, 7e9, 20e9}) {
-    for (double b : {2e9, 11e9, 40e9}) {
-      EXPECT_DOUBLE_EQ(ram.Utilization(a + b, 0.0),
-                       ram.Utilization(a, 0.0) + ram.Utilization(b, 0.0));
-    }
-  }
 }
 
 TEST(DiskResourceTest, MatchesLegacyHeadroomArithmetic) {
@@ -65,10 +43,10 @@ TEST(DiskResourceTest, MonotoneInAddedWorkingSet) {
   // as tenants pile working set onto the server.
   const double rate = 200.0;
   double prev_cap = disk.Capacity(1e9);
-  double prev_util = disk.Utilization(rate, 1e9);
+  double prev_util = rate / prev_cap;
   for (double ws = 2e9; ws <= 96e9; ws += 1e9) {
     const double cap = disk.Capacity(ws);
-    const double util = disk.Utilization(rate, ws);
+    const double util = rate / cap;
     EXPECT_LE(cap, prev_cap * (1.0 + 1e-3)) << "capacity grew at ws=" << ws;
     EXPECT_GE(util, prev_util * (1.0 - 1e-3)) << "utilization shrank at ws=" << ws;
     prev_cap = cap;
@@ -82,15 +60,14 @@ TEST(DiskResourceTest, MonotoneInAddedWorkingSet) {
 TEST(DiskResourceTest, ReducesToLinearWhenModelInvalid) {
   const model::DiskModel invalid;  // never fitted
   ASSERT_FALSE(invalid.valid());
-  const model::DiskResource disk(&invalid, 0.9, /*fallback_capacity=*/500.0);
+  const model::DiskResource disk(&invalid, 0.9);
   EXPECT_FALSE(disk.active());
-  // Capacity no longer depends on the working set: linear semantics.
-  EXPECT_EQ(disk.Capacity(1e9), 500.0);
-  EXPECT_EQ(disk.Capacity(64e9), 500.0);
-  EXPECT_DOUBLE_EQ(disk.Utilization(100.0, 1e9) + disk.Utilization(150.0, 64e9),
-                   disk.Utilization(250.0, 3e9));
+  // Capacity no longer depends on the working set (linear semantics), and
+  // with no model it is unbounded: no constraint.
+  EXPECT_EQ(disk.Capacity(1e9), model::DiskResource::kUnbounded);
+  EXPECT_EQ(disk.Capacity(64e9), model::DiskResource::kUnbounded);
 
-  // Null model behaves the same (and defaults to unbounded capacity).
+  // Null model behaves the same.
   const model::DiskResource none;
   EXPECT_FALSE(none.active());
   EXPECT_EQ(none.Capacity(1e9), model::DiskResource::kUnbounded);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/evaluator.h"
 #include "solve/solver.h"
 #include "util/units.h"
 
@@ -222,6 +221,65 @@ TEST(ShardPartitionerTest, AutoShardCountClampsToServerCap) {
   EXPECT_EQ(ShardPartitioner(prob, options).ResolvedShardCount(), 10);
 }
 
+TEST(ShardPartitionerTest, IncumbentGroupsRouteToTheirCurrentServersShard) {
+  core::ConsolidationProblem prob = TwoClassProblem();
+  prob.workloads[2].replicas = 2;       // slots 2, 3: current in both shards
+  prob.workloads[4].pinned_server = 1;  // the pin (shard 0) beats slot 5's current
+  prob.workloads[6].replicas = 6;       // fits neither 5-server shard
+  std::vector<int> slot_begin = {0};
+  for (const auto& w : prob.workloads) {
+    slot_begin.push_back(slot_begin.back() + w.replicas);
+  }
+  prob.current_assignment.resize(prob.TotalSlots());
+  for (int sl = 0; sl < prob.TotalSlots(); ++sl) {
+    prob.current_assignment[sl] = sl % prob.ServerCap();
+  }
+
+  ShardOptions options;
+  options.num_shards = 2;
+  const ShardPartitioner partitioner(prob, options);
+  const std::vector<FleetShard> shards = partitioner.Partition(11);
+  ASSERT_EQ(shards.size(), 2u);
+
+  std::vector<int> shard_of_workload(prob.workloads.size(), -1);
+  for (const FleetShard& shard : shards) {
+    for (int w : shard.workloads) shard_of_workload[w] = shard.id;
+  }
+  // An unpinned group goes where its first slot currently runs, whenever
+  // that shard has a server per replica.
+  for (int w = 0; w < static_cast<int>(prob.workloads.size()); ++w) {
+    if (prob.workloads[w].pinned_server >= 0) continue;
+    const int home =
+        partitioner.ShardOfServer(prob.current_assignment[slot_begin[w]]);
+    if (static_cast<int>(shards[home].servers.size()) <
+        prob.workloads[w].replicas) {
+      continue;
+    }
+    EXPECT_EQ(shard_of_workload[w], home) << "workload " << w;
+  }
+
+  // Each shard keeps the current servers it owns (remapped to local
+  // indices) and maps every foreign one to -1.
+  int foreign = 0;
+  for (const FleetShard& shard : shards) {
+    ASSERT_EQ(shard.problem.current_assignment.size(), shard.slots.size());
+    for (size_t ls = 0; ls < shard.slots.size(); ++ls) {
+      const int current = prob.current_assignment[shard.slots[ls]];
+      const int local = shard.problem.current_assignment[ls];
+      if (std::binary_search(shard.servers.begin(), shard.servers.end(),
+                             current)) {
+        ASSERT_GE(local, 0);
+        EXPECT_EQ(shard.servers[local], current);
+      } else {
+        EXPECT_EQ(local, -1) << "shard " << shard.id << " slot "
+                             << shard.slots[ls];
+        ++foreign;
+      }
+    }
+  }
+  EXPECT_GT(foreign, 0);
+}
+
 // ---------------------------------------------------------------------------
 // ShardedSolver
 // ---------------------------------------------------------------------------
@@ -290,84 +348,6 @@ TEST(ShardedSolverTest, EmptyProblemYieldsEmptyPlan) {
   const core::ConsolidationPlan plan = solver.Solve(prob, SolveBudget{});
   EXPECT_TRUE(plan.assignment.server_of_slot.empty());
   EXPECT_EQ(plan.servers_used, 0);
-}
-
-// ---------------------------------------------------------------------------
-// ShardRepair
-// ---------------------------------------------------------------------------
-
-TEST(ShardRepairTest, RepairsLocallyAndNeverWorsensCost) {
-  core::ConsolidationProblem prob = TwoClassProblem(16);
-  prob.migration_cost_weight = 25.0;
-
-  // Build an incumbent with a full solve, then perturb it.
-  ShardOptions options;
-  options.num_shards = 2;
-  ShardedSolver solver(11, options);
-  const core::ConsolidationPlan incumbent =
-      solver.Solve(prob, SolveBudget{});
-  prob.current_assignment = incumbent.assignment.server_of_slot;
-
-  const int cap = prob.ServerCap();
-  core::Evaluator ev(prob, cap);
-  ev.Load(prob.current_assignment);
-  const double cost_before = ev.current_cost();
-
-  const int workload = 3;
-  core::ConsolidationPlan repaired;
-  const bool ok =
-      ShardRepair(prob, SolveBudget{}, options, 11, workload, &repaired);
-  if (ok) {
-    ASSERT_EQ(static_cast<int>(repaired.assignment.server_of_slot.size()),
-              prob.TotalSlots());
-    // No worse than the incumbent under the same (migration-aware) score.
-    EXPECT_LE(ev.Evaluate(repaired.assignment.server_of_slot),
-              cost_before + 1e-9);
-    // Only the target shard's slots may differ from the incumbent.
-    const ShardPartitioner partitioner(prob, options);
-    const std::vector<FleetShard> shards = partitioner.Partition(11);
-    std::vector<char> in_target(prob.TotalSlots(), 0);
-    for (const FleetShard& shard : shards) {
-      if (std::binary_search(shard.workloads.begin(), shard.workloads.end(),
-                             workload)) {
-        for (int sl : shard.slots) in_target[sl] = 1;
-      }
-    }
-    for (int sl = 0; sl < prob.TotalSlots(); ++sl) {
-      if (!in_target[sl]) {
-        EXPECT_EQ(repaired.assignment.server_of_slot[sl],
-                  prob.current_assignment[sl])
-            << "foreign slot " << sl << " moved";
-      }
-    }
-  }
-
-  // Deterministic: a second call agrees bit for bit.
-  core::ConsolidationPlan again;
-  EXPECT_EQ(ShardRepair(prob, SolveBudget{}, options, 11, workload, &again), ok);
-  if (ok) {
-    EXPECT_EQ(again.assignment.server_of_slot,
-              repaired.assignment.server_of_slot);
-  }
-}
-
-TEST(ShardRepairTest, RefusesWithoutUsableIncumbent) {
-  core::ConsolidationProblem prob = TwoClassProblem(8);
-  core::ConsolidationPlan plan;
-  ShardOptions options;
-  // No incumbent at all.
-  EXPECT_FALSE(ShardRepair(prob, SolveBudget{}, options, 1, 0, &plan));
-  // Wrong length.
-  prob.current_assignment = {0, 1};
-  EXPECT_FALSE(ShardRepair(prob, SolveBudget{}, options, 1, 0, &plan));
-  // Stranded incumbent entry (beyond the cap).
-  prob.current_assignment.assign(prob.TotalSlots(), 0);
-  prob.current_assignment[0] = prob.ServerCap();
-  EXPECT_FALSE(ShardRepair(prob, SolveBudget{}, options, 1, 0, &plan));
-  // Invalid workload index.
-  prob.current_assignment.assign(prob.TotalSlots(), 0);
-  EXPECT_FALSE(ShardRepair(prob, SolveBudget{}, options, 1, -1, &plan));
-  EXPECT_FALSE(ShardRepair(prob, SolveBudget{}, options, 1, 99, &plan));
 }
 
 }  // namespace
