@@ -72,7 +72,6 @@ RunResult RunSharded(const core::ConsolidationProblem& prob,
   solve::ShardOptions options;
   options.threads = threads;
   options.num_shards = num_shards;
-  options.local_solver = "greedy-multi";  // volume over polish at this scale
   solve::ShardedSolver solver(bench::kSeed, options);
   bench::ScopedTimer timer;
   RunResult r;

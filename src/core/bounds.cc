@@ -7,6 +7,36 @@
 
 namespace kairos::core {
 
+double ServerCost(const ConsolidationProblem& problem,
+                  const LoadAccountant& acct, int j, double* violation_out) {
+  const double* cpu = acct.ServerSeries(Axis::kCpu, j);
+  const double* ram = acct.ServerSeries(Axis::kRam, j);
+  const double* rate = acct.ServerSeries(Axis::kRate, j);
+  return ServerAggregateCost(
+      problem, acct, acct.ClassOfServer(j), acct.ServerWs(j),
+      acct.ServerCount(j), [&](int t) { return cpu[t]; },
+      [&](int t) { return ram[t]; }, [&](int t) { return rate[t]; },
+      violation_out);
+}
+
+double WhatIfServerCost(const ConsolidationProblem& problem,
+                        const LoadAccountant& acct, int j, int slot,
+                        double sign) {
+  const double* srv_cpu = acct.ServerSeries(Axis::kCpu, j);
+  const double* srv_ram = acct.ServerSeries(Axis::kRam, j);
+  const double* srv_rate = acct.ServerSeries(Axis::kRate, j);
+  const double* sl_cpu = acct.SlotSeries(Axis::kCpu, slot);
+  const double* sl_ram = acct.SlotSeries(Axis::kRam, slot);
+  const double* sl_rate = acct.SlotSeries(Axis::kRate, slot);
+  return ServerAggregateCost(
+      problem, acct, acct.ClassOfServer(j),
+      acct.ServerWs(j) + sign * acct.SlotWs(slot),
+      acct.ServerCount(j) + (sign > 0 ? 1 : -1),
+      [&](int t) { return srv_cpu[t] + sign * sl_cpu[t]; },
+      [&](int t) { return srv_ram[t] + sign * sl_ram[t]; },
+      [&](int t) { return srv_rate[t] + sign * sl_rate[t]; }, nullptr);
+}
+
 int BoundEngine::FractionalServerBound(const ConsolidationProblem& problem) {
   const LoadAccountant acct(problem, 1, /*track_server_load=*/false);
   const int num_slots = acct.num_slots();
@@ -344,93 +374,13 @@ BoundEngine::BoundEngine(const ConsolidationProblem& problem, int cap)
     if (first || w < min_placable_weight_) min_placable_weight_ = w;
     first = false;
   }
-
-  // Affinity/migration indexes, mirroring Evaluator's constructor so the
-  // committed partial cost prices every term identically.
-  slot_move_cost_.reserve(acct_.num_slots());
-  for (int wi = 0; wi < static_cast<int>(problem.workloads.size()); ++wi) {
-    const double move_cost =
-        wi < static_cast<int>(problem.migration_move_cost.size())
-            ? problem.migration_move_cost[wi]
-            : 1.0;
-    for (int r = 0; r < problem.workloads[wi].replicas; ++r) {
-      slot_move_cost_.push_back(move_cost);
-    }
-  }
-  if (static_cast<int>(problem.current_assignment.size()) ==
-      acct_.num_slots()) {
-    slot_current_ = problem.current_assignment;
-  }
-  has_migration_ =
-      problem.migration_cost_weight > 0.0 && !slot_current_.empty();
-
-  const int num_workloads = static_cast<int>(problem.workloads.size());
-  workload_slot_begin_.assign(num_workloads + 1, 0);
-  for (int wi = 0; wi < num_workloads; ++wi) {
-    workload_slot_begin_[wi + 1] =
-        workload_slot_begin_[wi] + problem.workloads[wi].replicas;
-  }
-  affinity_partners_.assign(num_workloads, {});
-  for (const auto& [wa, wb] : problem.anti_affinity) {
-    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads ||
-        wa == wb) {
-      continue;  // a self pair is the replica rule, charged by its own scan
-    }
-    affinity_partners_[wa].push_back(wb);
-    affinity_partners_[wb].push_back(wa);
-  }
-}
-
-double BoundEngine::WhatIfPlaced(int j, int slot) const {
-  const double* srv_cpu = acct_.ServerSeries(Axis::kCpu, j);
-  const double* srv_ram = acct_.ServerSeries(Axis::kRam, j);
-  const double* srv_rate = acct_.ServerSeries(Axis::kRate, j);
-  const double* sl_cpu = acct_.SlotSeries(Axis::kCpu, slot);
-  const double* sl_ram = acct_.SlotSeries(Axis::kRam, slot);
-  const double* sl_rate = acct_.SlotSeries(Axis::kRate, slot);
-  const double ws = acct_.ServerWs(j) + acct_.SlotWs(slot);
-  const int count = acct_.ServerCount(j) + 1;
-  return ServerAggregateCost(
-      problem_, acct_, acct_.ClassOfServer(j), ws, count,
-      [&](int t) { return srv_cpu[t] + sl_cpu[t]; },
-      [&](int t) { return srv_ram[t] + sl_ram[t]; },
-      [&](int t) { return srv_rate[t] + sl_rate[t]; }, nullptr);
-}
-
-void BoundEngine::RecomputeServer(int j) {
-  const double* cpu = acct_.ServerSeries(Axis::kCpu, j);
-  const double* ram = acct_.ServerSeries(Axis::kRam, j);
-  const double* rate = acct_.ServerSeries(Axis::kRate, j);
-  server_cost_[j] = ServerAggregateCost(
-      problem_, acct_, acct_.ClassOfServer(j), acct_.ServerWs(j),
-      acct_.ServerCount(j), [&](int t) { return cpu[t]; },
-      [&](int t) { return ram[t]; }, [&](int t) { return rate[t]; },
-      &server_violation_[j]);
-}
-
-double BoundEngine::SlotAffinityUnits(int slot, int server) const {
-  // Placed slots only: unassigned slots carry -1 and can never equal a
-  // valid server index, so the same scan shape as Evaluator::SlotAffinity
-  // naturally skips them.
-  double units = 0;
-  const int w = acct_.WorkloadOfSlot(slot);
-  for (int b = workload_slot_begin_[w]; b < workload_slot_begin_[w + 1]; ++b) {
-    if (b != slot && assignment_[b] == server) units += 1;
-  }
-  for (int p : affinity_partners_[w]) {
-    for (int b = workload_slot_begin_[p]; b < workload_slot_begin_[p + 1];
-         ++b) {
-      if (b != slot && assignment_[b] == server) units += 1;
-    }
-  }
-  return units;
 }
 
 double BoundEngine::PlaceDelta(int slot, int server) const {
-  double delta = WhatIfPlaced(server, slot) - server_cost_[server];
-  delta += SlotAffinityUnits(slot, server) *
-           (kViolationBase + kViolationScale * kAffinityUnit);
-  delta += SlotMigrationCost(slot, server);
+  double delta = WhatIfServerCost(problem_, acct_, server, slot, +1.0) -
+                 server_cost_[server];
+  delta += acct_.AffinityUnits(assignment_, slot, server) * kAffinityPenalty;
+  delta += acct_.MigrationCost(slot, server);
   const int pin = acct_.PinOfSlot(slot);
   if (pin >= 0 && pin != server) delta += kPinPenalty;
   return delta;
@@ -438,7 +388,7 @@ double BoundEngine::PlaceDelta(int slot, int server) const {
 
 void BoundEngine::Place(int slot, int server) {
   assert(assignment_[slot] < 0);
-  const double aff = SlotAffinityUnits(slot, server);
+  const double aff = acct_.AffinityUnits(assignment_, slot, server);
   const double old_cost = server_cost_[server];
   const double old_violation = server_violation_[server];
   if (acct_.ServerCount(server) == 0) {
@@ -450,9 +400,8 @@ void BoundEngine::Place(int slot, int server) {
   acct_.Apply(server, slot, +1.0);
   RecomputeServer(server);
   assignment_[slot] = server;
-  committed_cost_ += server_cost_[server] - old_cost +
-                     aff * (kViolationBase + kViolationScale * kAffinityUnit) +
-                     SlotMigrationCost(slot, server);
+  committed_cost_ += server_cost_[server] - old_cost + aff * kAffinityPenalty +
+                     acct_.MigrationCost(slot, server);
   const int pin = acct_.PinOfSlot(slot);
   if (pin >= 0 && pin != server) committed_cost_ += kPinPenalty;
   committed_violation_ += server_violation_[server] - old_violation;
@@ -461,14 +410,13 @@ void BoundEngine::Place(int slot, int server) {
 void BoundEngine::Unplace(int slot, int server) {
   assert(assignment_[slot] == server);
   assignment_[slot] = -1;
-  const double aff = SlotAffinityUnits(slot, server);
+  const double aff = acct_.AffinityUnits(assignment_, slot, server);
   const double old_cost = server_cost_[server];
   const double old_violation = server_violation_[server];
   acct_.Apply(server, slot, -1.0);
   RecomputeServer(server);
-  committed_cost_ -= old_cost - server_cost_[server] +
-                     aff * (kViolationBase + kViolationScale * kAffinityUnit) +
-                     SlotMigrationCost(slot, server);
+  committed_cost_ -= old_cost - server_cost_[server] + aff * kAffinityPenalty +
+                     acct_.MigrationCost(slot, server);
   const int pin = acct_.PinOfSlot(slot);
   if (pin >= 0 && pin != server) committed_cost_ -= kPinPenalty;
   committed_violation_ -= old_violation - server_violation_[server];

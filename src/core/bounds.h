@@ -15,10 +15,12 @@
 //    (CheapestCoverMixes), whose admissible completion costs come from the
 //    same fractional-cover arithmetic.
 //
-// The objective constants and the per-server cost arithmetic live here too
-// (ServerAggregateCost), so the evaluator's cached state, its what-if move
-// composition, and the exact search's partial aggregates all price a server
-// with literally the same expression.
+// The objective constants and the per-server pricings live here too
+// (ServerAggregateCost, and over it ServerCost and WhatIfServerCost), so
+// the evaluator's cached state, its what-if move composition, and the exact
+// search's partial aggregates all price a server with literally the same
+// code. The affinity and migration terms come from the accountant's
+// constraint index; BoundEngine keeps only the partial-assignment state.
 #ifndef KAIROS_CORE_BOUNDS_H_
 #define KAIROS_CORE_BOUNDS_H_
 
@@ -43,6 +45,9 @@ inline constexpr double kViolationScale = 1e7;
 /// Affinity violations are counted in units of this many "relative excess"
 /// points, so they share the violation penalty scale.
 inline constexpr double kAffinityUnit = 0.1;
+/// Objective points per affinity unit.
+inline constexpr double kAffinityPenalty =
+    kViolationBase + kViolationScale * kAffinityUnit;
 /// Penalty per slot placed away from its pinned server.
 inline constexpr double kPinPenalty = 1e9;
 /// Relative-excess units charged per slot left on a drained machine class,
@@ -109,6 +114,19 @@ double ServerAggregateCost(const ConsolidationProblem& problem,
   if (violation_out) *violation_out = violation;
   return cost;
 }
+
+/// Cost + constraint excess of server `j`'s aggregate as `acct` holds it.
+double ServerCost(const ConsolidationProblem& problem,
+                  const LoadAccountant& acct, int j, double* violation_out);
+
+/// Cost of server `j`'s aggregate with `slot` added (sign +1) or removed
+/// (-1), the aggregate itself untouched: the what-if pricing of a move.
+/// Each sample is `server + sign * slot`, the operation that
+/// LoadAccountant::Apply performs, so pricing after an Apply gives the
+/// same bits.
+double WhatIfServerCost(const ConsolidationProblem& problem,
+                        const LoadAccountant& acct, int j, int slot,
+                        double sign);
 
 /// A per-class server-count vector (indexed like the problem fleet) plus
 /// its fleet cost — one candidate purchase of the dimensioner's knapsack.
@@ -199,14 +217,8 @@ class BoundEngine {
   double CompletionBound() const;
 
  private:
-  double WhatIfPlaced(int j, int slot) const;
-  void RecomputeServer(int j);
-  /// Affinity units between `slot` and the placed slots on `server`.
-  double SlotAffinityUnits(int slot, int server) const;
-  double SlotMigrationCost(int slot, int server) const {
-    return (has_migration_ && server != slot_current_[slot])
-               ? problem_.migration_cost_weight * slot_move_cost_[slot]
-               : 0.0;
+  void RecomputeServer(int j) {
+    server_cost_[j] = ServerCost(problem_, acct_, j, &server_violation_[j]);
   }
 
   const ConsolidationProblem& problem_;
@@ -229,13 +241,6 @@ class BoundEngine {
   double best_cpu_cap_ = 0;
   double best_ram_cap_ = 0;
   double min_placable_weight_ = 0;
-
-  // Affinity/migration indexes, mirroring the evaluator's.
-  std::vector<int> workload_slot_begin_;
-  std::vector<std::vector<int>> affinity_partners_;
-  bool has_migration_ = false;
-  std::vector<int> slot_current_;
-  std::vector<double> slot_move_cost_;
 };
 
 }  // namespace kairos::core

@@ -21,27 +21,20 @@ int MinServersOf(const ConsolidationProblem& problem) {
   return min_servers;
 }
 
-/// Moves pinned servers to the front of `order` (appending any pin the
-/// order does not contain, e.g. on a drained class): DecodePoint forces
-/// pins onto their servers, so every probed subset must contain them.
-std::vector<int> WithPinsFirst(const ConsolidationProblem& problem,
-                               std::vector<int> order, int cap) {
+/// The distinct servers in [0, acct.num_servers()) some slot is pinned to,
+/// ascending: DecodePoint forces pins onto their servers, so every probed
+/// subset must contain them.
+std::vector<int> PinnedServers(const LoadAccountant& acct) {
+  std::vector<char> pinned(acct.num_servers(), 0);
+  for (int s = 0; s < acct.num_slots(); ++s) {
+    const int pin = acct.PinOfSlot(s);
+    if (pin >= 0 && pin < acct.num_servers()) pinned[pin] = 1;
+  }
   std::vector<int> pins;
-  for (const auto& w : problem.workloads) {
-    if (w.pinned_server >= 0 && w.pinned_server < cap) {
-      pins.push_back(w.pinned_server);
-    }
+  for (int j = 0; j < acct.num_servers(); ++j) {
+    if (pinned[j]) pins.push_back(j);
   }
-  if (pins.empty()) return order;
-  std::sort(pins.begin(), pins.end());
-  pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-  std::vector<char> pinned(cap, 0);
-  for (int j : pins) pinned[j] = 1;
-  std::vector<int> out = std::move(pins);
-  for (int j : order) {
-    if (!pinned[j]) out.push_back(j);
-  }
-  return out;
+  return pins;
 }
 
 /// The candidate purchase orders the budget search buys prefixes of. One
@@ -50,11 +43,16 @@ std::vector<int> WithPinsFirst(const ConsolidationProblem& problem,
 /// search also tries cheapest-class-first and, per class, that class's
 /// servers first (dense within and after) — the "all on class c, then
 /// spill dense" mixes. Deduplicated, deterministic order.
-std::vector<std::vector<int>> CandidateOrders(
-    const ConsolidationProblem& problem, const LoadAccountant& acct, int cap) {
+std::vector<std::vector<int>> CandidateOrders(const LoadAccountant& acct) {
+  const std::vector<int> pins = PinnedServers(acct);
   std::vector<std::vector<int>> orders;
-  const auto push = [&](std::vector<int> order) {
-    order = WithPinsFirst(problem, std::move(order), cap);
+  const auto push = [&](const std::vector<int>& candidate) {
+    // Pinned servers lead every order, also those a candidate lacks (e.g.
+    // on a drained class).
+    std::vector<int> order = pins;
+    for (int j : candidate) {
+      if (!std::binary_search(pins.begin(), pins.end(), j)) order.push_back(j);
+    }
     if (order.empty()) return;
     if (std::find(orders.begin(), orders.end(), order) == orders.end()) {
       orders.push_back(std::move(order));
@@ -64,15 +62,9 @@ std::vector<std::vector<int>> CandidateOrders(
   const std::vector<int> dense = DenseServerOrder(acct);
   push(dense);
 
-  // Cheapest class first (stable: ascending index within equal weight) —
-  // the order the legacy prefix approximates when cheap classes lead the
-  // declaration.
-  std::vector<int> cheap = acct.PlacableServers();
-  std::stable_sort(cheap.begin(), cheap.end(), [&](int a, int b) {
-    return acct.ClassWeight(acct.ClassOfServer(a)) <
-           acct.ClassWeight(acct.ClassOfServer(b));
-  });
-  push(std::move(cheap));
+  // Cheapest class first — the order the legacy prefix approximates when
+  // cheap classes lead the declaration.
+  push(CheapFirstOrder(acct));
 
   for (int c = 0; c < acct.num_classes(); ++c) {
     if (acct.ClassDrained(c)) continue;
@@ -80,7 +72,7 @@ std::vector<std::vector<int>> CandidateOrders(
     std::stable_partition(first.begin(), first.end(), [&](int j) {
       return acct.ClassOfServer(j) == c;
     });
-    push(std::move(first));
+    push(first);
   }
   return orders;
 }
@@ -131,14 +123,10 @@ DimensioningResult FleetDimensioner::Run(
   // their pins.
   std::vector<std::vector<int>> pins_of_class(num_classes);
   std::vector<char> is_pin(cap, 0);
-  for (const auto& w : problem_.workloads) {
-    const int pin = w.pinned_server;
-    if (pin >= 0 && pin < cap && !is_pin[pin]) {
-      is_pin[pin] = 1;
-      pins_of_class[problem_.fleet.ClassOf(pin)].push_back(pin);
-    }
+  for (int pin : PinnedServers(acct)) {
+    is_pin[pin] = 1;
+    pins_of_class[acct.ClassOfServer(pin)].push_back(pin);
   }
-  for (auto& pins : pins_of_class) std::sort(pins.begin(), pins.end());
   const std::vector<int> class_counts = problem_.fleet.ClassCounts(cap);
   std::vector<int> min_counts(num_classes, 0), avail(num_classes, 0);
   for (int c = 0; c < num_classes; ++c) {
@@ -260,14 +248,13 @@ DimensioningResult FleetDimensioner::Run(
 
 Assignment FleetDimensioner::GreedySeed(const ConsolidationProblem& problem,
                                         int cap) {
-  bool clean = false;
   if (cap < 1 || problem.TotalSlots() == 0) {
-    return GreedyMultiResource(problem, cap, &clean);
+    return GreedyMultiResource(problem, cap);
   }
   const LoadAccountant acct(problem, cap, /*track_server_load=*/false);
   const LoadAccountant::AggregateDemand demand = acct.TotalDemand();
   const int min_servers = MinServersOf(problem);
-  const std::vector<std::vector<int>> orders = CandidateOrders(problem, acct, cap);
+  const std::vector<std::vector<int>> orders = CandidateOrders(acct);
 
   // No probes here: pick the candidate coverage prefix with the cheapest
   // fractional-cover cost and pack restricted to it. Deterministic, and
@@ -288,9 +275,9 @@ Assignment FleetDimensioner::GreedySeed(const ConsolidationProblem& problem,
       seed_m = m;
     }
   }
-  if (seed_order == nullptr) return GreedyMultiResource(problem, cap, &clean);
+  if (seed_order == nullptr) return GreedyMultiResource(problem, cap);
   const std::vector<int> subset = SubsetOf(*seed_order, seed_m);
-  return GreedyMultiResource(problem, cap, &clean, &subset);
+  return GreedyMultiResource(problem, cap, &subset);
 }
 
 }  // namespace kairos::core

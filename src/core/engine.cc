@@ -29,6 +29,32 @@ struct EvalOpsFlusher {
   }
 };
 
+/// Decodes a DIRECT point over servers [0, k): pinned slots sit on their
+/// pin, the rest scale their coordinate onto the index range. With drained
+/// classes a non-empty `targets` restricts the encoding to the placable
+/// servers (the hard drain mask), so the search space shrinks instead of
+/// the optimizer wading through penalized regions; null or empty means no
+/// mask — the classic [0, k) encoding, bit-for-bit.
+Assignment DecodePoint(const LoadAccountant& acct, const std::vector<double>& x,
+                       int k, const std::vector<int>* targets) {
+  const int m = targets != nullptr ? static_cast<int>(targets->size()) : 0;
+  Assignment a;
+  a.server_of_slot.resize(x.size());
+  for (int slot = 0; slot < static_cast<int>(x.size()); ++slot) {
+    const int pin = acct.PinOfSlot(slot);
+    if (pin >= 0 && pin < k) {
+      a.server_of_slot[slot] = pin;
+    } else if (m > 0) {
+      int idx = static_cast<int>(x[slot] * m);
+      a.server_of_slot[slot] = (*targets)[std::clamp(idx, 0, m - 1)];
+    } else {
+      int j = static_cast<int>(x[slot] * k);
+      a.server_of_slot[slot] = std::clamp(j, 0, k - 1);
+    }
+  }
+  return a;
+}
+
 }  // namespace
 
 ConsolidationEngine::ConsolidationEngine(const ConsolidationProblem& problem,
@@ -80,32 +106,6 @@ void ConsolidationEngine::RecordProbe(int64_t size, bool feasible,
   }
 }
 
-Assignment ConsolidationEngine::DecodePoint(const std::vector<double>& x, int k,
-                                            const std::vector<int>* targets) const {
-  // With drained classes the DIRECT encoding covers placable servers only
-  // (the hard drain mask): the search space shrinks instead of the
-  // optimizer wading through penalized regions. `targets` null or empty
-  // means no mask — the classic [0, k) encoding, bit-for-bit.
-  const int m = targets != nullptr ? static_cast<int>(targets->size()) : 0;
-  Assignment a;
-  a.server_of_slot.resize(x.size());
-  int slot = 0;
-  for (const auto& w : problem_.workloads) {
-    for (int r = 0; r < w.replicas; ++r, ++slot) {
-      if (w.pinned_server >= 0 && w.pinned_server < k) {
-        a.server_of_slot[slot] = w.pinned_server;
-      } else if (m > 0) {
-        int idx = static_cast<int>(x[slot] * m);
-        a.server_of_slot[slot] = (*targets)[std::clamp(idx, 0, m - 1)];
-      } else {
-        int j = static_cast<int>(x[slot] * k);
-        a.server_of_slot[slot] = std::clamp(j, 0, k - 1);
-      }
-    }
-  }
-  return a;
-}
-
 Assignment ConsolidationEngine::RunDirect(Evaluator* ev, int budget,
                                           double target_value, int* evals_out,
                                           const std::vector<int>* targets_override) {
@@ -124,7 +124,8 @@ Assignment ConsolidationEngine::RunDirect(Evaluator* ev, int budget,
   // of its servers hold a slot set the run has already priced.
   ServerCostMemo memo;
   const auto objective = [&](const std::vector<double>& x) {
-    return ev->Evaluate(DecodePoint(x, k, targets).server_of_slot, &memo);
+    return ev->Evaluate(
+        DecodePoint(ev->accountant(), x, k, targets).server_of_slot, &memo);
   };
   // A `direct` span on the engine's track, and counters whose ratio shows
   // the division rounds each run's budget paid for.
@@ -143,7 +144,7 @@ Assignment ConsolidationEngine::RunDirect(Evaluator* ev, int budget,
     metrics.counter("engine.direct_iterations")->Add(res.iterations);
   }
   if (evals_out) *evals_out = res.evaluations;
-  return DecodePoint(res.x, k, targets);
+  return DecodePoint(ev->accountant(), res.x, k, targets);
 }
 
 void ConsolidationEngine::LocalSearch(Evaluator* ev, int max_sweeps, util::Rng* rng,
@@ -249,8 +250,7 @@ bool ConsolidationEngine::ProbeImpl(int k, const std::vector<int>* servers,
 
   // 1. Multi-resource greedy restricted to the k servers (or the subset),
   //    then local search over the same servers.
-  bool greedy_clean = false;
-  Assignment seed = GreedyMultiResource(problem_, k, &greedy_clean, servers);
+  Assignment seed = GreedyMultiResource(problem_, k, servers);
   Evaluator ev(problem_, k);
   ev.Load(seed.server_of_slot);
   if (!ev.IsFeasible()) {
@@ -399,8 +399,7 @@ ConsolidationPlan ConsolidationEngine::Solve() {
 
   if (best_k < 0) {
     // Nothing feasible at all: report the greedy/fallback assignment.
-    bool clean = false;
-    best = GreedyMultiResource(problem_, hard_cap, &clean);
+    best = GreedyMultiResource(problem_, hard_cap);
     best_k = hard_cap;
     polished_multi_greedy_fallback = true;
   }
@@ -433,8 +432,7 @@ ConsolidationPlan ConsolidationEngine::Solve() {
       // GreedyBaseline found nothing clean; its multi-resource completion is
       // still a whole-fleet seed worth polishing (skipped when the plan
       // above already IS that polish).
-      bool clean = false;
-      rescue_seed = GreedyMultiResource(problem_, hard_cap, &clean);
+      rescue_seed = GreedyMultiResource(problem_, hard_cap);
       have_rescue = true;
     }
     if (have_rescue) {

@@ -167,11 +167,6 @@ class ConsolidationEngine {
                        int* evals_out,
                        const std::vector<int>* targets = nullptr);
 
-  /// Respects pins when decoding DIRECT points. A non-empty `targets`
-  /// restricts the encoding to those servers (the hard drain mask).
-  Assignment DecodePoint(const std::vector<double>& x, int k,
-                         const std::vector<int>* targets = nullptr) const;
-
   const ConsolidationProblem& problem_;
   EngineOptions options_;
   int evaluations_ = 0;

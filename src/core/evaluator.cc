@@ -117,107 +117,32 @@ Evaluator::Evaluator(const ConsolidationProblem& problem, int max_servers)
       acct_(problem, max_servers) {
   assert(max_servers_ >= 1);
 
-  slot_move_cost_.reserve(acct_.num_slots());
-  for (int wi = 0; wi < static_cast<int>(problem.workloads.size()); ++wi) {
-    const double move_cost =
-        wi < static_cast<int>(problem.migration_move_cost.size())
-            ? problem.migration_move_cost[wi]
-            : 1.0;
-    for (int r = 0; r < problem.workloads[wi].replicas; ++r) {
-      slot_move_cost_.push_back(move_cost);
-    }
-  }
-
-  // slot_current_ tracks moves even at zero weight (for reporting); the
-  // cost term itself needs a positive weight.
-  if (static_cast<int>(problem.current_assignment.size()) == acct_.num_slots()) {
-    slot_current_ = problem.current_assignment;
-  }
-  has_migration_ = problem.migration_cost_weight > 0.0 && !slot_current_.empty();
-
-  const int num_workloads = static_cast<int>(problem.workloads.size());
-  workload_slot_begin_.assign(num_workloads + 1, 0);
-  for (int wi = 0; wi < num_workloads; ++wi) {
-    workload_slot_begin_[wi + 1] =
-        workload_slot_begin_[wi] + problem.workloads[wi].replicas;
-  }
-  affinity_partners_.assign(num_workloads, {});
-  for (const auto& [wa, wb] : problem.anti_affinity) {
-    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads ||
-        wa == wb) {
-      continue;  // a self pair is the replica rule, charged by its own scan
-    }
-    affinity_partners_[wa].push_back(wb);
-    affinity_partners_[wb].push_back(wa);
-  }
-
   bucket_begin_.resize(max_servers_ + 1);
   bucket_fill_.resize(max_servers_);
   bucket_slots_.resize(acct_.num_slots());
   rows_.resize(static_cast<size_t>(kNumAxes) * acct_.num_samples());
 }
 
-template <typename CpuAt, typename RamAt, typename RateAt>
-double Evaluator::ServerCostOf(int klass, double ws, int count, CpuAt cpu_at,
-                               RamAt ram_at, RateAt rate_at,
-                               double* violation_out) const {
-  // The arithmetic lives in core/bounds.h so the exact search's partial
-  // aggregates price a server with literally the same expression.
-  return ServerAggregateCost(problem_, acct_, klass, ws, count, cpu_at, ram_at,
-                             rate_at, violation_out);
-}
-
-double Evaluator::WhatIfCost(int j, int slot, double sign) const {
-  const double* srv_cpu = acct_.ServerSeries(Axis::kCpu, j);
-  const double* srv_ram = acct_.ServerSeries(Axis::kRam, j);
-  const double* srv_rate = acct_.ServerSeries(Axis::kRate, j);
-  const double* sl_cpu = acct_.SlotSeries(Axis::kCpu, slot);
-  const double* sl_ram = acct_.SlotSeries(Axis::kRam, slot);
-  const double* sl_rate = acct_.SlotSeries(Axis::kRate, slot);
-  const double ws = acct_.ServerWs(j) + sign * acct_.SlotWs(slot);
-  const int count = acct_.ServerCount(j) + (sign > 0 ? 1 : -1);
-  return ServerCostOf(
-      acct_.ClassOfServer(j), ws, count,
-      [&](int t) { return srv_cpu[t] + sign * sl_cpu[t]; },
-      [&](int t) { return srv_ram[t] + sign * sl_ram[t]; },
-      [&](int t) { return srv_rate[t] + sign * sl_rate[t]; }, nullptr);
-}
-
-void Evaluator::RecomputeServer(int j) {
-  const double* cpu = acct_.ServerSeries(Axis::kCpu, j);
-  const double* ram = acct_.ServerSeries(Axis::kRam, j);
-  const double* rate = acct_.ServerSeries(Axis::kRate, j);
-  server_cost_[j] = ServerCostOf(
-      acct_.ClassOfServer(j), acct_.ServerWs(j), acct_.ServerCount(j),
-      [&](int t) { return cpu[t]; }, [&](int t) { return ram[t]; },
-      [&](int t) { return rate[t]; }, &server_violation_[j]);
-}
-
 double Evaluator::AffinityViolations(const std::vector<int>& assignment) const {
-  // Slots are workload-major, so both terms scan only the contiguous slot
-  // range(s) of the workloads involved — O(sum r_w^2 + sum pairs) instead
-  // of the old all-pairs O(num_slots^2). Every addition is an exact +1,
-  // so the total matches the historical scan bit-for-bit.
+  // Slots are workload-major, so only the contiguous slot ranges of a
+  // workload and of its partners are scanned. Every addition is an exact
+  // +1, so the total does not depend on the scan order.
   double units = 0;
-  const int num_workloads = static_cast<int>(workload_slot_begin_.size()) - 1;
-  // Replica anti-affinity: two slots of the same workload on one server.
-  for (int w = 0; w < num_workloads; ++w) {
-    for (int a = workload_slot_begin_[w]; a < workload_slot_begin_[w + 1]; ++a) {
-      for (int b = a + 1; b < workload_slot_begin_[w + 1]; ++b) {
+  for (int w = 0; w < acct_.num_workloads(); ++w) {
+    const int end = acct_.SlotBegin(w + 1);
+    // Replica anti-affinity: two slots of the same workload on one server.
+    for (int a = acct_.SlotBegin(w); a < end; ++a) {
+      for (int b = a + 1; b < end; ++b) {
         if (assignment[a] == assignment[b]) units += 1;
       }
     }
-  }
-  // Explicit anti-affinity pairs. A pair naming one workload twice is the
-  // replica rule above and adds nothing.
-  for (const auto& [wa, wb] : problem_.anti_affinity) {
-    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads ||
-        wa == wb) {
-      continue;
-    }
-    for (int a = workload_slot_begin_[wa]; a < workload_slot_begin_[wa + 1]; ++a) {
-      for (int b = workload_slot_begin_[wb]; b < workload_slot_begin_[wb + 1]; ++b) {
-        if (assignment[a] == assignment[b]) units += 1;
+    // Explicit pairs, each counted once from its lower-indexed workload.
+    for (int p : acct_.Partners(w)) {
+      if (p < w) continue;
+      for (int a = acct_.SlotBegin(w); a < end; ++a) {
+        for (int b = acct_.SlotBegin(p); b < acct_.SlotBegin(p + 1); ++b) {
+          if (assignment[a] == assignment[b]) units += 1;
+        }
       }
     }
   }
@@ -243,8 +168,8 @@ double Evaluator::PriceSlots(int klass, const int* slots, int count) const {
     }
     ws += acct_.SlotWs(s);
   }
-  return ServerCostOf(
-      klass, ws, count, [&](int t) { return cpu[t]; },
+  return ServerAggregateCost(
+      problem_, acct_, klass, ws, count, [&](int t) { return cpu[t]; },
       [&](int t) { return ram[t]; }, [&](int t) { return rate[t]; }, nullptr);
 }
 
@@ -292,9 +217,9 @@ double Evaluator::Evaluate(const std::vector<int>& assignment,
     }
   }
   const double aff = AffinityViolations(assignment);
-  if (aff > 0) cost += aff * (kViolationBase + kViolationScale * kAffinityUnit);
-  if (has_migration_) {
-    for (int s = 0; s < num_slots; ++s) cost += SlotMigrationCost(s, assignment[s]);
+  if (aff > 0) cost += aff * kAffinityPenalty;
+  if (acct_.PricesMigration()) {
+    for (int s = 0; s < num_slots; ++s) cost += acct_.MigrationCost(s, assignment[s]);
   }
   return cost;
 }
@@ -317,7 +242,7 @@ void Evaluator::Load(const std::vector<int>& assignment) {
   }
   const double aff = AffinityViolations(assignment_);
   if (aff > 0) {
-    current_cost_ += aff * (kViolationBase + kViolationScale * kAffinityUnit);
+    current_cost_ += aff * kAffinityPenalty;
     total_violation_ += aff * kAffinityUnit;
   }
   for (int s = 0; s < num_slots; ++s) {
@@ -327,29 +252,12 @@ void Evaluator::Load(const std::vector<int>& assignment) {
     }
   }
   migration_cost_ = 0;
-  if (has_migration_) {
+  if (acct_.PricesMigration()) {
     for (int s = 0; s < num_slots; ++s) {
-      migration_cost_ += SlotMigrationCost(s, assignment_[s]);
+      migration_cost_ += acct_.MigrationCost(s, assignment_[s]);
     }
     current_cost_ += migration_cost_;
   }
-}
-
-double Evaluator::SlotAffinity(int slot, int server) const {
-  // Only the slot's own workload and its anti-affinity partners can
-  // contribute, so scan just those contiguous slot ranges. All additions
-  // are exact +1s — identical units to the historical all-slot scan.
-  double units = 0;
-  const int w = acct_.WorkloadOfSlot(slot);
-  for (int b = workload_slot_begin_[w]; b < workload_slot_begin_[w + 1]; ++b) {
-    if (b != slot && assignment_[b] == server) units += 1;
-  }
-  for (int p : affinity_partners_[w]) {
-    for (int b = workload_slot_begin_[p]; b < workload_slot_begin_[p + 1]; ++b) {
-      if (b != slot && assignment_[b] == server) units += 1;
-    }
-  }
-  return units;
 }
 
 double Evaluator::MoveDelta(int slot, int to) const {
@@ -360,11 +268,14 @@ double Evaluator::MoveDelta(int slot, int to) const {
     return kPinPenalty;
   }
 
-  double delta = WhatIfCost(from, slot, -1.0) - server_cost_[from] +
-                 WhatIfCost(to, slot, +1.0) - server_cost_[to];
-  delta += (SlotAffinity(slot, to) - SlotAffinity(slot, from)) *
-           (kViolationBase + kViolationScale * kAffinityUnit);
-  delta += SlotMigrationCost(slot, to) - SlotMigrationCost(slot, from);
+  double delta = WhatIfServerCost(problem_, acct_, from, slot, -1.0) -
+                 server_cost_[from] +
+                 WhatIfServerCost(problem_, acct_, to, slot, +1.0) -
+                 server_cost_[to];
+  delta += (acct_.AffinityUnits(assignment_, slot, to) -
+            acct_.AffinityUnits(assignment_, slot, from)) *
+           kAffinityPenalty;
+  delta += acct_.MigrationCost(slot, to) - acct_.MigrationCost(slot, from);
   return delta;
 }
 
@@ -385,9 +296,10 @@ double Evaluator::MoveDeltaFloor(int slot, int to) const {
       acct_.ServerCount(from) > 1 ? UsedServerFloor(from) : 0.0;
   double delta = from_floor - server_cost_[from] + UsedServerFloor(to) -
                  server_cost_[to];
-  delta += (SlotAffinity(slot, to) - SlotAffinity(slot, from)) *
-           (kViolationBase + kViolationScale * kAffinityUnit);
-  delta += SlotMigrationCost(slot, to) - SlotMigrationCost(slot, from);
+  delta += (acct_.AffinityUnits(assignment_, slot, to) -
+            acct_.AffinityUnits(assignment_, slot, from)) *
+           kAffinityPenalty;
+  delta += acct_.MigrationCost(slot, to) - acct_.MigrationCost(slot, from);
   return delta;
 }
 
@@ -403,9 +315,10 @@ void Evaluator::MoveDeltaBatch(int slot, const std::vector<int>& targets,
   // MoveDelta evaluates ((A - B) + C) - D left to right; base = A - B
   // keeps that grouping, so each batched delta is bit-identical to its
   // scalar counterpart.
-  const double base = WhatIfCost(from, slot, -1.0) - server_cost_[from];
-  const double aff_from = SlotAffinity(slot, from);
-  const double mig_from = SlotMigrationCost(slot, from);
+  const double base =
+      WhatIfServerCost(problem_, acct_, from, slot, -1.0) - server_cost_[from];
+  const double aff_from = acct_.AffinityUnits(assignment_, slot, from);
+  const double mig_from = acct_.MigrationCost(slot, from);
   for (size_t i = 0; i < targets.size(); ++i) {
     const int to = targets[i];
     if (to == from) {
@@ -416,9 +329,9 @@ void Evaluator::MoveDeltaBatch(int slot, const std::vector<int>& targets,
       (*deltas)[i] = kPinPenalty;
       continue;
     }
-    const double aff = (SlotAffinity(slot, to) - aff_from) *
-                       (kViolationBase + kViolationScale * kAffinityUnit);
-    const double mig = SlotMigrationCost(slot, to) - mig_from;
+    const double aff = (acct_.AffinityUnits(assignment_, slot, to) - aff_from) *
+                       kAffinityPenalty;
+    const double mig = acct_.MigrationCost(slot, to) - mig_from;
     if (acct_.ServerCount(to) == 0) {
       // The floor of MoveDeltaFloor on the exact from-side, in the same
       // operation order as the exact delta below.
@@ -430,7 +343,8 @@ void Evaluator::MoveDeltaBatch(int slot, const std::vector<int>& targets,
         continue;
       }
     }
-    (*deltas)[i] = base + WhatIfCost(to, slot, +1.0) - server_cost_[to] + aff + mig;
+    (*deltas)[i] = base + WhatIfServerCost(problem_, acct_, to, slot, +1.0) -
+                   server_cost_[to] + aff + mig;
   }
 }
 
@@ -439,9 +353,10 @@ void Evaluator::ApplyMove(int slot, int to) {
   package_.valid = false;
   const int from = assignment_[slot];
   if (to == from) return;
-  const double affinity_delta = SlotAffinity(slot, to) - SlotAffinity(slot, from);
+  const double affinity_delta = acct_.AffinityUnits(assignment_, slot, to) -
+                                acct_.AffinityUnits(assignment_, slot, from);
   const double migration_delta =
-      SlotMigrationCost(slot, to) - SlotMigrationCost(slot, from);
+      acct_.MigrationCost(slot, to) - acct_.MigrationCost(slot, from);
   const double old_from = server_cost_[from];
   const double old_to = server_cost_[to];
 
@@ -457,11 +372,11 @@ void Evaluator::ApplyMove(int slot, int to) {
   total_violation_ += affinity_delta * kAffinityUnit;
 
   // Each server is priced once, after the rows change. Apply's
-  // `row + sign * slot` is the FP operation WhatIfCost composes, and the
-  // terms are summed in MoveDelta's order, so for an unpinned slot the
+  // `row + sign * slot` is the FP operation WhatIfServerCost composes, and
+  // the terms are summed in MoveDelta's order, so for an unpinned slot the
   // cached cost moves by exactly MoveDelta(slot, to).
   double delta = ((server_cost_[from] - old_from) + server_cost_[to]) - old_to;
-  delta += affinity_delta * (kViolationBase + kViolationScale * kAffinityUnit);
+  delta += affinity_delta * kAffinityPenalty;
   delta += migration_delta;
   // MoveDelta prices any move off a pin as a flat kPinPenalty sentinel;
   // the cache keeps Load's accounting instead: one penalty and one
@@ -513,8 +428,9 @@ double Evaluator::ApplyPackage(const std::vector<int>& movers, int to) {
   double migration_delta = 0.0;
   for (int s : movers) {
     assert(assignment_[s] == from && acct_.PinOfSlot(s) < 0);
-    affinity_delta += SlotAffinity(s, to) - SlotAffinity(s, from);
-    migration_delta += SlotMigrationCost(s, to) - SlotMigrationCost(s, from);
+    affinity_delta += acct_.AffinityUnits(assignment_, s, to) -
+                      acct_.AffinityUnits(assignment_, s, from);
+    migration_delta += acct_.MigrationCost(s, to) - acct_.MigrationCost(s, from);
     acct_.Apply(from, s, -1.0);
     acct_.Apply(to, s, +1.0);
     assignment_[s] = to;
@@ -529,7 +445,7 @@ double Evaluator::ApplyPackage(const std::vector<int>& movers, int to) {
   migration_cost_ += migration_delta;
 
   double delta = ((server_cost_[from] - old_from) + server_cost_[to]) - old_to;
-  delta += affinity_delta * (kViolationBase + kViolationScale * kAffinityUnit);
+  delta += affinity_delta * kAffinityPenalty;
   delta += migration_delta;
   current_cost_ += delta;
   return delta;
@@ -577,10 +493,10 @@ Evaluator::ServerLoad Evaluator::GetServerLoad(int j) const {
 }
 
 int Evaluator::MovesFromCurrent() const {
-  if (slot_current_.empty()) return 0;
+  if (!acct_.HasIncumbent()) return 0;
   int moves = 0;
   for (int s = 0; s < acct_.num_slots(); ++s) {
-    if (assignment_[s] != slot_current_[s]) ++moves;
+    if (assignment_[s] != acct_.CurrentServer(s)) ++moves;
   }
   return moves;
 }

@@ -12,9 +12,13 @@
 // making re-solves move-averse (the src/online/ loop).
 //
 // Resource accounting lives in core::LoadAccountant: flat SoA load
-// matrices plus the per-class resource models (linear CPU/RAM, per-class
-// nonlinear model::DiskResource). The evaluator owns only the objective
-// shape — exp-balance, violation penalties, affinity/pin/migration terms.
+// matrices, the per-class resource models (linear CPU/RAM, per-class
+// nonlinear model::DiskResource) and the constraint index (slot ranges,
+// pins, anti-affinity partners, incumbent, move costs) with its per-slot
+// affinity and migration terms. The per-server pricings are core/bounds.h's
+// ServerCost and WhatIfServerCost, shared with the exact search's
+// BoundEngine. The evaluator owns only its incremental cache and the
+// one-shot scratch.
 //
 // Supports both one-shot evaluation (for DIRECT, optionally through a
 // ServerCostMemo) and cached incremental move evaluation (for the
@@ -214,17 +218,6 @@ class Evaluator {
   const LoadAccountant& accountant() const { return acct_; }
 
  private:
-  /// Cost + constraint excess of one server aggregate. The getters supply
-  /// the aggregate series value at each sample, so the same arithmetic
-  /// serves the cached state, the what-if MoveDelta composition, and the
-  /// one-shot scratch without materializing copies.
-  template <typename CpuAt, typename RamAt, typename RateAt>
-  double ServerCostOf(int klass, double ws, int count, CpuAt cpu_at,
-                      RamAt ram_at, RateAt rate_at, double* violation_out) const;
-
-  /// Cost of server `j`'s current aggregate with `slot` added (sign +1) or
-  /// removed (-1) — the allocation-free MoveDelta core.
-  double WhatIfCost(int j, int slot, double sign) const;
   /// ServerAggregateCost's first term: what any used server `j` costs at
   /// least.
   double UsedServerFloor(int j) const {
@@ -235,36 +228,15 @@ class Evaluator {
   double PriceSlots(int klass, const int* slots, int count) const;
 
   /// Recomputes server `j`'s cached cost + violation from its aggregates.
-  void RecomputeServer(int j);
+  void RecomputeServer(int j) {
+    server_cost_[j] = ServerCost(problem_, acct_, j, &server_violation_[j]);
+  }
   /// Anti-affinity violation count for an assignment.
   double AffinityViolations(const std::vector<int>& assignment) const;
-  /// Affinity units between `slot` and other slots currently on `server`.
-  double SlotAffinity(int slot, int server) const;
-  /// Migration penalty of placing `slot` on `server`.
-  double SlotMigrationCost(int slot, int server) const {
-    return (has_migration_ && server != slot_current_[slot])
-               ? problem_.migration_cost_weight * slot_move_cost_[slot]
-               : 0.0;
-  }
+
   const ConsolidationProblem& problem_;
   int max_servers_;
   LoadAccountant acct_;
-
-  // Migration term (empty/disabled unless the problem carries an incumbent).
-  bool has_migration_ = false;
-  std::vector<int> slot_current_;       // incumbent server per slot
-  std::vector<double> slot_move_cost_;  // per-slot move cost
-
-  // Affinity indexes: slots of workload w occupy
-  // [workload_slot_begin_[w], workload_slot_begin_[w+1]) — replicas are
-  // laid out workload-major — and affinity_partners_[w] lists the partner
-  // workload of every anti-affinity pair of two workloads touching w (with
-  // multiplicity, so duplicate pairs keep their historical double count;
-  // a self pair is the replica rule and is not listed). Both exist so
-  // affinity scans touch only the relevant slot ranges instead of every
-  // slot; the counted units are identical.
-  std::vector<int> workload_slot_begin_;
-  std::vector<std::vector<int>> affinity_partners_;
 
   // Incremental cache.
   std::vector<int> assignment_;

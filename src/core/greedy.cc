@@ -16,8 +16,6 @@ namespace {
 /// placement mask) plus shorthand capacity accessors. A non-null `allowed`
 /// further restricts both orders to that subset (the cost-based
 /// dimensioner's budget-selected multiset).
-std::vector<int> CheapFirstOrder(const LoadAccountant& acct);
-
 struct FleetView {
   const LoadAccountant& acct;
   int cap = 0;
@@ -83,17 +81,6 @@ double PeakOf(const double* v, int n) {
   return peak;
 }
 
-/// Cheapest class first ("fill cheap classes first"); stable, so the
-/// uniform fleet keeps the classic ascending-index open order.
-std::vector<int> CheapFirstOrder(const LoadAccountant& acct) {
-  std::vector<int> order = acct.PlacableServers();
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return acct.ClassWeight(acct.ClassOfServer(a)) <
-           acct.ClassWeight(acct.ClassOfServer(b));
-  });
-  return order;
-}
-
 /// Hardest-first slot order: biggest peak normalized by the best class's
 /// capacity (the GreedyMultiResource packing order).
 std::vector<int> HardestFirstSlotOrder(const ConsolidationProblem& problem,
@@ -128,6 +115,15 @@ std::vector<int> HardestFirstSlotOrder(const ConsolidationProblem& problem,
 }
 
 }  // namespace
+
+std::vector<int> CheapFirstOrder(const LoadAccountant& acct) {
+  std::vector<int> order = acct.PlacableServers();
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return acct.ClassWeight(acct.ClassOfServer(a)) <
+           acct.ClassWeight(acct.ClassOfServer(b));
+  });
+  return order;
+}
 
 std::vector<int> DenseServerOrder(const LoadAccountant& acct) {
   const sim::EffectiveCapacity best = acct.BestClass();
@@ -167,7 +163,6 @@ std::vector<int> DenseServerOrder(const LoadAccountant& acct) {
 GreedyResult GreedySingleResource(const ConsolidationProblem& problem, Resource r,
                                   int max_servers) {
   GreedyResult result;
-  result.packed_by = r;
   const LoadAccountant acct(problem,
                             std::max(1, problem.ServerCap(max_servers)),
                             /*track_server_load=*/false);
@@ -325,17 +320,13 @@ GreedyResult GreedyBaseline(const ConsolidationProblem& problem, int max_servers
 }
 
 Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_servers,
-                               bool* feasible,
                                const std::vector<int>* allowed_servers) {
   const LoadAccountant acct(problem, std::max(1, problem.ServerCap(max_servers)),
                             /*track_server_load=*/false);
   const int num_slots = acct.num_slots();
   Assignment out;
   out.server_of_slot.assign(num_slots, 0);
-  if (num_slots == 0) {
-    if (feasible) *feasible = true;
-    return out;
-  }
+  if (num_slots == 0) return out;
   const int samples = acct.num_samples();
   const FleetView fleet(acct, allowed_servers);
 
@@ -348,8 +339,7 @@ Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_serv
   empty_bin.Open(samples);
 
   // One hardest-first best-fit packing pass, opening servers in
-  // `open_order` (placable servers only). Returns the assignment and
-  // whether the packing stayed within the server budget.
+  // `open_order` (placable servers only).
   auto pack = [&](const std::vector<int>& open_order) {
     std::vector<Bin> bins(fleet.cap);
     std::vector<int> assignment(num_slots, 0);
@@ -376,7 +366,6 @@ Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_serv
       return true;
     };
 
-    bool clean = true;
     for (int s : order) {
       int best = -1;
       double best_load = -1;
@@ -407,7 +396,6 @@ Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_serv
           bins[best].Open(samples);
         } else if (any_open) {
           // Server budget exhausted: drop onto the least-loaded open server.
-          clean = false;
           double least = 1e300;
           for (int j = 0; j < fleet.cap; ++j) {
             if (bins[j].open && bins[j].mean_load < least) {
@@ -418,7 +406,6 @@ Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_serv
         } else {
           // Degenerate fleet (everything drained): open the first server
           // anyway so the assignment is complete; the evaluator flags it.
-          clean = false;
           best = open_order.empty() ? 0 : open_order[0];
           bins[best].Open(samples);
         }
@@ -441,24 +428,22 @@ Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_serv
       bin.slots.push_back(s);
       assignment[s] = best;
     }
-    return std::make_pair(assignment, clean);
+    return assignment;
   };
 
-  auto [assignment, clean] = pack(fleet.open_order);
+  std::vector<int> assignment = pack(fleet.open_order);
   if (!problem.fleet.Uniform()) {
     // Heterogeneous fleets: cheap-first (scale-out) vs capacity-per-cost
     // (scale-up) open orders reach very different packings; keep the one
     // the objective prefers. Never runs on uniform fleets, where the two
     // orders coincide — the classic path stays bit-identical.
-    auto [dense_assignment, dense_clean] = pack(fleet.DenseOrder());
+    std::vector<int> dense_assignment = pack(fleet.DenseOrder());
     Evaluator ev(problem, fleet.cap);
     if (ev.Evaluate(dense_assignment) < ev.Evaluate(assignment)) {
       assignment = std::move(dense_assignment);
-      clean = dense_clean;
     }
   }
   out.server_of_slot = std::move(assignment);
-  if (feasible) *feasible = clean;
   return out;
 }
 

@@ -26,7 +26,6 @@ struct GreedyResult {
   bool feasible = false;      ///< Satisfies ALL constraints (checked post hoc).
   Assignment assignment;      ///< Valid packing by the packed resource only.
   int servers_used = 0;
-  Resource packed_by = Resource::kCpu;
 };
 
 /// Packs considering only resource `r` (most-loaded-that-fits, decreasing
@@ -42,13 +41,18 @@ GreedyResult GreedyBaseline(const ConsolidationProblem& problem, int max_servers
 /// Multi-resource greedy: places each slot on the most-loaded server that
 /// fits ALL resources; opens servers as needed up to `max_servers`, then
 /// falls back to the least-loaded server (possibly violating). Always
-/// returns a complete assignment; `*feasible` reports constraint cleanness.
-/// A non-null `allowed_servers` restricts the packing to that subset of the
-/// index space (the cost-based dimensioner's budget-selected multiset);
-/// null keeps the classic whole-fleet packing.
+/// returns a complete assignment; score it with an Evaluator to learn
+/// whether it is feasible. A non-null `allowed_servers` restricts the
+/// packing to that subset of the index space (the cost-based dimensioner's
+/// budget-selected multiset); null keeps the classic whole-fleet packing.
 Assignment GreedyMultiResource(const ConsolidationProblem& problem, int max_servers,
-                               bool* feasible,
                                const std::vector<int>* allowed_servers = nullptr);
+
+/// The accountant's placable servers, cheapest class first; stable, so a
+/// uniform fleet keeps the classic ascending-index open order. The greedy
+/// packers' open order and one of core::FleetDimensioner's purchase
+/// orders.
+std::vector<int> CheapFirstOrder(const LoadAccountant& acct);
 
 /// Capacity-per-cost ("dense") open order over the accountant's placable
 /// servers: most combined normalized capacity per unit of cost weight

@@ -6,6 +6,21 @@
 
 namespace kairos::core {
 
+std::vector<std::vector<int>> AntiAffinityPartners(
+    const ConsolidationProblem& problem) {
+  const int num_workloads = static_cast<int>(problem.workloads.size());
+  std::vector<std::vector<int>> partners(num_workloads);
+  for (const auto& [wa, wb] : problem.anti_affinity) {
+    if (wa < 0 || wa >= num_workloads || wb < 0 || wb >= num_workloads ||
+        wa == wb) {
+      continue;
+    }
+    partners[wa].push_back(wb);
+    partners[wb].push_back(wa);
+  }
+  return partners;
+}
+
 LoadAccountant::LoadAccountant(const ConsolidationProblem& problem,
                                int num_servers, bool track_server_load)
     : num_servers_(num_servers) {
@@ -28,9 +43,17 @@ LoadAccountant::LoadAccountant(const ConsolidationProblem& problem,
   slot_ws_.reserve(num_slots_);
   workload_of_slot_.reserve(num_slots_);
   pin_of_slot_.reserve(num_slots_);
+  const int num_workloads = static_cast<int>(problem.workloads.size());
+  slot_begin_.reserve(num_workloads + 1);
+  move_cost_.reserve(num_workloads);
   const double overhead = problem.per_instance_cpu_overhead_cores;
-  for (int wi = 0; wi < static_cast<int>(problem.workloads.size()); ++wi) {
+  for (int wi = 0; wi < num_workloads; ++wi) {
     const auto& w = problem.workloads[wi];
+    slot_begin_.push_back(static_cast<int>(workload_of_slot_.size()));
+    move_cost_.push_back(
+        wi < static_cast<int>(problem.migration_move_cost.size())
+            ? problem.migration_move_cost[wi]
+            : 1.0);
     for (int r = 0; r < w.replicas; ++r) {
       for (size_t t = 0; t < n; ++t) {
         // Each dedicated-server profile includes one instance overhead;
@@ -45,6 +68,14 @@ LoadAccountant::LoadAccountant(const ConsolidationProblem& problem,
       slot_ws_.push_back(w.working_set_bytes);
       workload_of_slot_.push_back(wi);
       pin_of_slot_.push_back(w.pinned_server);
+    }
+  }
+  slot_begin_.push_back(num_slots_);
+  partners_ = AntiAffinityPartners(problem);
+  if (static_cast<int>(problem.current_assignment.size()) == num_slots_) {
+    current_ = problem.current_assignment;
+    if (problem.migration_cost_weight > 0.0) {
+      migration_weight_ = problem.migration_cost_weight;
     }
   }
 

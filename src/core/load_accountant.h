@@ -3,15 +3,22 @@
 // used to re-derive from the workload profiles by hand — replica expansion,
 // per-instance CPU-overhead subtraction, sample-count truncation — in one
 // contiguous structure-of-arrays layout, (b) the per-server aggregate load
-// matrices those slots sum into, and (c) the per-class capacities that
-// price the aggregates (constant CPU/RAM capacities via
-// sim::EffectiveCapacity, the nonlinear per-class model::DiskResource).
+// matrices those slots sum into, (c) the per-class capacities that price
+// the aggregates (constant CPU/RAM capacities via sim::EffectiveCapacity,
+// the nonlinear per-class model::DiskResource), and (d) the constraint
+// index: the workload-major slot ranges, pins, anti-affinity partners, the
+// incumbent placement and the per-workload move costs. It is the only code
+// that reads a problem's anti_affinity, current_assignment and
+// migration_move_cost, so every consumer prices those terms alike.
 //
 // Consumers: core::Evaluator (one-shot + incremental move evaluation over
-// the flat arrays), both greedy packers (core/greedy.cc), and
-// core::BoundEngine's fractional server bound and the engine's probe
-// thresholds. sim::CapacityLedger (the online migration planner's spill
-// check) builds its own per-class DiskResources from the same fleet.
+// the flat arrays), core::BoundEngine (the exact search's partial-cost
+// state and the stateless bounds), both greedy packers (core/greedy.cc),
+// core::FleetDimensioner, the engine's DIRECT decoder and probe
+// thresholds, and solve::ShardPartitioner. sim::CapacityLedger (the online
+// migration planner's spill check) builds its own per-class DiskResources
+// from the same fleet; the planner reads anti-affinity through
+// AntiAffinityPartners().
 //
 // Layout: series are stored flat as slot-major / server-major blocks of
 // num_samples doubles (SlotSeries(a, s)[t]), so the hot MoveDelta path
@@ -30,6 +37,14 @@ namespace kairos::core {
 /// The series axes every slot/server carries.
 enum class Axis { kCpu = 0, kRam = 1, kRate = 2 };
 inline constexpr int kNumAxes = 3;
+
+/// Entry w lists the other workload of every `anti_affinity` pair naming
+/// w, with multiplicity (a pair given twice counts twice). The one reader
+/// of ConsolidationProblem::anti_affinity: a pair with an index out of
+/// range is dropped here, and a pair naming one workload twice is the
+/// replica rule and is not listed.
+std::vector<std::vector<int>> AntiAffinityPartners(
+    const ConsolidationProblem& problem);
 
 class LoadAccountant {
  public:
@@ -55,6 +70,51 @@ class LoadAccountant {
   double SlotWs(int slot) const { return slot_ws_[slot]; }
   int WorkloadOfSlot(int slot) const { return workload_of_slot_[slot]; }
   int PinOfSlot(int slot) const { return pin_of_slot_[slot]; }
+
+  // --- Constraint index ---
+  int num_workloads() const { return static_cast<int>(partners_.size()); }
+  /// Slots of workload w are [SlotBegin(w), SlotBegin(w + 1)): replicas
+  /// are laid out workload-major.
+  int SlotBegin(int w) const { return slot_begin_[w]; }
+  /// Anti-affinity partners of workload w (see AntiAffinityPartners).
+  const std::vector<int>& Partners(int w) const { return partners_[w]; }
+  /// True when the problem's current_assignment has one entry per slot;
+  /// any other incumbent is ignored.
+  bool HasIncumbent() const { return !current_.empty(); }
+  /// Incumbent server of a slot (requires HasIncumbent()).
+  int CurrentServer(int slot) const { return current_[slot]; }
+  /// Relative move cost of a workload: its migration_move_cost entry, 1.0
+  /// past the end of the list.
+  double WorkloadMoveCost(int w) const { return move_cost_[w]; }
+  /// True when placing a slot off its incumbent server costs objective
+  /// points (an incumbent and a positive migration_cost_weight).
+  bool PricesMigration() const { return migration_weight_ > 0.0; }
+
+  /// Anti-affinity units between `slot` and the other slots `assignment`
+  /// puts on `server`: its own replicas and its partners' slots. Every
+  /// addition is an exact +1. A negative entry (an unplaced slot) never
+  /// matches.
+  double AffinityUnits(const std::vector<int>& assignment, int slot,
+                       int server) const {
+    double units = 0;
+    const int w = workload_of_slot_[slot];
+    for (int b = slot_begin_[w]; b < slot_begin_[w + 1]; ++b) {
+      if (b != slot && assignment[b] == server) units += 1;
+    }
+    for (int p : partners_[w]) {
+      for (int b = slot_begin_[p]; b < slot_begin_[p + 1]; ++b) {
+        if (assignment[b] == server) units += 1;
+      }
+    }
+    return units;
+  }
+  /// Migration penalty of placing `slot` on `server` (0 unless
+  /// PricesMigration()).
+  double MigrationCost(int slot, int server) const {
+    return (migration_weight_ > 0.0 && server != current_[slot])
+               ? migration_weight_ * move_cost_[workload_of_slot_[slot]]
+               : 0.0;
+  }
 
   // --- Per-server aggregate load (requires track_server_load) ---
   const double* ServerSeries(Axis a, int server) const {
@@ -140,6 +200,13 @@ class LoadAccountant {
   std::vector<double> slot_ws_;
   std::vector<int> workload_of_slot_;
   std::vector<int> pin_of_slot_;
+
+  // Constraint index (per workload unless named per slot).
+  std::vector<int> slot_begin_;  // num_workloads + 1 entries
+  std::vector<std::vector<int>> partners_;
+  std::vector<int> current_;  // per slot; empty without an incumbent
+  std::vector<double> move_cost_;
+  double migration_weight_ = 0.0;  // 0 unless migration is priced
 
   // Server-major flat series, one vector per axis.
   std::vector<double> server_[kNumAxes];

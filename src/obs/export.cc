@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "obs/profile.h"
@@ -205,69 +204,6 @@ void ExportJsonFields(const Sink& sink, std::ostream& os) {
        << ", \"d1\": " << Num(ne.e->d1) << "}";
   }
   os << "]\n";
-}
-
-void ExportJson(const Sink& sink, std::ostream& os) {
-  os << "{\n";
-  ExportJsonFields(sink, os);
-  os << "}\n";
-}
-
-std::string ExportJsonString(const Sink& sink) {
-  std::ostringstream os;
-  ExportJson(sink, os);
-  return os.str();
-}
-
-std::string ExportText(const Sink& sink) {
-  const MetricsSnapshot snap = sink.metrics().Snapshot();
-  std::ostringstream os;
-
-  os << "== counters ==\n";
-  for (const auto& [name, value] : snap.counters) {
-    os << "  " << name << " = " << value << "\n";
-  }
-  os << "== gauges ==\n";
-  for (const auto& [name, value] : snap.gauges) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    os << "  " << name << " = " << buf << "\n";
-  }
-  os << "== histograms ==\n";
-  for (const auto& h : snap.histograms) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", h.sum);
-    os << "  " << h.name << ": total=" << h.total << " sum=" << buf
-       << " buckets=[";
-    for (size_t b = 0; b < h.counts.size(); ++b) {
-      if (b > 0) os << " ";
-      os << h.counts[b];
-    }
-    os << "]\n";
-  }
-
-  const std::vector<TraceEvent> events = sink.trace().MergedTrace();
-  const std::vector<std::string> tracks = sink.trace().TrackNames();
-  std::map<std::string, int64_t> per_track;
-  for (const TraceEvent& e : events) {
-    if (e.track < tracks.size()) ++per_track[tracks[e.track]];
-  }
-  os << "== trace (" << events.size() << " events, "
-     << sink.trace().dropped_events() << " dropped) ==\n";
-  for (const auto& [track, count] : per_track) {
-    os << "  " << track << ": " << count << " events\n";
-  }
-
-  os << "== span profile (total / self seconds, count) ==\n";
-  for (const ProfileEntry& entry : BuildSpanProfile(sink.trace())) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "  %12.6f %12.6f %8lld  %s:%s\n",
-                  entry.total_seconds, entry.self_seconds,
-                  static_cast<long long>(entry.count), entry.track.c_str(),
-                  entry.name.c_str());
-    os << buf;
-  }
-  return os.str();
 }
 
 }  // namespace kairos::obs

@@ -1,10 +1,10 @@
-// Exporters for the observability substrate: a machine-readable JSON dump
-// (what `--metrics-out=<path>` writes and CI validates) and a
-// human-readable text-table dump.
+// The JSON exporter of the observability substrate: the sink's fields of
+// the bench reports (`--metrics-out=<path>` writes them through
+// WriteBenchReport in obs/report.h, and CI validates them).
 //
-// The JSON document carries the raw substrate (counters, gauges,
-// histograms, the full merged trace) plus derived views keyed for the
-// analyses the ROADMAP benches need:
+// The fields carry the raw substrate (counters, gauges, histograms, the
+// full merged trace) plus derived views keyed for the analyses the ROADMAP
+// benches need:
 //
 //   "probes"                  — every engine probe attempt (count-prefix
 //                               "probe" and cost-budget "budget_probe"
@@ -35,10 +35,7 @@ namespace kairos::obs {
 /// floor(wall_seconds / kWallBucketSeconds).
 inline constexpr double kWallBucketSeconds = 0.01;
 
-/// Writes the full JSON document described above.
-void ExportJson(const Sink& sink, std::ostream& os);
-
-/// Writes the document's fields only — no enclosing braces, no trailing
+/// Writes the fields described above — no enclosing braces, no trailing
 /// comma — so composite documents (bench reports, report.h) can embed the
 /// standard sink dump alongside their own fields.
 void ExportJsonFields(const Sink& sink, std::ostream& os);
@@ -48,12 +45,6 @@ std::string JsonQuote(const std::string& s);
 
 /// JSON-safe double literal (nan/inf have no JSON literal; emits null).
 std::string JsonNum(double v);
-
-/// JSON convenience wrapper.
-std::string ExportJsonString(const Sink& sink);
-
-/// Human-readable dump: metric tables plus a per-track trace summary.
-std::string ExportText(const Sink& sink);
 
 }  // namespace kairos::obs
 

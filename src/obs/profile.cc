@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <utility>
 
@@ -25,12 +24,6 @@ struct StateCacheEntry {
 };
 
 thread_local std::vector<StateCacheEntry> tl_state_cache;
-
-std::string FormatSeconds(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%12.6f", seconds);
-  return buf;
-}
 
 }  // namespace
 
@@ -181,43 +174,6 @@ std::vector<ProfileEntry> Profiler::SectionProfile() const {
               return a.name < b.name;
             });
   return profile;
-}
-
-void Profiler::ExportJson(std::ostream& os) const {
-  const std::vector<ProfileEntry> profile = SectionProfile();
-  os << "{\"sections\":[";
-  for (size_t i = 0; i < profile.size(); ++i) {
-    if (i != 0) os << ",";
-    char buf[64];
-    os << "{\"name\":\"" << profile[i].name << "\",\"count\":"
-       << profile[i].count;
-    std::snprintf(buf, sizeof(buf), "%.9g", profile[i].total_seconds);
-    os << ",\"total_seconds\":" << buf;
-    std::snprintf(buf, sizeof(buf), "%.9g", profile[i].self_seconds);
-    os << ",\"self_seconds\":" << buf << "}";
-  }
-  os << "]}";
-}
-
-std::string Profiler::ExportText() const {
-  const std::vector<ProfileEntry> profile = SectionProfile();
-  std::string out;
-  out += "section profile (seconds)\n";
-  out += "       total         self    count  section\n";
-  for (const ProfileEntry& entry : profile) {
-    out += FormatSeconds(entry.total_seconds);
-    out += " ";
-    out += FormatSeconds(entry.self_seconds);
-    out += " ";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%8lld",
-                  static_cast<long long>(entry.count));
-    out += buf;
-    out += "  ";
-    out += entry.name;
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace kairos::obs

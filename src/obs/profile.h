@@ -35,7 +35,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -82,11 +81,6 @@ class Profiler {
   /// Merged per-section profile across all threads, sorted by name.
   /// Sections with open frames report their completed invocations only.
   std::vector<ProfileEntry> SectionProfile() const;
-
-  /// {"sections": [{"name", "count", "total_seconds", "self_seconds"}...]}
-  void ExportJson(std::ostream& os) const;
-  /// Human-readable section table.
-  std::string ExportText() const;
 
  private:
   struct Frame {

@@ -317,23 +317,14 @@ DriftDecision ConsolidationController::DetectDrift(bool forecast_violation) {
     return {};
   }
   const std::vector<monitor::ProfileStats> stats = CurrentStats();
-  // Each shard scans its own stripe concurrently into a disjoint slot...
+  // Each shard scans its own stripe concurrently into a disjoint slot, and
+  // Decide folds the stripes in order: the same stream (and reason string)
+  // at every stripe and thread count.
   std::vector<DriftScan> scans(ingest_.stripes().num_stripes());
   ingest_.ForEachStripe([&](int s, int begin, int end) {
     scans[s] = drift_.ScanRange(stats, begin, end);
   });
-  // ...and the fold walks the stripes in order, so first_stream is the
-  // lowest-indexed drifted stream — the same stream (and reason string) at
-  // every stripe and thread count.
-  DriftScan folded;
-  int drifted_shards = 0;
-  for (const DriftScan& scan : scans) {
-    if (scan.drifted_streams == 0) continue;
-    if (folded.first_stream < 0) folded.first_stream = scan.first_stream;
-    folded.drifted_streams += scan.drifted_streams;
-    ++drifted_shards;
-  }
-  return drift_.Decide(folded, drifted_shards);
+  return drift_.Decide(scans);
 }
 
 void ConsolidationController::Resolve(core::ConsolidationProblem* problem,

@@ -55,4 +55,17 @@ DriftDecision DriftDetector::Decide(const DriftScan& folded,
   return decision;
 }
 
+DriftDecision DriftDetector::Decide(
+    const std::vector<DriftScan>& stripe_scans) const {
+  DriftScan folded;
+  int drifted_shards = 0;
+  for (const DriftScan& scan : stripe_scans) {
+    if (scan.drifted_streams == 0) continue;
+    if (folded.first_stream < 0) folded.first_stream = scan.first_stream;
+    folded.drifted_streams += scan.drifted_streams;
+    ++drifted_shards;
+  }
+  return Decide(folded, drifted_shards);
+}
+
 }  // namespace kairos::online

@@ -10,9 +10,9 @@
 // The controller checks the forecast itself; the detector owns the drift
 // scan. The scan decomposes over stream ranges: ScanRange(current, b, e)
 // counts the drifted streams in [b, e) and remembers the first, so the
-// striped ingestion tier can scan each shard's stripe on its own worker and
-// fold the per-shard results in shard order — Decide() then builds the same
-// decision at every stripe and thread count. The decision also reports
+// striped ingestion tier can scan each shard's stripe on its own worker,
+// and Decide(stripe_scans) folds the per-stripe results in stripe order —
+// the same decision at every stripe and thread count. The decision also reports
 // *how many* streams (and shards) drifted; those counts are observability
 // only: every drift decision triggers the same global re-solve.
 #ifndef KAIROS_ONLINE_DRIFT_H_
@@ -75,6 +75,10 @@ class DriftDetector {
   /// Builds the decision from a folded scan. `drifted_shards` is the number
   /// of stripes whose scan found drift.
   DriftDecision Decide(const DriftScan& folded, int drifted_shards) const;
+
+  /// Folds per-stripe scans in stripe order — first_stream is then the
+  /// lowest-indexed drifted stream — and builds the decision from the fold.
+  DriftDecision Decide(const std::vector<DriftScan>& stripe_scans) const;
 
  private:
   DriftConfig config_;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <sstream>
 
+#include "core/load_accountant.h"
 #include "sim/capacity.h"
 
 namespace kairos::online {
@@ -56,8 +57,10 @@ MigrationPlan MigrationPlanner::Plan(const core::ConsolidationProblem& problem,
   std::vector<std::vector<double>> slot_cpu, slot_ram, slot_rate;
   std::vector<double> slot_ws;
   std::vector<int> workload_of_slot;
+  std::vector<int> slot_begin;  // workload-major slot ranges
   for (int wi = 0; wi < static_cast<int>(problem.workloads.size()); ++wi) {
     const auto& w = problem.workloads[wi];
+    slot_begin.push_back(static_cast<int>(slot_ws.size()));
     std::vector<double> cpu(samples, 0.0), ram(samples, 0.0), rate(samples, 0.0);
     for (size_t t = 0; t < samples; ++t) {
       cpu[t] = t < w.cpu_cores.size() ? w.cpu_cores.at(t) : 0.0;
@@ -72,6 +75,7 @@ MigrationPlan MigrationPlanner::Plan(const core::ConsolidationProblem& problem,
       workload_of_slot.push_back(wi);
     }
   }
+  slot_begin.push_back(num_slots);
 
   // The usable fleet (spare servers are legitimate bounce targets). The
   // ledger additionally covers stranded source indices (e.g. a drained
@@ -100,26 +104,21 @@ MigrationPlan MigrationPlanner::Plan(const core::ConsolidationProblem& problem,
     if (from[s] != to[s]) pending.push_back(s);
   }
 
-  // Anti-affine slot pairs (replicas of one workload, plus the problem's
-  // explicit pairs): a move must not co-locate them even transiently.
-  std::vector<std::vector<int>> conflicts(num_slots);
-  for (int a = 0; a < num_slots; ++a) {
-    for (int b = a + 1; b < num_slots; ++b) {
-      bool conflict = workload_of_slot[a] == workload_of_slot[b];
-      for (const auto& [wa, wb] : problem.anti_affinity) {
-        conflict = conflict ||
-                   (workload_of_slot[a] == wa && workload_of_slot[b] == wb) ||
-                   (workload_of_slot[a] == wb && workload_of_slot[b] == wa);
-      }
-      if (conflict) {
-        conflicts[a].push_back(b);
-        conflicts[b].push_back(a);
-      }
+  // Anti-affine slots (replicas of one workload, plus the slots of its
+  // explicit partners): a move must not co-locate them even transiently.
+  const std::vector<std::vector<int>> partners =
+      core::AntiAffinityPartners(problem);
+  const auto clear_of = [&](int w, int slot, int server) {
+    for (int b = slot_begin[w]; b < slot_begin[w + 1]; ++b) {
+      if (b != slot && state[b] == server) return false;
     }
-  }
+    return true;
+  };
   const auto affinity_ok = [&](int slot, int server) {
-    for (int other : conflicts[slot]) {
-      if (state[other] == server) return false;
+    const int w = workload_of_slot[slot];
+    if (!clear_of(w, slot, server)) return false;
+    for (int p : partners[w]) {
+      if (!clear_of(p, slot, server)) return false;
     }
     return true;
   };

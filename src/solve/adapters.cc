@@ -36,9 +36,7 @@ core::ConsolidationPlan GreedyBaselineSolver::Solve(
   // No single-resource packing survived the full constraint check: report
   // the multi-resource completion instead of an empty plan (marked
   // infeasible by FinalizePlan when it is).
-  bool clean = false;
-  const core::Assignment fallback =
-      core::GreedyMultiResource(problem, cap, &clean);
+  const core::Assignment fallback = core::GreedyMultiResource(problem, cap);
   return Finish(problem, fallback.server_of_slot, cap, name(),
                 /*seed=*/0, budget);
 }
@@ -46,8 +44,7 @@ core::ConsolidationPlan GreedyBaselineSolver::Solve(
 core::ConsolidationPlan GreedyMultiSolver::Solve(
     const core::ConsolidationProblem& problem, const SolveBudget& budget) {
   const int cap = HardCap(problem);
-  bool clean = false;
-  const core::Assignment a = core::GreedyMultiResource(problem, cap, &clean);
+  const core::Assignment a = core::GreedyMultiResource(problem, cap);
   return Finish(problem, a.server_of_slot, cap, name(),
                 /*seed=*/0, budget);
 }

@@ -66,7 +66,7 @@ core::ConsolidationPlan BranchAndBoundSolver::Solve(
   const core::LoadAccountant& acct = engine.accountant();
 
   // The encoding's target set: the fleet placement mask when it bites,
-  // else the full index space (mirrors opt::direct's DecodePoint).
+  // else the full index space (as the engine's DIRECT decoder uses).
   const sim::FleetSpec::PlacementMask mask = problem.fleet.PlacementTargets(cap);
   std::vector<int> targets;
   if (mask.masked) {
@@ -80,15 +80,11 @@ core::ConsolidationPlan BranchAndBoundSolver::Solve(
   // closed: interchangeability (the symmetry break below) only holds for
   // servers whose identity no objective term observes.
   std::vector<char> distinguished(cap, 0);
-  for (const auto& w : problem.workloads) {
-    if (w.pinned_server >= 0 && w.pinned_server < cap) {
-      distinguished[w.pinned_server] = 1;
-    }
-  }
-  if (problem.migration_cost_weight > 0.0) {
-    for (int j : problem.current_assignment) {
-      if (j >= 0 && j < cap) distinguished[j] = 1;
-    }
+  for (int s = 0; s < num_slots; ++s) {
+    const int pin = acct.PinOfSlot(s);
+    if (pin >= 0 && pin < cap) distinguished[pin] = 1;
+    const int cur = acct.PricesMigration() ? acct.CurrentServer(s) : -1;
+    if (cur >= 0 && cur < cap) distinguished[cur] = 1;
   }
 
   const std::vector<int> slot_order = BranchSlotOrder(acct, cap);

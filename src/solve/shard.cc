@@ -24,6 +24,12 @@ constexpr int kRebalanceRounds = 2;
 constexpr int kRebalanceMaxMoves = 32;
 constexpr int kRebalanceMaxTargets = 64;
 
+/// The automatic shard count aims for about this many slots per shard.
+constexpr int kTargetShardSlots = 512;
+/// Shards up to this many slots are solved by "engine", larger ones by
+/// "greedy-multi".
+constexpr int kEngineShardSlots = 96;
+
 /// Local index of global server `server` within the ascending `servers`
 /// map; -1 when the shard does not own it.
 int LocalServerIndex(const std::vector<int>& servers, int server) {
@@ -48,7 +54,7 @@ uint64_t ShardSeed(uint64_t master_seed, int shard_id) {
 
 ShardPartitioner::ShardPartitioner(const core::ConsolidationProblem& problem,
                                    const ShardOptions& options)
-    : problem_(problem), options_(options) {
+    : problem_(problem) {
   cap_ = problem.ServerCap();
 
   // A Uniform() fleet partitions as one virtual class spanning the whole
@@ -68,10 +74,7 @@ ShardPartitioner::ShardPartitioner(const core::ConsolidationProblem& problem,
 
   const int slots = problem.TotalSlots();
   int shards = options.num_shards;
-  if (shards <= 0) {
-    const int target = std::max(1, options.target_shard_slots);
-    shards = (slots + target - 1) / target;
-  }
+  if (shards <= 0) shards = (slots + kTargetShardSlots - 1) / kTargetShardSlots;
   num_shards_ = std::max(1, std::min(shards, std::max(1, cap_)));
 }
 
@@ -106,16 +109,11 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
   const int S = num_shards_;
   const int num_workloads = static_cast<int>(problem_.workloads.size());
 
-  // Global slot layout (workload-major, like the evaluator's).
-  std::vector<int> slot_begin(num_workloads + 1, 0);
-  for (int w = 0; w < num_workloads; ++w) {
-    slot_begin[w + 1] = slot_begin[w] + problem_.workloads[w].replicas;
-  }
-  const int total_slots = slot_begin[num_workloads];
-
   // Behavioural demand scores: per-workload normalized CPU+RAM peaks, the
   // LPT weight of the routing below. Slot-only accountant — no per-server
-  // matrices are allocated for what may be a very large cap.
+  // matrices are allocated for what may be a very large cap. Its
+  // constraint index supplies the slot layout, pairs, incumbent and move
+  // costs.
   const core::LoadAccountant acct(problem_, cap_, /*track_server_load=*/false);
   const sim::EffectiveCapacity best = acct.BestClass();
   std::vector<double> workload_score(num_workloads, 0.0);
@@ -135,9 +133,8 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
 
   // Anti-affinity groups (atomic routing units).
   UnionFind uf(num_workloads);
-  for (const auto& [a, b] : problem_.anti_affinity) {
-    if (a < 0 || a >= num_workloads || b < 0 || b >= num_workloads) continue;
-    uf.Union(a, b);
+  for (int w = 0; w < num_workloads; ++w) {
+    for (int p : acct.Partners(w)) uf.Union(w, p);
   }
   struct Group {
     std::vector<int> members;  // ascending
@@ -148,8 +145,6 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
   };
   std::vector<Group> groups;
   std::vector<int> group_of(num_workloads, -1);
-  const bool has_current =
-      static_cast<int>(problem_.current_assignment.size()) == total_slots;
   for (int w = 0; w < num_workloads; ++w) {
     const int root = uf.Find(w);
     if (group_of[root] < 0) {
@@ -162,9 +157,9 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
     g.max_replicas = std::max(g.max_replicas, problem_.workloads[w].replicas);
     const int pin = problem_.workloads[w].pinned_server;
     if (g.pin_server < 0 && pin >= 0 && pin < cap_) g.pin_server = pin;
-    if (has_current && g.current_server < 0) {
-      for (int sl = slot_begin[w]; sl < slot_begin[w + 1]; ++sl) {
-        const int cur = problem_.current_assignment[sl];
+    if (acct.HasIncumbent() && g.current_server < 0) {
+      for (int sl = acct.SlotBegin(w); sl < acct.SlotBegin(w + 1); ++sl) {
+        const int cur = acct.CurrentServer(sl);
         if (cur >= 0 && cur < cap_) {
           g.current_server = cur;
           break;
@@ -305,38 +300,25 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
       // globally after stitching.
       profile.pinned_server = LocalServerIndex(shard.servers, profile.pinned_server);
       sub.workloads.push_back(std::move(profile));
-      for (int sl = slot_begin[w]; sl < slot_begin[w + 1]; ++sl) {
+      sub.migration_move_cost.push_back(acct.WorkloadMoveCost(w));
+      // Each pair once, when its higher-indexed workload is routed.
+      for (int p : acct.Partners(w)) {
+        if (p < w && shard_of_workload[p] == s) {
+          sub.anti_affinity.emplace_back(local_of_workload[p],
+                                         local_of_workload[w]);
+        }
+      }
+      for (int sl = acct.SlotBegin(w); sl < acct.SlotBegin(w + 1); ++sl) {
         shard.slots.push_back(sl);
-      }
-    }
-
-    if (static_cast<int>(problem_.migration_move_cost.size()) == num_workloads) {
-      sub.migration_move_cost.reserve(shard.workloads.size());
-      for (int w : shard.workloads) {
-        sub.migration_move_cost.push_back(problem_.migration_move_cost[w]);
-      }
-    }
-    if (has_current) {
-      sub.current_assignment.reserve(shard.slots.size());
-      for (int sl : shard.slots) {
         // Foreign current servers map to -1: any local placement is a move,
         // which is exactly what it costs globally.
-        sub.current_assignment.push_back(
-            LocalServerIndex(shard.servers, problem_.current_assignment[sl]));
+        if (acct.HasIncumbent()) {
+          sub.current_assignment.push_back(
+              LocalServerIndex(shard.servers, acct.CurrentServer(sl)));
+        }
       }
     }
   }
-
-  for (int s = 0; s < S; ++s) {
-    FleetShard& shard = shards[s];
-    core::ConsolidationProblem& sub = shard.problem;
-    for (const auto& [a, b] : problem_.anti_affinity) {
-      if (a < 0 || a >= num_workloads || b < 0 || b >= num_workloads) continue;
-      if (shard_of_workload[a] != s || shard_of_workload[b] != s) continue;
-      sub.anti_affinity.emplace_back(local_of_workload[a], local_of_workload[b]);
-    }
-  }
-
   return shards;
 }
 
@@ -347,8 +329,7 @@ namespace {
 /// per local slot), clamped into the shard's index space.
 std::vector<int> SolveShardLocal(const FleetShard& shard,
                                  const SolveBudget& parent, int num_shards,
-                                 const std::vector<int>* warm_seed,
-                                 const ShardOptions& options) {
+                                 const std::vector<int>* warm_seed) {
   const int slots = shard.problem.TotalSlots();
   if (slots == 0 || shard.servers.empty()) return std::vector<int>(slots, 0);
   const int local_cap = HardCap(shard.problem);
@@ -378,11 +359,8 @@ std::vector<int> SolveShardLocal(const FleetShard& shard,
     if (ok) budget.seed_assignment = std::move(seed);
   }
 
-  std::string name = options.local_solver;
-  if (name.empty()) name = slots <= 96 ? "engine" : "greedy-multi";
-  if (name == "sharded") name = "greedy-multi";  // no recursive sharding
-  auto solver = CreateSolver(name, shard.seed);
-  if (solver == nullptr) solver = CreateSolver("greedy-multi", shard.seed);
+  const auto solver = CreateSolver(
+      slots <= kEngineShardSlots ? "engine" : "greedy-multi", shard.seed);
   const core::ConsolidationPlan plan = solver->Solve(shard.problem, budget);
 
   std::vector<int> out = plan.assignment.server_of_slot;
@@ -568,8 +546,7 @@ core::ConsolidationPlan ShardedSolver::Solve(
     util::ThreadPool pool(options_.threads);
     const std::function<void(int)> task = [&](int s) {
       local[s] = SolveShardLocal(shards[s], budget, S,
-                                 warm ? &budget.seed_assignment : nullptr,
-                                 options_);
+                                 warm ? &budget.seed_assignment : nullptr);
       // Credit this worker's evaluator ops before it goes idle; flushing
       // early only moves tallies to the sink sooner, never drops them.
       if (budget.sink != nullptr) core::FlushEvalOps(budget.sink);

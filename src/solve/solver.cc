@@ -51,8 +51,7 @@ bool ValidSeedAssignment(const core::ConsolidationProblem& problem, int cap,
 
 core::Assignment StartAssignment(const core::ConsolidationProblem& problem,
                                  int cap, const SolveBudget& budget) {
-  bool clean = false;
-  core::Assignment start = core::GreedyMultiResource(problem, cap, &clean);
+  core::Assignment start = core::GreedyMultiResource(problem, cap);
   const bool dim_seed = !problem.fleet.Uniform();
   const bool warm = ValidSeedAssignment(problem, cap, budget.seed_assignment);
   if (!dim_seed && !warm) return start;

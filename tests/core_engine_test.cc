@@ -47,9 +47,7 @@ TEST(GreedyTest, SingleResourceBlindSpot) {
 TEST(GreedyTest, MultiResourceAlwaysCompletes) {
   ConsolidationProblem prob;
   for (int i = 0; i < 5; ++i) prob.workloads.push_back(MakeProfile("w", 3.0, 25.0));
-  bool feasible = false;
-  const Assignment a = GreedyMultiResource(prob, 0, &feasible);
-  EXPECT_TRUE(feasible);
+  const Assignment a = GreedyMultiResource(prob, 0);
   EXPECT_EQ(a.server_of_slot.size(), 5u);
   Evaluator ev(prob, 5);
   ev.Load(a.server_of_slot);

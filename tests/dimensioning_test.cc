@@ -347,9 +347,7 @@ TEST(GreedyRestrictionTest, MultiResourcePackingStaysInsideSubset) {
   problem.max_servers = 8;
 
   const std::vector<int> subset = {2, 5};
-  bool clean = false;
-  const core::Assignment packed =
-      core::GreedyMultiResource(problem, 8, &clean, &subset);
+  const core::Assignment packed = core::GreedyMultiResource(problem, 8, &subset);
   for (int s : packed.server_of_slot) {
     EXPECT_TRUE(s == 2 || s == 5) << "packed onto server " << s;
   }

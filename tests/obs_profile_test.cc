@@ -4,7 +4,6 @@
 // profiler attached vs detached at every portfolio thread count.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "online/controller.h"
 #include "online/telemetry.h"
 #include "trace/scenario.h"
-#include "util/json.h"
 
 namespace kairos {
 namespace {
@@ -96,27 +94,6 @@ TEST(ProfilerTest, MismatchedExitIsIgnored) {
   ASSERT_EQ(sections.size(), 1u);
   EXPECT_EQ(sections[0].name, "a");
   EXPECT_EQ(sections[0].count, 1);
-}
-
-TEST(ProfilerTest, ExportJsonParsesAndExportTextListsSections) {
-  obs::Profiler profiler;
-  {
-    obs::ProfileScope scope(&profiler, "solve");
-  }
-  std::ostringstream os;
-  profiler.ExportJson(os);
-  util::JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(util::JsonValue::Parse(os.str(), &doc, &error)) << error;
-  const util::JsonValue* sections = doc.Find("sections");
-  ASSERT_NE(sections, nullptr);
-  ASSERT_TRUE(sections->is_array());
-  ASSERT_EQ(sections->array.size(), 1u);
-  EXPECT_EQ(sections->array[0].Find("name")->string, "solve");
-  EXPECT_DOUBLE_EQ(sections->array[0].Find("count")->number, 1.0);
-
-  const std::string text = profiler.ExportText();
-  EXPECT_NE(text.find("solve"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -387,16 +387,11 @@ TEST(DriftScanTest, PerStripeScansFoldToTheSerialDecision) {
 
   ASSERT_TRUE(detector.ScanEnabled(10, current.size()));
   const StripeMap map(8, 2);
-  DriftScan folded;
-  int drifted_shards = 0;
+  std::vector<DriftScan> scans;
   for (int s = 0; s < map.num_stripes(); ++s) {
-    const DriftScan scan = detector.ScanRange(current, map.begin(s), map.end(s));
-    if (scan.drifted_streams == 0) continue;
-    if (folded.first_stream < 0) folded.first_stream = scan.first_stream;
-    folded.drifted_streams += scan.drifted_streams;
-    ++drifted_shards;
+    scans.push_back(detector.ScanRange(current, map.begin(s), map.end(s)));
   }
-  const DriftDecision sharded = detector.Decide(folded, drifted_shards);
+  const DriftDecision sharded = detector.Decide(scans);
   // Reference: the whole stream set scanned as one stripe.
   const DriftDecision serial = detector.Decide(
       detector.ScanRange(current, 0, static_cast<int>(current.size())),

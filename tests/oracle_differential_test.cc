@@ -1,6 +1,7 @@
-// Differential suite: core::Evaluator and every built-in solver against
-// the naive reference checker (tests/oracle/reference_checker.h), which
-// shares no code with core/. Seeded uniform and mixed-fleet instances carry
+// Differential suite: core::Evaluator, core::BoundEngine and every
+// built-in solver against the naive reference checker
+// (tests/oracle/reference_checker.h), which shares no code with core/.
+// Seeded uniform and mixed-fleet instances carry
 // every objective term — a nonlinear disk model (shared and per class),
 // replicas, a pin, anti-affinity pairs (one of them a self pair), a drained
 // class and an incumbent with a weighted migration term. Agreement is
@@ -269,6 +270,64 @@ TEST(OracleDifferentialTest, IncrementalStateAndMoveQueriesMatchChecker) {
   EXPECT_GT(undos, 50);
   EXPECT_GT(emptied, 20);
   EXPECT_GT(floors_finite, 1000);
+}
+
+// The exact search's partial-assignment state prices what the checker
+// prices. BoundEngine places a random assignment slot by slot in random
+// order, unplaces the last third in reverse order and places those slots
+// on other servers: each full assignment's committed cost is the checker's
+// objective, and every Place moves it by its PlaceDelta. The instances add
+// a reversed duplicate pair and an out-of-range pair, and run once more
+// with a move-cost list shorter than the workload list.
+TEST(OracleDifferentialTest, BoundEnginePlacementsMatchChecker) {
+  int placements = 0;
+  for (bool short_move_costs : {false, true}) {
+    for (bool mixed : {false, true}) {
+      for (uint64_t seed = 1; seed <= 6; ++seed) {
+        Instance in = MakeInstance(seed, mixed);
+        core::ConsolidationProblem& prob = in.problem;
+        prob.anti_affinity.emplace_back(1, 0);
+        prob.anti_affinity.emplace_back(3, 99);
+        if (short_move_costs) prob.migration_move_cost.resize(3);
+        core::BoundEngine engine(prob, in.cap);
+        util::Rng rng(seed * 131 + (mixed ? 5 : 0) + (short_move_costs ? 11 : 0));
+        const int slots = engine.num_slots();
+        std::vector<int> a = RandomAssignment(&rng, slots, in.cap);
+        std::vector<int> order(slots);
+        std::iota(order.begin(), order.end(), 0);
+        for (int i = slots - 1; i > 0; --i) {
+          std::swap(order[i], order[rng.UniformInt(0, i)]);
+        }
+        const auto place = [&](int slot, int server) {
+          const double before = engine.committed_cost();
+          const double delta = engine.PlaceDelta(slot, server);
+          engine.Place(slot, server);
+          const double after = engine.committed_cost();
+          EXPECT_NEAR(after - before, delta, Tol(before, after))
+              << "slot " << slot << " -> " << server;
+          ++placements;
+        };
+        for (int s : order) place(s, a[s]);
+        double want = oracle::Objective(prob, a);
+        ASSERT_NEAR(engine.committed_cost(), want, Tol(want))
+            << "mixed " << mixed << " seed " << seed << " placed";
+
+        const int keep = slots - slots / 3;
+        for (int i = slots - 1; i >= keep; --i) engine.Unplace(order[i], a[order[i]]);
+        for (int i = keep; i < slots; ++i) {
+          const int s = order[i];
+          int to = static_cast<int>(rng.UniformInt(0, in.cap - 2));
+          if (to >= a[s]) ++to;
+          a[s] = to;
+          place(s, to);
+        }
+        want = oracle::Objective(prob, a);
+        ASSERT_NEAR(engine.committed_cost(), want, Tol(want))
+            << "mixed " << mixed << " seed " << seed << " re-placed";
+      }
+    }
+  }
+  EXPECT_EQ(placements, 24 * (11 + 11 / 3));  // 11 slots per instance
 }
 
 // Every built-in solver's plan, re-scored by the checker, carries the

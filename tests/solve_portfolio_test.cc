@@ -81,8 +81,7 @@ TEST(SolveAdaptersTest, GreedySolverMatchesGreedyBaseline) {
 TEST(SolveMetaheuristicTest, AnnealNeverWorseThanGreedySeed) {
   const auto prob = MixedProblem();
   const int cap = HardCap(prob);
-  bool clean = false;
-  const auto seed = core::GreedyMultiResource(prob, cap, &clean);
+  const auto seed = core::GreedyMultiResource(prob, cap);
   core::Evaluator ev(prob, cap);
   const double seed_cost = ev.Evaluate(seed.server_of_slot);
 
@@ -96,8 +95,7 @@ TEST(SolveMetaheuristicTest, AnnealNeverWorseThanGreedySeed) {
 TEST(SolveMetaheuristicTest, TabuNeverWorseThanGreedySeed) {
   const auto prob = MixedProblem();
   const int cap = HardCap(prob);
-  bool clean = false;
-  const auto seed = core::GreedyMultiResource(prob, cap, &clean);
+  const auto seed = core::GreedyMultiResource(prob, cap);
   core::Evaluator ev(prob, cap);
   const double seed_cost = ev.Evaluate(seed.server_of_slot);
 

@@ -209,10 +209,9 @@ TEST(ShardPartitionerTest, MoreShardsThanWorkloadsLeavesEmptyShards) {
 }
 
 TEST(ShardPartitionerTest, AutoShardCountClampsToServerCap) {
-  core::ConsolidationProblem prob = TwoClassProblem(30);
+  core::ConsolidationProblem prob = TwoClassProblem(5200);
   ShardOptions options;
-  options.num_shards = 0;
-  options.target_shard_slots = 2;  // would ask for 15 shards
+  options.num_shards = 0;  // 5,200 slots at 512 per shard would ask for 11
   const ShardPartitioner partitioner(prob, options);
   // Clamped to the 10-server cap.
   EXPECT_EQ(partitioner.ResolvedShardCount(), 10);
