@@ -99,10 +99,13 @@ double ServerAggregateCost(const ConsolidationProblem& problem,
                   wsum;
     exp_sum += std::exp(std::min(load, 1.0));
 
-    violation += std::max(0.0, cpu / cap.cpu_cores - 1.0);
-    violation += std::max(0.0, ram / cap.ram_bytes - 1.0);
-    if (has_disk && disk_cap > 0) {
-      violation += std::max(0.0, rate / (disk_headroom * disk_cap) - 1.0);
+    // Each excess term is max(0, x / c - 1) without the division on a
+    // within-capacity sample, where that term is exactly +0.0: x > c
+    // implies x / c >= 1.0, and a NaN sample adds nothing either way.
+    if (cpu > cap.cpu_cores) violation += cpu / cap.cpu_cores - 1.0;
+    if (ram > cap.ram_bytes) violation += ram / cap.ram_bytes - 1.0;
+    if (has_disk && disk_cap > 0 && rate > disk_headroom * disk_cap) {
+      violation += rate / (disk_headroom * disk_cap) - 1.0;
     }
   }
   violation /= static_cast<double>(samples);

@@ -833,5 +833,56 @@ TEST(EvaluatorMigrationTest, ServerSavingsStillDominateMoves) {
   EXPECT_LT(ev.Evaluate({0, 0, 0, 0}), ev.Evaluate({0, 0, 1, 1}));
 }
 
+TEST(ServerAggregateCostTest, ExcessTermsMatchTheClampedFormBitwise) {
+  // ServerAggregateCost skips an excess term's division on a
+  // within-capacity sample. Its violation must equal the clamped form
+  // max(0, x / c - 1), summed in the same axis order, bit for bit: on
+  // every combination of a CPU, RAM and disk sample below, one ulp below,
+  // exactly at, one ulp above and above its capacity, and NaN.
+  static const model::DiskModel disk_model = model::BuildAnalyticModel(
+      sim::DiskSpec::Raid10(), model::AnalyticConfig{}, 96e9, 2000);
+  ConsolidationProblem prob;
+  prob.workloads.push_back(MakeProfile("w", 1.0, 8.0, 100, /*samples=*/1));
+  prob.disk_model = &disk_model;
+  prob.per_instance_cpu_overhead_cores = 0.0;
+  prob.instance_ram_overhead_bytes = 0;
+  const LoadAccountant acct(prob, 1, /*track_server_load=*/false);
+  ASSERT_EQ(acct.num_samples(), 1);
+  const sim::EffectiveCapacity& cap = acct.CapacityOfClass(0);
+  const model::DiskResource& disk = acct.Disk(0);
+  ASSERT_TRUE(disk.active());
+  const double ws = 8e9;
+  const double disk_limit = disk.headroom() * disk.Capacity(ws);
+  ASSERT_GT(disk_limit, 0.0);
+  const auto samples_around = [](double c) {
+    return std::vector<double>{0.0,
+                               0.5 * c,
+                               std::nextafter(c, 0.0),
+                               c,
+                               std::nextafter(c, 2.0 * c),
+                               1.3 * c,
+                               std::numeric_limits<double>::quiet_NaN()};
+  };
+  int over = 0;
+  for (double cpu : samples_around(cap.cpu_cores)) {
+    for (double ram : samples_around(cap.ram_bytes)) {
+      for (double rate : samples_around(disk_limit)) {
+        double got = -1.0;
+        ServerAggregateCost(
+            prob, acct, 0, ws, 1, [&](int) { return cpu; },
+            [&](int) { return ram; }, [&](int) { return rate; }, &got);
+        double want = 0.0;
+        want += std::max(0.0, cpu / cap.cpu_cores - 1.0);
+        want += std::max(0.0, ram / cap.ram_bytes - 1.0);
+        want += std::max(0.0, rate / disk_limit - 1.0);
+        ASSERT_EQ(Bits(got), Bits(want))
+            << "cpu " << cpu << " ram " << ram << " rate " << rate;
+        if (want > 0.0) ++over;
+      }
+    }
+  }
+  EXPECT_GT(over, 200);  // most combinations carry some excess
+}
+
 }  // namespace
 }  // namespace kairos::core
