@@ -479,14 +479,11 @@ Evaluator::ServerLoad Evaluator::GetServerLoad(int j) const {
   const int samples = acct_.num_samples();
   const double* cpu = acct_.ServerSeries(Axis::kCpu, j);
   const double* ram = acct_.ServerSeries(Axis::kRam, j);
-  const double* rate = acct_.ServerSeries(Axis::kRate, j);
   out.cpu_cores.resize(samples);
   out.ram_bytes.resize(samples);
-  out.update_rows_per_sec.resize(samples);
   for (int t = 0; t < samples; ++t) {
     out.cpu_cores[t] = cpu[t] + overhead;
     out.ram_bytes[t] = ram[t] + ram_overhead;
-    out.update_rows_per_sec[t] = rate[t];
   }
   out.working_set_bytes = acct_.ServerWs(j);
   return out;

@@ -195,7 +195,6 @@ class Evaluator {
     bool used = false;
     std::vector<double> cpu_cores;         ///< Over time.
     std::vector<double> ram_bytes;         ///< Over time.
-    std::vector<double> update_rows_per_sec;
     double working_set_bytes = 0;
     int num_slots = 0;
     double violation = 0;

@@ -669,6 +669,7 @@ struct PackageView {
   bool feasible;
   uint64_t violation[2];
   Evaluator::ServerLoad load[2];
+  std::vector<double> rate[2];  // the accountant's update-rate rows
 };
 
 PackageView ViewOf(const Evaluator& ev, int a, int b) {
@@ -681,6 +682,8 @@ PackageView ViewOf(const Evaluator& ev, int a, int b) {
     const int j = k == 0 ? a : b;
     v.violation[k] = Bits(ev.ServerViolation(j));
     v.load[k] = ev.GetServerLoad(j);
+    const double* rate = ev.accountant().ServerSeries(Axis::kRate, j);
+    v.rate[k].assign(rate, rate + ev.num_samples());
   }
   return v;
 }
@@ -702,8 +705,7 @@ void ExpectSameBits(const PackageView& x, const PackageView& y) {
     for (size_t t = 0; t < p.cpu_cores.size(); ++t) {
       ASSERT_EQ(Bits(p.cpu_cores[t]), Bits(q.cpu_cores[t])) << "t " << t;
       ASSERT_EQ(Bits(p.ram_bytes[t]), Bits(q.ram_bytes[t])) << "t " << t;
-      ASSERT_EQ(Bits(p.update_rows_per_sec[t]), Bits(q.update_rows_per_sec[t]))
-          << "t " << t;
+      ASSERT_EQ(Bits(x.rate[k][t]), Bits(y.rate[k][t])) << "t " << t;
     }
   }
 }
@@ -810,10 +812,12 @@ TEST(EvaluatorPackageTest, MatchesSequentialApplyMoveLoop) {
         ASSERT_EQ(p.num_slots, q.num_slots);
         ASSERT_EQ(Bits(p.working_set_bytes), Bits(q.working_set_bytes));
         ASSERT_EQ(Bits(pkg.ServerViolation(j)), Bits(loop.ServerViolation(j)));
+        const double* p_rate = pkg.accountant().ServerSeries(Axis::kRate, j);
+        const double* q_rate = loop.accountant().ServerSeries(Axis::kRate, j);
         for (size_t t = 0; t < p.cpu_cores.size(); ++t) {
           ASSERT_EQ(Bits(p.cpu_cores[t]), Bits(q.cpu_cores[t]));
           ASSERT_EQ(Bits(p.ram_bytes[t]), Bits(q.ram_bytes[t]));
-          ASSERT_EQ(Bits(p.update_rows_per_sec[t]), Bits(q.update_rows_per_sec[t]));
+          ASSERT_EQ(Bits(p_rate[t]), Bits(q_rate[t]));
         }
       }
     }
