@@ -244,11 +244,11 @@ void BM_EvaluatorApplyMove(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluatorApplyMove);
 
-void BM_EvaluatorSwapRollback(benchmark::State& state) {
-  // The anneal/LocalSearch swap path on the BM_EvaluatorMoveDeltaDisk
-  // problem: two ApplyMoves that swap two slots' servers, then the two
-  // that roll the swap back. Items processed counts swap+rollback rounds
-  // (four applied moves each).
+// The anneal/LocalSearch swap on the BM_EvaluatorMoveDeltaDisk problem:
+// a QuoteSwap of two slots on different servers (2 pricings), then nothing
+// (SwapQuote, the reject path) or ApplySwap (SwapCommit: 4 row updates, no
+// pricing). Items processed counts swaps.
+void SwapBench(benchmark::State& state, bool commit) {
   auto prob = MakeProblem(196, 288);
   static const model::DiskModel disk_model = model::BuildAnalyticModel(
       sim::DiskSpec::Raid10(), model::AnalyticConfig{}, 96e9, 2000);
@@ -264,17 +264,18 @@ void BM_EvaluatorSwapRollback(benchmark::State& state) {
     while (ev.assignment()[b] == ev.assignment()[a]) {
       b = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
     }
-    const int sa = ev.assignment()[a];
-    const int sb = ev.assignment()[b];
-    ev.ApplyMove(a, sb);
-    ev.ApplyMove(b, sa);
-    ev.ApplyMove(b, sb);
-    ev.ApplyMove(a, sa);
-    benchmark::DoNotOptimize(ev.current_cost());
+    const core::SwapQuote quote = ev.QuoteSwap(a, b);
+    if (commit) ev.ApplySwap(quote);
+    benchmark::DoNotOptimize(quote.delta);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EvaluatorSwapRollback);
+
+void BM_EvaluatorSwapQuote(benchmark::State& state) { SwapBench(state, false); }
+BENCHMARK(BM_EvaluatorSwapQuote);
+
+void BM_EvaluatorSwapCommit(benchmark::State& state) { SwapBench(state, true); }
+BENCHMARK(BM_EvaluatorSwapCommit);
 
 // --- Observability substrate: the null-sink branch and the attached-sink
 // --- write path must both be negligible next to a DIRECT probe (the

@@ -37,6 +37,28 @@ double WhatIfServerCost(const ConsolidationProblem& problem,
       [&](int t) { return srv_rate[t] + sign * sl_rate[t]; }, nullptr);
 }
 
+double SwapServerCost(const ConsolidationProblem& problem,
+                      const LoadAccountant& acct, int j, int out_slot,
+                      int in_slot, double* violation_out) {
+  const double* srv_cpu = acct.ServerSeries(Axis::kCpu, j);
+  const double* srv_ram = acct.ServerSeries(Axis::kRam, j);
+  const double* srv_rate = acct.ServerSeries(Axis::kRate, j);
+  const double* out_cpu = acct.SlotSeries(Axis::kCpu, out_slot);
+  const double* out_ram = acct.SlotSeries(Axis::kRam, out_slot);
+  const double* out_rate = acct.SlotSeries(Axis::kRate, out_slot);
+  const double* in_cpu = acct.SlotSeries(Axis::kCpu, in_slot);
+  const double* in_ram = acct.SlotSeries(Axis::kRam, in_slot);
+  const double* in_rate = acct.SlotSeries(Axis::kRate, in_slot);
+  return ServerAggregateCost(
+      problem, acct, acct.ClassOfServer(j),
+      (acct.ServerWs(j) - acct.SlotWs(out_slot)) + acct.SlotWs(in_slot),
+      acct.ServerCount(j),
+      [&](int t) { return (srv_cpu[t] - out_cpu[t]) + in_cpu[t]; },
+      [&](int t) { return (srv_ram[t] - out_ram[t]) + in_ram[t]; },
+      [&](int t) { return (srv_rate[t] - out_rate[t]) + in_rate[t]; },
+      violation_out);
+}
+
 int BoundEngine::FractionalServerBound(const ConsolidationProblem& problem) {
   const LoadAccountant acct(problem, 1, /*track_server_load=*/false);
   const int num_slots = acct.num_slots();

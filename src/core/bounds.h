@@ -16,10 +16,10 @@
 //    same fractional-cover arithmetic.
 //
 // The objective constants and the per-server pricings live here too
-// (ServerAggregateCost, and over it ServerCost and WhatIfServerCost), so
-// the evaluator's cached state, its what-if move composition, and the exact
-// search's partial aggregates all price a server with literally the same
-// code. The affinity and migration terms come from the accountant's
+// (ServerAggregateCost, and over it ServerCost, WhatIfServerCost and
+// SwapServerCost), so the evaluator's cached state, its what-if move and
+// swap compositions, and the exact search's partial aggregates all price a
+// server with literally the same code. The affinity and migration terms come from the accountant's
 // constraint index; BoundEngine keeps only the partial-assignment state.
 #ifndef KAIROS_CORE_BOUNDS_H_
 #define KAIROS_CORE_BOUNDS_H_
@@ -130,6 +130,16 @@ double ServerCost(const ConsolidationProblem& problem,
 double WhatIfServerCost(const ConsolidationProblem& problem,
                         const LoadAccountant& acct, int j, int slot,
                         double sign);
+
+/// Cost + constraint excess of server `j`'s aggregate with `out_slot`
+/// removed and `in_slot` added, the aggregate itself untouched: one side
+/// of a swap. Each sample is `(server - out) + in` and the working set
+/// `(ws - ws_out) + ws_in`, what LoadAccountant::Apply(j, out_slot, -1)
+/// followed by Apply(j, in_slot, +1) computes, so pricing after those two
+/// Applies gives the same bits. The slot count does not change.
+double SwapServerCost(const ConsolidationProblem& problem,
+                      const LoadAccountant& acct, int j, int out_slot,
+                      int in_slot, double* violation_out);
 
 /// A per-class server-count vector (indexed like the problem fleet) plus
 /// its fleet cost — one candidate purchase of the dimensioner's knapsack.

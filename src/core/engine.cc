@@ -214,7 +214,8 @@ void ConsolidationEngine::LocalSearch(Evaluator* ev, int max_sweeps, util::Rng* 
         improved = true;
       }
     }
-    // Swap pass: random pairs; keep improving swaps. Never swap a slot
+    // Swap pass: random pairs; keep improving swaps, each quoted with one
+    // pricing per server and committed without another. Never swap a slot
     // *onto* a drained server (the mask again; no-op without drain).
     const int swap_tries = slots * 2;
     for (int i = 0; i < swap_tries; ++i) {
@@ -226,13 +227,9 @@ void ConsolidationEngine::LocalSearch(Evaluator* ev, int max_sweeps, util::Rng* 
       const int sb = ev->assignment()[b];
       if (sa == sb) continue;
       if (drained_server(sa) || drained_server(sb)) continue;
-      const double before = ev->current_cost();
-      ev->ApplyMove(a, sb);
-      ev->ApplyMove(b, sa);
-      if (ev->current_cost() > before - 1e-9) {
-        ev->ApplyMove(b, sb);
-        ev->ApplyMove(a, sa);
-      } else {
+      const SwapQuote quote = ev->QuoteSwap(a, b);
+      if (quote.delta <= -1e-9) {
+        ev->ApplySwap(quote);
         improved = true;
       }
     }

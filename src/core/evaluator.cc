@@ -40,6 +40,14 @@ void FlushEvalOps(obs::Sink* sink) {
       sink->metrics().counter("evaluator.package_moves")
           ->Add(tl_eval_ops.package_moves);
     }
+    if (tl_eval_ops.swap_quotes > 0) {
+      sink->metrics().counter("evaluator.swap_quotes")
+          ->Add(tl_eval_ops.swap_quotes);
+    }
+    if (tl_eval_ops.swap_moves > 0) {
+      sink->metrics().counter("evaluator.swap_moves")
+          ->Add(tl_eval_ops.swap_moves);
+    }
     if (tl_eval_ops.floor_skips > 0) {
       sink->metrics().counter("evaluator.floor_skips")
           ->Add(tl_eval_ops.floor_skips);
@@ -227,7 +235,7 @@ double Evaluator::Evaluate(const std::vector<int>& assignment,
 void Evaluator::Load(const std::vector<int>& assignment) {
   const int num_slots = acct_.num_slots();
   assert(static_cast<int>(assignment.size()) == num_slots);
-  package_.valid = false;
+  ++epoch_;
   assignment_ = assignment;
   acct_.Clear();
   for (int s = 0; s < num_slots; ++s) acct_.Apply(assignment[s], s, +1.0);
@@ -350,7 +358,7 @@ void Evaluator::MoveDeltaBatch(int slot, const std::vector<int>& targets,
 
 void Evaluator::ApplyMove(int slot, int to) {
   ++tl_eval_ops.apply_move_ops;
-  package_.valid = false;
+  ++epoch_;
   const int from = assignment_[slot];
   if (to == from) return;
   const double affinity_delta = acct_.AffinityUnits(assignment_, slot, to) -
@@ -400,7 +408,7 @@ double Evaluator::ApplyPackage(const std::vector<int>& movers, int to) {
 
   // Snapshot everything the package changes before changing it.
   PackageSnapshot& snap = package_;
-  snap.valid = true;
+  snap.epoch = ++epoch_;
   snap.server[0] = from;
   snap.server[1] = to;
   const int samples = acct_.num_samples();
@@ -452,7 +460,8 @@ double Evaluator::ApplyPackage(const std::vector<int>& movers, int to) {
 }
 
 void Evaluator::UndoPackage() {
-  assert(package_.valid && "UndoPackage needs the last call's snapshot");
+  assert(package_.epoch == epoch_ &&
+         "UndoPackage needs the last call's snapshot");
   PackageSnapshot& snap = package_;
   for (int k = 0; k < 2; ++k) {
     const int j = snap.server[k];
@@ -464,7 +473,73 @@ void Evaluator::UndoPackage() {
   current_cost_ = snap.current_cost;
   total_violation_ = snap.total_violation;
   migration_cost_ = snap.migration_cost;
-  snap.valid = false;
+  ++epoch_;
+}
+
+SwapQuote Evaluator::QuoteSwap(int a, int b) const {
+  ++tl_eval_ops.swap_quotes;
+  const int sa = assignment_[a];
+  const int sb = assignment_[b];
+  assert(acct_.PinOfSlot(a) < 0 && acct_.PinOfSlot(b) < 0);
+  assert(sa != sb);
+  SwapQuote q;
+  q.slot[0] = a;
+  q.slot[1] = b;
+  q.server[0] = sa;
+  q.server[1] = sb;
+  q.epoch = epoch_;
+  q.cost[0] = SwapServerCost(problem_, acct_, sa, a, b, &q.violation[0]);
+  q.cost[1] = SwapServerCost(problem_, acct_, sb, b, a, &q.violation[1]);
+  // AffinityUnits reads the assignment before the swap, so U(a, sb) counts
+  // b and U(b, sa) counts a when the two are related: r(a, b) comes off
+  // twice, as the pair stays on different servers.
+  const int wa = acct_.WorkloadOfSlot(a);
+  const int wb = acct_.WorkloadOfSlot(b);
+  double related = wa == wb ? 1.0 : 0.0;
+  for (int p : acct_.Partners(wa)) {
+    if (p == wb) related += 1.0;
+  }
+  q.affinity_units = (acct_.AffinityUnits(assignment_, a, sb) -
+                      acct_.AffinityUnits(assignment_, a, sa)) +
+                     (acct_.AffinityUnits(assignment_, b, sa) -
+                      acct_.AffinityUnits(assignment_, b, sb)) -
+                     2.0 * related;
+  q.migration_delta =
+      (acct_.MigrationCost(a, sb) - acct_.MigrationCost(a, sa)) +
+      (acct_.MigrationCost(b, sa) - acct_.MigrationCost(b, sb));
+  double delta =
+      ((q.cost[0] - server_cost_[sa]) + q.cost[1]) - server_cost_[sb];
+  delta += q.affinity_units * kAffinityPenalty;
+  delta += q.migration_delta;
+  q.delta = delta;
+  return q;
+}
+
+void Evaluator::ApplySwap(const SwapQuote& quote) {
+  assert(quote.epoch == epoch_ && "ApplySwap needs a quote of this state");
+  ++tl_eval_ops.swap_moves;
+  ++epoch_;
+  const int a = quote.slot[0];
+  const int b = quote.slot[1];
+  const int sa = quote.server[0];
+  const int sb = quote.server[1];
+  // The order SwapServerCost priced: each server's rows become
+  // (row - out) + in.
+  acct_.Apply(sa, a, -1.0);
+  acct_.Apply(sa, b, +1.0);
+  acct_.Apply(sb, b, -1.0);
+  acct_.Apply(sb, a, +1.0);
+  assignment_[a] = sb;
+  assignment_[b] = sa;
+  total_violation_ -= server_violation_[sa] + server_violation_[sb];
+  for (int k = 0; k < 2; ++k) {
+    server_cost_[quote.server[k]] = quote.cost[k];
+    server_violation_[quote.server[k]] = quote.violation[k];
+  }
+  total_violation_ += server_violation_[sa] + server_violation_[sb];
+  total_violation_ += quote.affinity_units * kAffinityUnit;
+  migration_cost_ += quote.migration_delta;
+  current_cost_ += quote.delta;
 }
 
 Evaluator::ServerLoad Evaluator::GetServerLoad(int j) const {

@@ -23,7 +23,8 @@
 // Supports both one-shot evaluation (for DIRECT, optionally through a
 // ServerCostMemo) and cached incremental move evaluation (for the
 // local-search polish and the metaheuristics, including their re-class
-// package move with its snapshot undo). Instances are not thread-safe
+// package move with its snapshot undo and their swap, priced as a quote and
+// committed without a second pricing). Instances are not thread-safe
 // (Evaluate() reuses internal scratch buffers); portfolio solvers each
 // construct their own.
 #ifndef KAIROS_CORE_EVALUATOR_H_
@@ -53,13 +54,17 @@ namespace kairos::core {
 /// them; floor_skips counts those a MoveDeltaFloor decided without a
 /// pricing. An ApplyMove prices its two servers itself and counts only as
 /// an apply op; an ApplyPackage counts only as one package move, however
-/// many slots it carries. memo_hits counts server costs Evaluate reused
-/// from a ServerCostMemo instead of pricing.
+/// many slots it carries. swap_quotes counts QuoteSwap calls and
+/// swap_moves the quotes ApplySwap committed, so swap_moves <= swap_quotes.
+/// memo_hits counts server costs Evaluate reused from a ServerCostMemo
+/// instead of pricing.
 struct EvalOpCounts {
   int64_t evaluate_ops = 0;
   int64_t move_delta_ops = 0;
   int64_t apply_move_ops = 0;
   int64_t package_moves = 0;
+  int64_t swap_quotes = 0;
+  int64_t swap_moves = 0;
   int64_t floor_skips = 0;
   int64_t memo_hits = 0;
 };
@@ -69,8 +74,9 @@ void ResetEvalOps();
 /// The calling thread's tallies since the last reset.
 EvalOpCounts CurrentEvalOps();
 /// Adds the calling thread's tallies to the sink's "evaluator.*_ops",
-/// "evaluator.package_moves", "evaluator.floor_skips" and
-/// "evaluator.memo_hits" counters and zeroes them. A null sink only zeroes.
+/// "evaluator.package_moves", "evaluator.swap_quotes",
+/// "evaluator.swap_moves", "evaluator.floor_skips" and "evaluator.memo_hits"
+/// counters and zeroes them. A null sink only zeroes.
 void FlushEvalOps(obs::Sink* sink);
 /// Tallies one candidate move that a caller decided on a MoveDeltaFloor
 /// alone, outside MoveDeltaBatch (anneal's floor reject): one move_delta
@@ -108,6 +114,26 @@ class ServerCostMemo {
   std::vector<int> pool_;
   std::vector<Entry> entries_;
   std::vector<uint32_t> index_;  // entry + 1 per bucket, 0 = empty
+};
+
+/// A swap of two unpinned slots' servers, priced against one state of an
+/// Evaluator (Evaluator::QuoteSwap) and committed by Evaluator::ApplySwap
+/// without a pricing.
+struct SwapQuote {
+  int slot[2] = {-1, -1};    ///< The slots a and b.
+  int server[2] = {-1, -1};  ///< Their servers before the swap, sa and sb.
+  /// Cost and violation of server[k] after the swap: sa holding b in place
+  /// of a, sb holding a in place of b.
+  double cost[2] = {0, 0};
+  double violation[2] = {0, 0};
+  /// Change in anti-affinity units.
+  double affinity_units = 0;
+  /// Change in the migration penalty.
+  double migration_delta = 0;
+  /// Objective change; ApplySwap adds exactly this to current_cost().
+  double delta = 0;
+  /// The Evaluator state the quote priced (see ApplySwap).
+  uint64_t epoch = 0;
 };
 
 /// Evaluates assignments for one ConsolidationProblem.
@@ -179,8 +205,24 @@ class Evaluator {
   /// Restores the state before the last ApplyPackage exactly — rows,
   /// working sets, counts, cached costs and running totals — without a
   /// pricing. Valid only while no other mutating call (Load, ApplyMove,
-  /// ApplyPackage, UndoPackage) has run since; asserted in Debug.
+  /// ApplyPackage, UndoPackage, ApplySwap) has run since; asserted in
+  /// Debug.
   void UndoPackage();
+  /// Prices swapping the servers of unpinned slots `a` and `b` (on
+  /// different servers) without changing any state: each server is priced
+  /// once, with one slot out and the other in (SwapServerCost). The delta
+  /// sums the two server changes in ApplyMove's order, then the affinity
+  /// change U(a, sb) - U(a, sa) + U(b, sa) - U(b, sb) - 2 r(a, b), where
+  /// r(a, b) is 1 for two replicas of one workload plus the multiplicity
+  /// of b's workload among the partners of a's, then the migration change.
+  SwapQuote QuoteSwap(int a, int b) const;
+  /// Commits a quote of the current state: the four LoadAccountant::Apply
+  /// calls (a off sa, b onto sa, b off sb, a onto sb), then the quoted
+  /// costs, violations and totals, without a pricing. The cached costs
+  /// then equal a fresh ServerCost of the new rows, bit for bit, and
+  /// current_cost() moves by exactly the quoted delta. A quote made stale
+  /// by any mutating call since is asserted against in Debug.
+  void ApplySwap(const SwapQuote& quote);
   /// True when the loaded assignment violates no constraint.
   bool IsFeasible() const { return total_violation_ <= 0.0; }
   /// Migration penalty included in current_cost() (0 when the problem has
@@ -204,6 +246,8 @@ class Evaluator {
   /// Cached constraint excess of server `j` (requires Load()). Cheap
   /// enough for the sharded solver's rebalancer to rank donors by.
   double ServerViolation(int j) const { return server_violation_[j]; }
+  /// Cached cost of server `j` (requires Load()).
+  double CachedServerCost(int j) const { return server_cost_[j]; }
 
   /// CPU capacity after headroom, per server (machine-class dependent).
   double cpu_capacity(int server = 0) const {
@@ -244,13 +288,16 @@ class Evaluator {
   double current_cost_ = 0;
   double total_violation_ = 0;
   double migration_cost_ = 0;
+  // Bumped by every mutating call, so a package snapshot or a swap quote
+  // can tell that the state it was taken from has changed.
+  uint64_t epoch_ = 1;
 
   // ApplyPackage's one-level undo: the two servers' accountant state
   // (rows[k] holds server[k]'s kNumAxes blocks of num_samples()) and
   // cached cost/violation, the movers (all on server[0] before), and the
-  // three running totals. `valid` drops at any other mutating call.
+  // three running totals, taken at `epoch` (0: none).
   struct PackageSnapshot {
-    bool valid = false;
+    uint64_t epoch = 0;
     int server[2] = {-1, -1};
     std::vector<double> rows[2];
     double ws[2] = {0, 0};

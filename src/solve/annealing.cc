@@ -91,7 +91,9 @@ core::ConsolidationPlan AnnealingSolver::Solve(
     }
 
     if (rng.NextDouble() < kSwapProbability) {
-      // Swap the servers of two unpinned slots.
+      // Swap the servers of two unpinned slots: quoted with one pricing
+      // per server, committed without another, and a reject changes
+      // nothing.
       const int a = static_cast<int>(rng.UniformInt(0, slots - 1));
       const int b = static_cast<int>(rng.UniformInt(0, slots - 1));
       if (a == b) continue;
@@ -103,15 +105,12 @@ core::ConsolidationPlan AnnealingSolver::Solve(
                           problem.fleet.DrainedServer(sb))) {
         continue;
       }
-      const double before = ev.current_cost();
-      ev.ApplyMove(a, sb);
-      ev.ApplyMove(b, sa);
-      const double delta = ev.current_cost() - before;
-      if (delta <= 0) {
+      const core::SwapQuote quote = ev.QuoteSwap(a, b);
+      if (quote.delta <= 0) {
+        ev.ApplySwap(quote);
         best.Record(ev, it);
-      } else if (rng.NextDouble() >= std::exp(-delta / temperature)) {
-        ev.ApplyMove(b, sb);  // reject: roll back
-        ev.ApplyMove(a, sa);
+      } else if (rng.NextDouble() < std::exp(-quote.delta / temperature)) {
+        ev.ApplySwap(quote);
       }
     } else {
       // Relocate one unpinned slot to a random other server (a random

@@ -131,8 +131,7 @@ core::ConsolidationPlan TabuSolver::Solve(
           const int sb = ev.assignment()[b];
           if (!mask.masked || (!problem.fleet.DrainedServer(sa) &&
                                !problem.fleet.DrainedServer(sb))) {
-            ev.ApplyMove(a, sb);
-            ev.ApplyMove(b, sa);
+            ev.ApplySwap(ev.QuoteSwap(a, b));
             evals += 2;
             best.Record(ev, iteration);
           }

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <set>
+#include <tuple>
+#include <utility>
 
 #include "core/bounds.h"
 #include "model/analytic.h"
@@ -836,6 +839,169 @@ TEST(EvaluatorMigrationTest, ServerSavingsStillDominateMoves) {
   Evaluator ev(prob, 2);
   EXPECT_LT(ev.Evaluate({0, 0, 0, 0}), ev.Evaluate({0, 0, 1, 1}));
 }
+
+// Every term a swap quote prices: a nonlinear disk model, replicas
+// (workloads 2 and 5), anti-affinity pairs with (3, 4) given twice, a pin
+// (workload 7 on server 3, slot 10) and a weighted migration term.
+ConsolidationProblem SwapProblem(uint64_t seed) {
+  static const model::DiskModel disk_model = model::BuildAnalyticModel(
+      sim::DiskSpec::Raid10(), model::AnalyticConfig{}, 96e9, 2000);
+  util::Rng rng(seed);
+  ConsolidationProblem prob;
+  prob.disk_model = &disk_model;
+  for (int i = 0; i < 10; ++i) {
+    const int samples = 24;
+    std::vector<double> cpu(samples), ram(samples), rows(samples);
+    for (int t = 0; t < samples; ++t) {
+      cpu[t] = rng.Uniform(0.1, 2.5);
+      ram[t] = rng.Uniform(1e9, 20e9);
+      rows[t] = rng.Uniform(10, 400);
+    }
+    monitor::WorkloadProfile p;
+    p.name = "w" + std::to_string(i);
+    p.cpu_cores = util::TimeSeries(300, cpu);
+    p.ram_bytes = util::TimeSeries(300, ram);
+    p.update_rows_per_sec = util::TimeSeries(300, rows);
+    p.working_set_bytes = rng.Uniform(1e9, 24e9);
+    prob.workloads.push_back(p);
+  }
+  prob.workloads[2].replicas = 2;
+  prob.workloads[5].replicas = 3;
+  prob.workloads[7].pinned_server = 3;
+  prob.anti_affinity = {{0, 1}, {3, 4}, {4, 3}, {2, 6}};
+  for (int s = 0; s < prob.TotalSlots(); ++s) {
+    prob.current_assignment.push_back(static_cast<int>(rng.UniformInt(0, 4)));
+  }
+  prob.migration_cost_weight = 25.0;
+  for (int i = 0; i < 10; ++i) {
+    prob.migration_move_cost.push_back(rng.Uniform(0.5, 2.0));
+  }
+  return prob;
+}
+
+TEST(EvaluatorSwapTest, CommitMovesCostByTheQuoteBitwise) {
+  // A walk of swaps, half of them between related slots: two replicas of
+  // one workload, or two workloads of an anti-affinity pair (one pair
+  // given twice). A quote changes nothing; its delta is the checker's
+  // objective difference; a committed quote moves current_cost() by
+  // exactly its delta, and leaves both servers' cached cost and violation
+  // equal to a fresh ServerCost of the new rows, bit for bit. The pinned
+  // slot starts off its pin, so the cached cost carries a pin penalty
+  // throughout.
+  constexpr int kCap = 5;
+  int replica_swaps = 0, double_pair_swaps = 0, pair_swaps = 0, rejects = 0,
+      commits = 0, migration_moved = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const ConsolidationProblem prob = SwapProblem(seed);
+    Evaluator ev(prob, kCap);
+    const LoadAccountant& acct = ev.accountant();
+    util::Rng rng(seed * 7919);
+    std::vector<int> start = prob.current_assignment;
+    ASSERT_EQ(ev.PinOfSlot(10), 3);
+    start[10] = 0;
+    ev.Load(start);
+    const std::vector<std::pair<int, int>> related = {
+        {acct.SlotBegin(2), acct.SlotBegin(2) + 1},  // replicas
+        {acct.SlotBegin(5), acct.SlotBegin(5) + 2},  // replicas
+        {acct.SlotBegin(3), acct.SlotBegin(4)},      // a pair given twice
+        {acct.SlotBegin(0), acct.SlotBegin(1)},
+        {acct.SlotBegin(2) + 1, acct.SlotBegin(6)}};
+    for (int step = 0; step < 300; ++step) {
+      int a, b;
+      if (rng.NextDouble() < 0.5) {
+        std::tie(a, b) = related[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(related.size()) - 1))];
+      } else {
+        a = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
+        b = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
+      }
+      if (a == b || ev.PinOfSlot(a) >= 0 || ev.PinOfSlot(b) >= 0 ||
+          ev.assignment()[a] == ev.assignment()[b]) {
+        RandomApplyMove(&rng, &ev);  // vary the state instead
+        continue;
+      }
+      const std::vector<int> placed = ev.assignment();
+      const double before = ev.current_cost();
+      const double migration_before = ev.migration_cost();
+      const SwapQuote quote = ev.QuoteSwap(a, b);
+      ASSERT_EQ(ev.assignment(), placed);
+      ASSERT_EQ(Bits(ev.current_cost()), Bits(before));
+
+      std::vector<int> swapped = placed;
+      std::swap(swapped[a], swapped[b]);
+      const double ref_before = oracle::Objective(prob, placed);
+      const double want = oracle::Objective(prob, swapped) - ref_before;
+      ASSERT_NEAR(quote.delta, want,
+                  1e-9 * std::max({1.0, std::abs(ref_before), std::abs(want)}))
+          << "seed " << seed << " step " << step << " swap " << a << " " << b;
+      if (rng.NextDouble() < 0.3) {
+        ++rejects;  // nothing to undo
+        continue;
+      }
+
+      ev.ApplySwap(quote);
+      ++commits;
+      ASSERT_EQ(ev.assignment(), swapped);
+      ASSERT_EQ(Bits(ev.current_cost()), Bits(before + quote.delta))
+          << "seed " << seed << " step " << step;
+      for (int k = 0; k < 2; ++k) {
+        const int j = quote.server[k];
+        double violation = -1;
+        const double cost = ServerCost(prob, acct, j, &violation);
+        ASSERT_EQ(Bits(ev.CachedServerCost(j)), Bits(cost)) << "server " << j;
+        ASSERT_EQ(Bits(ev.ServerViolation(j)), Bits(violation)) << "server " << j;
+      }
+      Evaluator fresh(prob, kCap);
+      fresh.Load(swapped);
+      ASSERT_NEAR(ev.migration_cost(), fresh.migration_cost(),
+                  1e-9 * std::max(1.0, fresh.migration_cost()));
+      ASSERT_EQ(ev.IsFeasible(), fresh.IsFeasible()) << "step " << step;
+      if (ev.migration_cost() != migration_before) ++migration_moved;
+      const int wa = ev.WorkloadOfSlot(a), wb = ev.WorkloadOfSlot(b);
+      if (wa == wb) ++replica_swaps;
+      if (std::min(wa, wb) == 3 && std::max(wa, wb) == 4) ++double_pair_swaps;
+      if ((std::min(wa, wb) == 0 && std::max(wa, wb) == 1) ||
+          (std::min(wa, wb) == 2 && std::max(wa, wb) == 6)) {
+        ++pair_swaps;
+      }
+    }
+    ASSERT_NE(ev.assignment()[10], 3);  // the pin penalty stayed in
+  }
+  EXPECT_GT(commits, 300);
+  EXPECT_GT(rejects, 100);
+  EXPECT_GT(replica_swaps, 30);
+  EXPECT_GT(double_pair_swaps, 15);
+  EXPECT_GT(pair_swaps, 30);
+  EXPECT_GT(migration_moved, 200);
+}
+
+TEST(EvaluatorSwapTest, QuoteAndCommitCountTheirOps) {
+  const ConsolidationProblem prob = SwapProblem(1);
+  Evaluator ev(prob, 5);
+  ev.Load({0, 1, 0, 1, 0, 1, 2, 3, 4, 2, 3, 4, 0});
+  ResetEvalOps();
+  const SwapQuote rejected = ev.QuoteSwap(0, 1);
+  EXPECT_EQ(rejected.server[0], 0);
+  EXPECT_EQ(rejected.server[1], 1);
+  ev.ApplySwap(ev.QuoteSwap(0, 1));
+  const EvalOpCounts ops = CurrentEvalOps();
+  EXPECT_EQ(ops.swap_quotes, 2);
+  EXPECT_EQ(ops.swap_moves, 1);
+  EXPECT_EQ(ops.apply_move_ops, 0);
+  EXPECT_EQ(ops.move_delta_ops, 0);
+  FlushEvalOps(nullptr);
+}
+
+#ifndef NDEBUG
+TEST(EvaluatorSwapDeathTest, StaleQuoteIsRefused) {
+  const ConsolidationProblem prob = SwapProblem(1);
+  Evaluator ev(prob, 5);
+  ev.Load({0, 1, 0, 1, 0, 1, 2, 3, 4, 2, 3, 4, 0});
+  const SwapQuote quote = ev.QuoteSwap(0, 1);
+  ev.ApplyMove(12, 1);  // server 1's rows change under the quote
+  EXPECT_DEATH(ev.ApplySwap(quote), "quote");
+}
+#endif
 
 TEST(ServerAggregateCostTest, ExcessTermsMatchTheClampedFormBitwise) {
   // ServerAggregateCost skips an excess term's division on a

@@ -13,6 +13,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bounds.h"
@@ -270,6 +271,74 @@ TEST(OracleDifferentialTest, IncrementalStateAndMoveQueriesMatchChecker) {
   EXPECT_GT(undos, 50);
   EXPECT_GT(emptied, 20);
   EXPECT_GT(floors_finite, 1000);
+}
+
+// Every swap of two unpinned slots on different servers is quoted as the
+// checker prices it. The walk then commits one of those quotes, or applies
+// a random relocation, and checks the cached state: the objective against
+// the checker, and every server's cached cost and violation against a
+// fresh pricing of the accountant's rows, exactly. The instances add a
+// reversed duplicate of the pair (3, 4), so that pair counts twice.
+TEST(OracleDifferentialTest, SwapQuotesMatchChecker) {
+  int quotes = 0, replicas = 0, partners = 0, commits = 0;
+  for (bool mixed : {false, true}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      Instance in = MakeInstance(seed, mixed);
+      core::ConsolidationProblem& prob = in.problem;
+      prob.anti_affinity.emplace_back(4, 3);
+      core::Evaluator ev(prob, in.cap);
+      util::Rng rng(seed * 389 + (mixed ? 7 : 0));
+      ev.Load(RandomAssignment(&rng, ev.num_slots(), in.cap));
+      const int slots = ev.num_slots();
+      for (int step = 0; step < 40; ++step) {
+        const double before = oracle::Objective(prob, ev.assignment());
+        std::vector<std::pair<int, int>> swaps;
+        for (int a = 0; a < slots; ++a) {
+          for (int b = a + 1; b < slots; ++b) {
+            if (ev.PinOfSlot(a) >= 0 || ev.PinOfSlot(b) >= 0) continue;
+            if (ev.assignment()[a] == ev.assignment()[b]) continue;
+            std::vector<int> swapped = ev.assignment();
+            std::swap(swapped[a], swapped[b]);
+            const double want = oracle::Objective(prob, swapped) - before;
+            ASSERT_NEAR(ev.QuoteSwap(a, b).delta, want, Tol(before, before + want))
+                << "mixed " << mixed << " seed " << seed << " step " << step
+                << " swap " << a << " " << b;
+            ++quotes;
+            const int wa = ev.WorkloadOfSlot(a), wb = ev.WorkloadOfSlot(b);
+            if (wa == wb) ++replicas;
+            for (const auto& [x, y] : prob.anti_affinity) {
+              if (x != y && ((x == wa && y == wb) || (x == wb && y == wa))) {
+                ++partners;
+              }
+            }
+            swaps.emplace_back(a, b);
+          }
+        }
+        if (!swaps.empty() && rng.NextDouble() < 0.7) {
+          const auto [a, b] = swaps[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(swaps.size()) - 1))];
+          ev.ApplySwap(ev.QuoteSwap(a, b));
+          ++commits;
+        } else {
+          const int slot = static_cast<int>(rng.UniformInt(0, slots - 1));
+          ev.ApplyMove(slot, static_cast<int>(rng.UniformInt(0, in.cap - 1)));
+        }
+        const double want = oracle::Objective(prob, ev.assignment());
+        ASSERT_NEAR(ev.current_cost(), want, Tol(want))
+            << "mixed " << mixed << " seed " << seed << " step " << step;
+        for (int j = 0; j < in.cap; ++j) {
+          double violation = 0;
+          const double cost = core::ServerCost(prob, ev.accountant(), j, &violation);
+          ASSERT_EQ(ev.CachedServerCost(j), cost) << "server " << j << " step " << step;
+          ASSERT_EQ(ev.ServerViolation(j), violation) << "server " << j;
+        }
+      }
+    }
+  }
+  EXPECT_GT(quotes, 10000);
+  EXPECT_GT(replicas, 500);
+  EXPECT_GT(partners, 1000);
+  EXPECT_GT(commits, 250);
 }
 
 // The exact search's partial-assignment state prices what the checker
