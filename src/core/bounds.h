@@ -19,8 +19,9 @@
 // (ServerAggregateCost, and over it ServerCost, WhatIfServerCost and
 // SwapServerCost), so the evaluator's cached state, its what-if move and
 // swap compositions, and the exact search's partial aggregates all price a
-// server with literally the same code. The affinity and migration terms come from the accountant's
-// constraint index; BoundEngine keeps only the partial-assignment state.
+// server with literally the same code. The affinity and migration terms
+// come from the accountant's constraint index; BoundEngine keeps only the
+// partial-assignment state.
 #ifndef KAIROS_CORE_BOUNDS_H_
 #define KAIROS_CORE_BOUNDS_H_
 
