@@ -10,6 +10,7 @@
 #ifndef KAIROS_BENCH_BENCH_COMMON_H_
 #define KAIROS_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -83,6 +84,24 @@ class ScopedTimer {
 inline model::DiskModel TargetDiskModel() {
   return model::BuildAnalyticModel(sim::DiskSpec::Raid10(),
                                    model::AnalyticConfig{}, 120e9, 2000.0);
+}
+
+/// The load series of `plan`'s used servers, in server order: an Evaluator
+/// loaded with the plan's assignment gives the rows the plan was priced on.
+inline std::vector<core::Evaluator::ServerLoad> UsedServerLoads(
+    const core::ConsolidationProblem& problem,
+    const core::ConsolidationPlan& plan) {
+  const std::vector<int>& assignment = plan.assignment.server_of_slot;
+  const int servers =
+      *std::max_element(assignment.begin(), assignment.end()) + 1;
+  core::Evaluator ev(problem, servers);
+  ev.Load(assignment);
+  std::vector<core::Evaluator::ServerLoad> loads;
+  for (int j = 0; j < servers; ++j) {
+    core::Evaluator::ServerLoad load = ev.GetServerLoad(j);
+    if (load.used) loads.push_back(std::move(load));
+  }
+  return loads;
 }
 
 /// Prints a section banner so bench output reads like the paper's figure.

@@ -32,12 +32,14 @@ int main(int argc, char** argv) {
               plan.feasible ? "yes" : "NO");
 
   const double capacity = prob.fleet.classes[0].spec.StandardCores();
-  const size_t samples = plan.server_loads.front().cpu_cores.size();
+  const std::vector<core::Evaluator::ServerLoad> loads =
+      bench::UsedServerLoads(prob, plan);
+  const size_t samples = loads.front().cpu_cores.size();
   util::Table table({"hour", "avg cpu %", "p95 cpu %", "p5 cpu %"});
   util::Accumulator spread;
   for (size_t t = 0; t < samples; t += 6) {  // every 30 minutes
     std::vector<double> util_pct;
-    for (const auto& s : plan.server_loads) {
+    for (const auto& s : loads) {
       util_pct.push_back(100.0 * s.cpu_cores[t] / capacity);
     }
     const double avg = [&] {

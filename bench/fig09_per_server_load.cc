@@ -32,12 +32,14 @@ int main(int argc, char** argv) {
   const double cpu_cap = prob.fleet.classes[0].spec.StandardCores();
   const double ram_cap = static_cast<double>(prob.fleet.classes[0].spec.ram_bytes);
 
+  const std::vector<core::Evaluator::ServerLoad> loads =
+      bench::UsedServerLoads(prob, plan);
   util::Table table({"server", "tenants", "cpu min%", "q1%", "median%", "q3%",
                      "max%", "outliers", "max RAM %", "max RAM GB"});
   int mergeable_pairs = 0;
   std::vector<double> ram_pct, cpu_q3;
-  for (size_t j = 0; j < plan.server_loads.size(); ++j) {
-    const auto& s = plan.server_loads[j];
+  for (size_t j = 0; j < loads.size(); ++j) {
+    const auto& s = loads[j];
     std::vector<double> cpu_pct;
     for (double v : s.cpu_cores) cpu_pct.push_back(100.0 * v / cpu_cap);
     const util::BoxPlot box = util::MakeBoxPlot(cpu_pct);
@@ -54,10 +56,10 @@ int main(int argc, char** argv) {
                   util::FormatDouble(ram_max / static_cast<double>(util::kGiB), 1)});
   }
   // Mergeability check: can any two servers be combined within RAM and CPU?
-  for (size_t a = 0; a < plan.server_loads.size(); ++a) {
-    for (size_t b = a + 1; b < plan.server_loads.size(); ++b) {
-      const auto& sa = plan.server_loads[a];
-      const auto& sb = plan.server_loads[b];
+  for (size_t a = 0; a < loads.size(); ++a) {
+    for (size_t b = a + 1; b < loads.size(); ++b) {
+      const auto& sa = loads[a];
+      const auto& sb = loads[b];
       bool fits = true;
       for (size_t t = 0; t < sa.cpu_cores.size() && fits; ++t) {
         if (sa.cpu_cores[t] + sb.cpu_cores[t] > 0.9 * cpu_cap) fits = false;

@@ -518,7 +518,20 @@ ConsolidationPlan FinalizePlan(const ConsolidationProblem& problem,
   }
   for (int j = 0; j < k; ++j) {
     Evaluator::ServerLoad load = final_ev.GetServerLoad(j);
-    if (load.used) plan.server_loads.push_back(std::move(load));
+    if (!load.used) continue;
+    ServerSummary summary;
+    summary.num_slots = load.num_slots;
+    summary.violation = load.violation;
+    util::Accumulator cpu;
+    for (double v : load.cpu_cores) cpu.Add(v);
+    summary.peak_cpu_cores = cpu.Max();
+    summary.mean_cpu_cores = cpu.Mean();
+    summary.p95_cpu_cores = util::Percentile(std::move(load.cpu_cores), 95.0);
+    if (!load.ram_bytes.empty()) {
+      summary.peak_ram_bytes =
+          *std::max_element(load.ram_bytes.begin(), load.ram_bytes.end());
+    }
+    plan.server_summaries.push_back(summary);
   }
   return plan;
 }
@@ -572,20 +585,15 @@ std::string ConsolidationPlan::Render() const {
   }
   util::Table table({"server", "slots", "peak cpu (cores)", "peak ram (GB)",
                      "mean cpu", "p95 cpu"});
-  for (size_t j = 0; j < server_loads.size(); ++j) {
-    const auto& s = server_loads[j];
-    util::Accumulator cpu;
-    for (double v : s.cpu_cores) cpu.Add(v);
-    table.AddRow({std::to_string(j), std::to_string(s.num_slots),
-                  util::FormatDouble(cpu.Max(), 2),
-                  util::FormatDouble(s.ram_bytes.empty()
-                                         ? 0.0
-                                         : *std::max_element(s.ram_bytes.begin(),
-                                                             s.ram_bytes.end()) /
-                                               static_cast<double>(util::kGiB),
-                                     1),
-                  util::FormatDouble(cpu.Mean(), 2),
-                  util::FormatDouble(util::Percentile(s.cpu_cores, 95.0), 2)});
+  for (size_t j = 0; j < server_summaries.size(); ++j) {
+    const ServerSummary& s = server_summaries[j];
+    table.AddRow(
+        {std::to_string(j), std::to_string(s.num_slots),
+         util::FormatDouble(s.peak_cpu_cores, 2),
+         util::FormatDouble(s.peak_ram_bytes / static_cast<double>(util::kGiB),
+                            1),
+         util::FormatDouble(s.mean_cpu_cores, 2),
+         util::FormatDouble(s.p95_cpu_cores, 2)});
   }
   out << table.ToString();
   return out.str();

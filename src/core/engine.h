@@ -48,6 +48,21 @@ struct EngineOptions {
   std::string obs_label = "engine";
 };
 
+/// What ConsolidationPlan::Render prints of one used server: its slot
+/// count and constraint excess, and the peaks, mean and p95 of its load
+/// series (CPU with the instance overhead, RAM with the instance RAM
+/// overhead). A plan keeps these, not the series: a reader that needs the
+/// series (fig08, fig09) loads an Evaluator with the plan's assignment and
+/// calls GetServerLoad.
+struct ServerSummary {
+  int num_slots = 0;
+  double violation = 0;
+  double peak_cpu_cores = 0;
+  double mean_cpu_cores = 0;
+  double p95_cpu_cores = 0;
+  double peak_ram_bytes = 0;
+};
+
 /// Output of one engine run.
 struct ConsolidationPlan {
   Assignment assignment;
@@ -75,8 +90,8 @@ struct ConsolidationPlan {
   /// budget search *bought* (class_servers_used is what the plan occupies).
   /// Empty when the plan did not come from cost-based dimensioning.
   std::vector<int> chosen_class_counts;
-  /// Per-used-server load summaries, indexed densely (only used servers).
-  std::vector<Evaluator::ServerLoad> server_loads;
+  /// Per-used-server summaries, indexed densely (only used servers).
+  std::vector<ServerSummary> server_summaries;
   /// Migration penalty included in `objective` (0 unless the problem
   /// carries an incumbent placement); objective - migration_cost is the
   /// pure placement-quality ("service") objective.
@@ -177,7 +192,7 @@ class ConsolidationEngine {
 };
 
 /// Evaluates `assignment` at `k` servers and fills a fully reported plan
-/// (feasibility, objective, ratio, per-server loads). Shared by the engine
+/// (feasibility, objective, ratio, per-server summaries). Shared by the engine
 /// and the solve/ portfolio so every solver reports plans identically.
 ConsolidationPlan FinalizePlan(const ConsolidationProblem& problem,
                                const std::vector<int>& assignment, int k);

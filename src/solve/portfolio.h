@@ -30,8 +30,6 @@ struct PortfolioOptions {
 struct PortfolioMemberResult {
   std::string solver;
   uint64_t seed = 0;
-  /// The member's plan without per-server load snapshots (`server_loads`
-  /// is empty; PortfolioResult::best carries the winner's).
   core::ConsolidationPlan plan;
   double solve_seconds = 0;
 };

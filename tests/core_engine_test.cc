@@ -134,9 +134,9 @@ TEST(EngineTest, HeterogeneousLoadsBalanced) {
   EXPECT_TRUE(plan.feasible);
   EXPECT_EQ(plan.servers_used, 2);
   // Each server should carry roughly half the RAM.
-  ASSERT_EQ(plan.server_loads.size(), 2u);
-  const double r0 = plan.server_loads[0].ram_bytes[0];
-  const double r1 = plan.server_loads[1].ram_bytes[0];
+  ASSERT_EQ(plan.server_summaries.size(), 2u);
+  const double r0 = plan.server_summaries[0].peak_ram_bytes;
+  const double r1 = plan.server_summaries[1].peak_ram_bytes;
   EXPECT_NEAR(r0 / (r0 + r1), 0.5, 0.15);
 }
 
