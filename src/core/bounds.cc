@@ -21,7 +21,7 @@ double ServerCost(const ConsolidationProblem& problem,
 
 double WhatIfServerCost(const ConsolidationProblem& problem,
                         const LoadAccountant& acct, int j, int slot,
-                        double sign) {
+                        double sign, double* violation_out) {
   const double* srv_cpu = acct.ServerSeries(Axis::kCpu, j);
   const double* srv_ram = acct.ServerSeries(Axis::kRam, j);
   const double* srv_rate = acct.ServerSeries(Axis::kRate, j);
@@ -34,7 +34,7 @@ double WhatIfServerCost(const ConsolidationProblem& problem,
       acct.ServerCount(j) + (sign > 0 ? 1 : -1),
       [&](int t) { return srv_cpu[t] + sign * sl_cpu[t]; },
       [&](int t) { return srv_ram[t] + sign * sl_ram[t]; },
-      [&](int t) { return srv_rate[t] + sign * sl_rate[t]; }, nullptr);
+      [&](int t) { return srv_rate[t] + sign * sl_rate[t]; }, violation_out);
 }
 
 double SwapServerCost(const ConsolidationProblem& problem,
@@ -399,8 +399,9 @@ BoundEngine::BoundEngine(const ConsolidationProblem& problem, int cap)
 }
 
 double BoundEngine::PlaceDelta(int slot, int server) const {
-  double delta = WhatIfServerCost(problem_, acct_, server, slot, +1.0) -
-                 server_cost_[server];
+  double delta =
+      WhatIfServerCost(problem_, acct_, server, slot, +1.0, nullptr) -
+      server_cost_[server];
   delta += acct_.AffinityUnits(assignment_, slot, server) * kAffinityPenalty;
   delta += acct_.MigrationCost(slot, server);
   const int pin = acct_.PinOfSlot(slot);

@@ -123,14 +123,14 @@ double ServerAggregateCost(const ConsolidationProblem& problem,
 double ServerCost(const ConsolidationProblem& problem,
                   const LoadAccountant& acct, int j, double* violation_out);
 
-/// Cost of server `j`'s aggregate with `slot` added (sign +1) or removed
-/// (-1), the aggregate itself untouched: the what-if pricing of a move.
-/// Each sample is `server + sign * slot`, the operation that
-/// LoadAccountant::Apply performs, so pricing after an Apply gives the
+/// Cost + constraint excess of server `j`'s aggregate with `slot` added
+/// (sign +1) or removed (-1), the aggregate itself untouched: the what-if
+/// pricing of a move. Each sample is `server + sign * slot`, the operation
+/// that LoadAccountant::Apply performs, so pricing after an Apply gives the
 /// same bits.
 double WhatIfServerCost(const ConsolidationProblem& problem,
                         const LoadAccountant& acct, int j, int slot,
-                        double sign);
+                        double sign, double* violation_out);
 
 /// Cost + constraint excess of server `j`'s aggregate with `out_slot`
 /// removed and `in_slot` added, the aggregate itself untouched: one side

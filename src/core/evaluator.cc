@@ -275,16 +275,29 @@ double Evaluator::MoveDelta(int slot, int to) const {
   if (acct_.PinOfSlot(slot) >= 0 && to != acct_.PinOfSlot(slot)) {
     return kPinPenalty;
   }
+  return PriceMove(slot, to).delta;
+}
 
-  double delta = WhatIfServerCost(problem_, acct_, from, slot, -1.0) -
-                 server_cost_[from] +
-                 WhatIfServerCost(problem_, acct_, to, slot, +1.0) -
+MoveQuote Evaluator::PriceMove(int slot, int to) const {
+  const int from = assignment_[slot];
+  MoveQuote q;
+  q.slot = slot;
+  q.server[0] = from;
+  q.server[1] = to;
+  q.epoch = epoch_;
+  q.cost[0] =
+      WhatIfServerCost(problem_, acct_, from, slot, -1.0, &q.violation[0]);
+  q.cost[1] = WhatIfServerCost(problem_, acct_, to, slot, +1.0, &q.violation[1]);
+  q.affinity_units = acct_.AffinityUnits(assignment_, slot, to) -
+                     acct_.AffinityUnits(assignment_, slot, from);
+  q.migration_delta =
+      acct_.MigrationCost(slot, to) - acct_.MigrationCost(slot, from);
+  double delta = ((q.cost[0] - server_cost_[from]) + q.cost[1]) -
                  server_cost_[to];
-  delta += (acct_.AffinityUnits(assignment_, slot, to) -
-            acct_.AffinityUnits(assignment_, slot, from)) *
-           kAffinityPenalty;
-  delta += acct_.MigrationCost(slot, to) - acct_.MigrationCost(slot, from);
-  return delta;
+  delta += q.affinity_units * kAffinityPenalty;
+  delta += q.migration_delta;
+  q.delta = delta;
+  return q;
 }
 
 double Evaluator::MoveDeltaFloor(int slot, int to) const {
@@ -324,7 +337,8 @@ void Evaluator::MoveDeltaBatch(int slot, const std::vector<int>& targets,
   // keeps that grouping, so each batched delta is bit-identical to its
   // scalar counterpart.
   const double base =
-      WhatIfServerCost(problem_, acct_, from, slot, -1.0) - server_cost_[from];
+      WhatIfServerCost(problem_, acct_, from, slot, -1.0, nullptr) -
+      server_cost_[from];
   const double aff_from = acct_.AffinityUnits(assignment_, slot, from);
   const double mig_from = acct_.MigrationCost(slot, from);
   for (size_t i = 0; i < targets.size(); ++i) {
@@ -351,53 +365,70 @@ void Evaluator::MoveDeltaBatch(int slot, const std::vector<int>& targets,
         continue;
       }
     }
-    (*deltas)[i] = base + WhatIfServerCost(problem_, acct_, to, slot, +1.0) -
+    (*deltas)[i] = base +
+                   WhatIfServerCost(problem_, acct_, to, slot, +1.0, nullptr) -
                    server_cost_[to] + aff + mig;
   }
 }
 
 void Evaluator::ApplyMove(int slot, int to) {
   ++tl_eval_ops.apply_move_ops;
-  ++epoch_;
   const int from = assignment_[slot];
-  if (to == from) return;
-  const double affinity_delta = acct_.AffinityUnits(assignment_, slot, to) -
-                                acct_.AffinityUnits(assignment_, slot, from);
-  const double migration_delta =
-      acct_.MigrationCost(slot, to) - acct_.MigrationCost(slot, from);
-  const double old_from = server_cost_[from];
-  const double old_to = server_cost_[to];
-
-  migration_cost_ += migration_delta;
-  total_violation_ -= server_violation_[from] + server_violation_[to];
-
-  acct_.Apply(from, slot, -1.0);
-  acct_.Apply(to, slot, +1.0);
-  assignment_[slot] = to;
-  RecomputeServer(from);
-  RecomputeServer(to);
-  total_violation_ += server_violation_[from] + server_violation_[to];
-  total_violation_ += affinity_delta * kAffinityUnit;
-
-  // Each server is priced once, after the rows change. Apply's
-  // `row + sign * slot` is the FP operation WhatIfServerCost composes, and
-  // the terms are summed in MoveDelta's order, so for an unpinned slot the
-  // cached cost moves by exactly MoveDelta(slot, to).
-  double delta = ((server_cost_[from] - old_from) + server_cost_[to]) - old_to;
-  delta += affinity_delta * kAffinityPenalty;
-  delta += migration_delta;
+  if (to == from) {
+    ++epoch_;
+    return;
+  }
+  // Pricing before the row update gives the bits a pricing after it would:
+  // Apply's `row + sign * slot` is the FP operation WhatIfServerCost
+  // composes. So for an unpinned slot the cached cost moves by exactly
+  // MoveDelta(slot, to).
+  MoveQuote quote = PriceMove(slot, to);
   // MoveDelta prices any move off a pin as a flat kPinPenalty sentinel;
   // the cache keeps Load's accounting instead: one penalty and one
   // violation unit while the slot sits away from its pin.
   const int pin = acct_.PinOfSlot(slot);
+  double pin_units = 0.0;
   if (pin == from) {
-    delta += kPinPenalty;
-    total_violation_ += 1.0;
+    quote.delta += kPinPenalty;
+    pin_units = 1.0;
   } else if (pin == to) {
-    delta -= kPinPenalty;
-    total_violation_ -= 1.0;
+    quote.delta -= kPinPenalty;
+    pin_units = -1.0;
   }
-  current_cost_ += delta;
+  CommitMove(quote, pin_units);
+}
+
+MoveQuote Evaluator::QuoteMove(int slot, int to) const {
+  ++tl_eval_ops.move_delta_ops;
+  assert(acct_.PinOfSlot(slot) < 0);
+  assert(to != assignment_[slot]);
+  return PriceMove(slot, to);
+}
+
+void Evaluator::ApplyMove(const MoveQuote& quote) {
+  assert(quote.epoch == epoch_ && "ApplyMove needs a quote of this state");
+  ++tl_eval_ops.apply_move_ops;
+  CommitMove(quote, 0.0);
+}
+
+void Evaluator::CommitMove(const MoveQuote& quote, double pin_units) {
+  ++epoch_;
+  const int slot = quote.slot;
+  const int from = quote.server[0];
+  const int to = quote.server[1];
+  migration_cost_ += quote.migration_delta;
+  total_violation_ -= server_violation_[from] + server_violation_[to];
+  acct_.Apply(from, slot, -1.0);
+  acct_.Apply(to, slot, +1.0);
+  assignment_[slot] = to;
+  for (int k = 0; k < 2; ++k) {
+    server_cost_[quote.server[k]] = quote.cost[k];
+    server_violation_[quote.server[k]] = quote.violation[k];
+  }
+  total_violation_ += server_violation_[from] + server_violation_[to];
+  total_violation_ += quote.affinity_units * kAffinityUnit;
+  if (pin_units != 0.0) total_violation_ += pin_units;
+  current_cost_ += quote.delta;
 }
 
 double Evaluator::ApplyPackage(const std::vector<int>& movers, int to) {

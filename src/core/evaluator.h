@@ -116,6 +116,26 @@ class ServerCostMemo {
   std::vector<uint32_t> index_;  // entry + 1 per bucket, 0 = empty
 };
 
+/// A relocation of one unpinned slot, priced against one state of an
+/// Evaluator (Evaluator::QuoteMove) and committed by
+/// Evaluator::ApplyMove(const MoveQuote&) without a pricing.
+struct MoveQuote {
+  int slot = -1;
+  int server[2] = {-1, -1};  ///< The slot's server before and after, from and to.
+  /// Cost and violation of server[k] after the move.
+  double cost[2] = {0, 0};
+  double violation[2] = {0, 0};
+  /// Change in anti-affinity units.
+  double affinity_units = 0;
+  /// Change in the migration penalty.
+  double migration_delta = 0;
+  /// Objective change, MoveDelta(slot, to) bit for bit; ApplyMove adds
+  /// exactly this to current_cost().
+  double delta = 0;
+  /// The Evaluator state the quote priced (see ApplyMove).
+  uint64_t epoch = 0;
+};
+
 /// A swap of two unpinned slots' servers, priced against one state of an
 /// Evaluator (Evaluator::QuoteSwap) and committed by Evaluator::ApplySwap
 /// without a pricing.
@@ -192,6 +212,17 @@ class Evaluator {
   /// once. For an unpinned slot current_cost() moves by exactly
   /// MoveDelta(slot, to), bit for bit.
   void ApplyMove(int slot, int to);
+  /// Prices moving unpinned `slot` to `to`, another server, without
+  /// changing any state: each server is priced once (WhatIfServerCost).
+  /// The quoted delta is MoveDelta(slot, to) bit for bit, and the quote
+  /// counts as one move_delta op.
+  MoveQuote QuoteMove(int slot, int to) const;
+  /// Commits a quote of the current state: the two LoadAccountant::Apply
+  /// calls, then the quoted costs, violations and totals, without a
+  /// pricing. The cache ends bit-identical to ApplyMove(slot, to), and the
+  /// commit counts as one apply_move op. A quote made stale by any
+  /// mutating call since is asserted against in Debug.
+  void ApplyMove(const MoveQuote& quote);
   /// Moves a package of unpinned slots, all on one server `from`, onto
   /// `to` (the metaheuristics' re-class move) and returns the objective
   /// delta it added to current_cost(). The rows are updated slot by slot
@@ -269,6 +300,13 @@ class Evaluator {
   /// Cost of a class-`klass` server holding slots[0, count), its rows
   /// summed from zero in slot order (Evaluate's one pricing).
   double PriceSlots(int klass, const int* slots, int count) const;
+
+  /// QuoteMove's pricing, for any slot and uncounted: MoveDelta, QuoteMove
+  /// and ApplyMove share it.
+  MoveQuote PriceMove(int slot, int to) const;
+  /// Commits `quote` (its delta already holding any pin penalty change)
+  /// plus `pin_units`, a pinned slot's change in violation units.
+  void CommitMove(const MoveQuote& quote, double pin_units);
 
   /// Recomputes server `j`'s cached cost + violation from its aggregates.
   void RecomputeServer(int j) {

@@ -145,14 +145,17 @@ core::ConsolidationPlan AnnealingSolver::Solve(
         const double u = rng.NextDouble();
         if (AnnealFloorRejects(floor, u, temperature)) {
           core::CountFloorSkip();
-        } else if (u < std::exp(-ev.MoveDelta(slot, to) / temperature)) {
-          ev.ApplyMove(slot, to);
+        } else {
+          const core::MoveQuote quote = ev.QuoteMove(slot, to);
+          if (u < std::exp(-quote.delta / temperature)) ev.ApplyMove(quote);
         }
         continue;
       }
-      const double delta = ev.MoveDelta(slot, to);
+      // Quoted with one pricing per server and committed without another.
+      const core::MoveQuote quote = ev.QuoteMove(slot, to);
+      const double delta = quote.delta;
       if (delta <= 0 || rng.NextDouble() < std::exp(-delta / temperature)) {
-        ev.ApplyMove(slot, to);
+        ev.ApplyMove(quote);
         if (delta <= 0) best.Record(ev, it);
       }
     }

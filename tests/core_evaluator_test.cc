@@ -1003,6 +1003,38 @@ TEST(EvaluatorSwapDeathTest, StaleQuoteIsRefused) {
 }
 #endif
 
+TEST(EvaluatorMoveQuoteTest, QuoteAndCommitCountTheirOps) {
+  // A quote counts as the MoveDelta it replaces and its commit as the
+  // ApplyMove, so every op counter reads as before quotes.
+  const ConsolidationProblem prob = SwapProblem(1);
+  Evaluator ev(prob, 5);
+  ev.Load({0, 1, 0, 1, 0, 1, 2, 3, 4, 2, 3, 4, 0});
+  ResetEvalOps();
+  const MoveQuote rejected = ev.QuoteMove(0, 3);
+  EXPECT_EQ(rejected.server[0], 0);
+  EXPECT_EQ(rejected.server[1], 3);
+  EXPECT_EQ(ev.assignment()[0], 0);
+  ev.ApplyMove(ev.QuoteMove(0, 3));
+  EXPECT_EQ(ev.assignment()[0], 3);
+  const EvalOpCounts ops = CurrentEvalOps();
+  EXPECT_EQ(ops.move_delta_ops, 2);
+  EXPECT_EQ(ops.apply_move_ops, 1);
+  EXPECT_EQ(ops.swap_quotes, 0);
+  EXPECT_EQ(ops.swap_moves, 0);
+  FlushEvalOps(nullptr);
+}
+
+#ifndef NDEBUG
+TEST(EvaluatorMoveQuoteDeathTest, StaleQuoteIsRefused) {
+  const ConsolidationProblem prob = SwapProblem(1);
+  Evaluator ev(prob, 5);
+  ev.Load({0, 1, 0, 1, 0, 1, 2, 3, 4, 2, 3, 4, 0});
+  const MoveQuote quote = ev.QuoteMove(0, 3);
+  ev.ApplyMove(12, 3);  // server 3's rows change under the quote
+  EXPECT_DEATH(ev.ApplyMove(quote), "quote");
+}
+#endif
+
 TEST(ServerAggregateCostTest, ExcessTermsMatchTheClampedFormBitwise) {
   // ServerAggregateCost skips an excess term's division on a
   // within-capacity sample. Its violation must equal the clamped form

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -339,6 +341,82 @@ TEST(OracleDifferentialTest, SwapQuotesMatchChecker) {
   EXPECT_GT(replicas, 500);
   EXPECT_GT(partners, 1000);
   EXPECT_GT(commits, 250);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// A relocation quote commits what ApplyMove(slot, to) computes. Twin
+// evaluators take the same random relocations of unpinned slots, one as
+// QuoteMove then ApplyMove(quote), the other as ApplyMove(slot, to). The
+// quoted delta is MoveDelta's bit for bit and the checker's difference
+// within rounding. After each commit the twins agree bit for bit on
+// current_cost(), migration_cost(), feasibility and every server's cached
+// cost and violation, and those equal a fresh ServerCost of the rows, which
+// is priced after the row update where the quote was priced before it.
+TEST(OracleDifferentialTest, MoveQuotesCommitLikeApplyMove) {
+  int commits = 0, emptied = 0;
+  for (bool mixed : {false, true}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      const Instance in = MakeInstance(seed, mixed);
+      const core::ConsolidationProblem& prob = in.problem;
+      core::Evaluator quoted(prob, in.cap);
+      core::Evaluator twin(prob, in.cap);
+      util::Rng rng(seed * 613 + (mixed ? 11 : 0));
+      const std::vector<int> start =
+          RandomAssignment(&rng, quoted.num_slots(), in.cap);
+      quoted.Load(start);
+      twin.Load(start);
+      for (int step = 0; step < 200; ++step) {
+        const int slot =
+            static_cast<int>(rng.UniformInt(0, quoted.num_slots() - 1));
+        const int to = static_cast<int>(rng.UniformInt(0, in.cap - 1));
+        const int from = quoted.assignment()[slot];
+        if (quoted.PinOfSlot(slot) >= 0 || to == from) continue;
+        const double before = oracle::Objective(prob, quoted.assignment());
+        std::vector<int> moved = quoted.assignment();
+        moved[slot] = to;
+        const double want = oracle::Objective(prob, moved) - before;
+        if (quoted.accountant().ServerCount(from) == 1) ++emptied;
+
+        const core::MoveQuote quote = quoted.QuoteMove(slot, to);
+        ASSERT_EQ(Bits(quote.delta), Bits(twin.MoveDelta(slot, to)))
+            << "mixed " << mixed << " seed " << seed << " step " << step;
+        ASSERT_NEAR(quote.delta, want, Tol(before, before + want));
+        quoted.ApplyMove(quote);
+        twin.ApplyMove(slot, to);
+        ++commits;
+
+        ASSERT_EQ(quoted.assignment(), twin.assignment());
+        ASSERT_EQ(Bits(quoted.current_cost()), Bits(twin.current_cost()))
+            << "mixed " << mixed << " seed " << seed << " step " << step;
+        ASSERT_EQ(Bits(quoted.migration_cost()), Bits(twin.migration_cost()));
+        ASSERT_EQ(quoted.IsFeasible(), twin.IsFeasible());
+        for (int j = 0; j < in.cap; ++j) {
+          ASSERT_EQ(Bits(quoted.CachedServerCost(j)),
+                    Bits(twin.CachedServerCost(j)))
+              << "server " << j;
+          ASSERT_EQ(Bits(quoted.ServerViolation(j)),
+                    Bits(twin.ServerViolation(j)))
+              << "server " << j;
+          double violation = 0;
+          const double cost =
+              core::ServerCost(prob, quoted.accountant(), j, &violation);
+          ASSERT_EQ(Bits(quoted.CachedServerCost(j)), Bits(cost))
+              << "server " << j;
+          ASSERT_EQ(Bits(quoted.ServerViolation(j)), Bits(violation))
+              << "server " << j;
+        }
+        const double after = oracle::Objective(prob, quoted.assignment());
+        ASSERT_NEAR(quoted.current_cost(), after, Tol(after));
+      }
+    }
+  }
+  EXPECT_GT(commits, 1500);
+  EXPECT_GT(emptied, 20);
 }
 
 // The exact search's partial-assignment state prices what the checker
