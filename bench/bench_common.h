@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/pricing_kernel.h"
 #include "model/analytic.h"
 #include "model/disk_model.h"
 #include "obs/export.h"
@@ -159,6 +160,7 @@ class BenchReporter {
            static_cast<int64_t>(std::thread::hardware_concurrency()));
     Config("build_type", KAIROS_BENCH_BUILD_TYPE);
     Config("compiler", KAIROS_BENCH_COMPILER);
+    Config("pricing_kernel", core::PricingKernelName());
   }
 
   const std::string& name() const { return name_; }

@@ -6,11 +6,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/engine.h"
 #include "core/evaluator.h"
+#include "core/pricing_kernel.h"
 #include "db/buffer_pool.h"
 #include "db/flusher.h"
 #include "model/analytic.h"
@@ -277,6 +279,86 @@ BENCHMARK(BM_EvaluatorSwapQuote);
 void BM_EvaluatorSwapCommit(benchmark::State& state) { SwapBench(state, true); }
 BENCHMARK(BM_EvaluatorSwapCommit);
 
+// Anneal's relocation on the same problem: a QuoteMove of an unpinned slot
+// to another server (2 pricings), then nothing (MoveQuote, the reject
+// path) or ApplyMove(quote) (MoveCommit: 2 row updates, no pricing). Items
+// processed counts relocations.
+void MoveQuoteBench(benchmark::State& state, bool commit) {
+  auto prob = MakeProblem(196, 288);
+  static const model::DiskModel disk_model = model::BuildAnalyticModel(
+      sim::DiskSpec::Raid10(), model::AnalyticConfig{}, 96e9, 2000);
+  prob.disk_model = &disk_model;
+  core::Evaluator ev(prob, 24);
+  util::Rng rng(3);
+  std::vector<int> assignment(ev.num_slots());
+  for (auto& a : assignment) a = static_cast<int>(rng.UniformInt(0, 23));
+  ev.Load(assignment);
+  for (auto _ : state) {
+    const int slot = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
+    int to = static_cast<int>(rng.UniformInt(0, 22));
+    if (to >= ev.assignment()[slot]) ++to;
+    const core::MoveQuote quote = ev.QuoteMove(slot, to);
+    if (commit) ev.ApplyMove(quote);
+    benchmark::DoNotOptimize(quote.delta);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_EvaluatorMoveQuote(benchmark::State& state) {
+  MoveQuoteBench(state, false);
+}
+BENCHMARK(BM_EvaluatorMoveQuote);
+
+void BM_EvaluatorMoveCommit(benchmark::State& state) {
+  MoveQuoteBench(state, true);
+}
+BENCHMARK(BM_EvaluatorMoveCommit);
+
+// The pricing kernel alone on one path: a server's samples (CPU, RAM and
+// an active disk axis, a few samples over a limit) summed by
+// core::PriceSamplesOn. Registered in main() as
+// BM_PricingKernel/<path>/<samples> for every path the host runs. Items
+// processed counts pricings.
+void BM_PricingKernel(benchmark::State& state, core::PricingKernel path,
+                      int samples) {
+  util::Rng rng(11);
+  std::vector<double> cpu(samples), ram(samples), rate(samples);
+  for (int t = 0; t < samples; ++t) {
+    cpu[t] = rng.Uniform(2.0, 11.0);
+    ram[t] = rng.Uniform(20e9, 80e9);
+    rate[t] = rng.Uniform(100.0, 1900.0);
+  }
+  core::PricingConstants k;
+  k.cpu_overhead = 0.5;
+  k.ram_overhead = 0.5e9;
+  k.cpu_full = 12.0;
+  k.ram_full = 96e9;
+  k.disk_full = 2000.0;
+  k.cpu_limit = 10.8;
+  k.ram_limit = 91.2e9;
+  k.disk_limit = 1800.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::PriceSamplesOn(
+        path, k, {cpu.data()}, {ram.data()}, {rate.data()}, samples));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void RegisterPricingKernelBenchmarks() {
+  for (core::PricingKernel path :
+       {core::PricingKernel::kAvx2, core::PricingKernel::kSse2,
+        core::PricingKernel::kPortable}) {
+    if (!core::PricingKernelRuns(path)) continue;
+    for (int samples : {48, 288, 290}) {
+      const std::string name = std::string("BM_PricingKernel/") +
+                               core::PricingKernelName(path) + "/" +
+                               std::to_string(samples);
+      benchmark::RegisterBenchmark(name.c_str(), BM_PricingKernel, path,
+                                   samples);
+    }
+  }
+}
+
 // --- Observability substrate: the null-sink branch and the attached-sink
 // --- write path must both be negligible next to a DIRECT probe (the
 // --- granularity the engine instruments at).
@@ -436,6 +518,7 @@ int main(int argc, char** argv) {
     bench_args.push_back(argv[i]);
   }
   int bench_argc = static_cast<int>(bench_args.size());
+  kairos::RegisterPricingKernelBenchmarks();
   benchmark::Initialize(&bench_argc, bench_args.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_args.data())) {
     return 1;

@@ -1,62 +1,95 @@
 #include "core/bounds.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <queue>
 
 namespace kairos::core {
 
+double ServerAggregateCost(const ConsolidationProblem& problem,
+                           const LoadAccountant& acct, int klass, double ws,
+                           int count, const AxisSeries& cpu,
+                           const AxisSeries& ram, const AxisSeries& rate,
+                           double* violation_out) {
+  if (count <= 0) {
+    if (violation_out) *violation_out = 0.0;
+    return 0.0;
+  }
+  const sim::EffectiveCapacity& cap = acct.CapacityOfClass(klass);
+  const model::DiskResource& disk = acct.Disk(klass);
+  PricingConstants k;
+  k.cpu_overhead = problem.per_instance_cpu_overhead_cores;
+  k.ram_overhead = static_cast<double>(problem.instance_ram_overhead_bytes);
+  k.cpu_full = cap.cpu_full_cores;
+  k.ram_full = cap.ram_full_bytes;
+  k.cpu_limit = cap.cpu_cores;
+  k.ram_limit = cap.ram_bytes;
+  if (disk.active()) {
+    const double disk_cap = disk.Capacity(ws);
+    if (disk_cap > 0) {
+      k.disk_full = disk_cap;
+      k.disk_limit = disk.headroom() * disk_cap;
+    }
+  }
+  k.cpu_weight = problem.cpu_weight;
+  k.ram_weight = problem.ram_weight;
+  k.disk_weight = problem.disk_weight;
+  k.weight_sum = problem.cpu_weight + problem.ram_weight + problem.disk_weight;
+
+  const int samples = acct.num_samples();
+  const PricingSums sums = PriceSamples(k, cpu, ram, rate, samples);
+  double violation = sums.excess_sum / static_cast<double>(samples);
+  if (acct.ClassDrained(klass)) violation += count * kDrainedUnit;
+
+  double cost = kServerCost * acct.ClassWeight(klass) +
+                sums.exp_sum / static_cast<double>(samples);
+  if (violation > 1e-12) cost += kViolationBase + kViolationScale * violation;
+  if (violation_out) *violation_out = violation;
+  return cost;
+}
+
 double ServerCost(const ConsolidationProblem& problem,
                   const LoadAccountant& acct, int j, double* violation_out) {
-  const double* cpu = acct.ServerSeries(Axis::kCpu, j);
-  const double* ram = acct.ServerSeries(Axis::kRam, j);
-  const double* rate = acct.ServerSeries(Axis::kRate, j);
-  return ServerAggregateCost(
-      problem, acct, acct.ClassOfServer(j), acct.ServerWs(j),
-      acct.ServerCount(j), [&](int t) { return cpu[t]; },
-      [&](int t) { return ram[t]; }, [&](int t) { return rate[t]; },
-      violation_out);
+  return ServerAggregateCost(problem, acct, acct.ClassOfServer(j),
+                             acct.ServerWs(j), acct.ServerCount(j),
+                             {acct.ServerSeries(Axis::kCpu, j)},
+                             {acct.ServerSeries(Axis::kRam, j)},
+                             {acct.ServerSeries(Axis::kRate, j)},
+                             violation_out);
 }
 
 double WhatIfServerCost(const ConsolidationProblem& problem,
                         const LoadAccountant& acct, int j, int slot,
                         double sign, double* violation_out) {
-  const double* srv_cpu = acct.ServerSeries(Axis::kCpu, j);
-  const double* srv_ram = acct.ServerSeries(Axis::kRam, j);
-  const double* srv_rate = acct.ServerSeries(Axis::kRate, j);
-  const double* sl_cpu = acct.SlotSeries(Axis::kCpu, slot);
-  const double* sl_ram = acct.SlotSeries(Axis::kRam, slot);
-  const double* sl_rate = acct.SlotSeries(Axis::kRate, slot);
+  // Apply adds sign * slot, and server + (-slot) is server - slot.
+  const auto axis = [&](Axis a) {
+    AxisSeries s;
+    s.base = acct.ServerSeries(a, j);
+    (sign > 0 ? s.plus : s.minus) = acct.SlotSeries(a, slot);
+    return s;
+  };
   return ServerAggregateCost(
       problem, acct, acct.ClassOfServer(j),
       acct.ServerWs(j) + sign * acct.SlotWs(slot),
-      acct.ServerCount(j) + (sign > 0 ? 1 : -1),
-      [&](int t) { return srv_cpu[t] + sign * sl_cpu[t]; },
-      [&](int t) { return srv_ram[t] + sign * sl_ram[t]; },
-      [&](int t) { return srv_rate[t] + sign * sl_rate[t]; }, violation_out);
+      acct.ServerCount(j) + (sign > 0 ? 1 : -1), axis(Axis::kCpu),
+      axis(Axis::kRam), axis(Axis::kRate), violation_out);
 }
 
 double SwapServerCost(const ConsolidationProblem& problem,
                       const LoadAccountant& acct, int j, int out_slot,
                       int in_slot, double* violation_out) {
-  const double* srv_cpu = acct.ServerSeries(Axis::kCpu, j);
-  const double* srv_ram = acct.ServerSeries(Axis::kRam, j);
-  const double* srv_rate = acct.ServerSeries(Axis::kRate, j);
-  const double* out_cpu = acct.SlotSeries(Axis::kCpu, out_slot);
-  const double* out_ram = acct.SlotSeries(Axis::kRam, out_slot);
-  const double* out_rate = acct.SlotSeries(Axis::kRate, out_slot);
-  const double* in_cpu = acct.SlotSeries(Axis::kCpu, in_slot);
-  const double* in_ram = acct.SlotSeries(Axis::kRam, in_slot);
-  const double* in_rate = acct.SlotSeries(Axis::kRate, in_slot);
+  const auto axis = [&](Axis a) {
+    return AxisSeries{acct.ServerSeries(a, j), acct.SlotSeries(a, out_slot),
+                      acct.SlotSeries(a, in_slot)};
+  };
   return ServerAggregateCost(
       problem, acct, acct.ClassOfServer(j),
       (acct.ServerWs(j) - acct.SlotWs(out_slot)) + acct.SlotWs(in_slot),
-      acct.ServerCount(j),
-      [&](int t) { return (srv_cpu[t] - out_cpu[t]) + in_cpu[t]; },
-      [&](int t) { return (srv_ram[t] - out_ram[t]) + in_ram[t]; },
-      [&](int t) { return (srv_rate[t] - out_rate[t]) + in_rate[t]; },
-      violation_out);
+      acct.ServerCount(j), axis(Axis::kCpu), axis(Axis::kRam),
+      axis(Axis::kRate), violation_out);
 }
 
 int BoundEngine::FractionalServerBound(const ConsolidationProblem& problem) {

@@ -25,11 +25,10 @@
 #ifndef KAIROS_CORE_BOUNDS_H_
 #define KAIROS_CORE_BOUNDS_H_
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "core/load_accountant.h"
+#include "core/pricing_kernel.h"
 #include "core/problem.h"
 
 namespace kairos::core {
@@ -56,68 +55,16 @@ inline constexpr double kPinPenalty = 1e9;
 inline constexpr double kDrainedUnit = 0.25;
 
 /// Cost + constraint excess of one server aggregate — the objective's
-/// per-server term. The getters supply the aggregate series value at each
-/// sample, so the same arithmetic serves the evaluator's cached state, the
-/// what-if MoveDelta composition, the one-shot scratch, and the exact
-/// search's partial aggregates without materializing copies.
-template <typename CpuAt, typename RamAt, typename RateAt>
+/// per-server term. The axis series give the aggregate at each sample
+/// (core/pricing_kernel.h), so the same arithmetic serves the evaluator's
+/// cached state, the what-if move and swap compositions, the one-shot
+/// scratch, and the exact search's partial aggregates without
+/// materializing copies. The per-sample sums come from the pricing kernel.
 double ServerAggregateCost(const ConsolidationProblem& problem,
                            const LoadAccountant& acct, int klass, double ws,
-                           int count, CpuAt cpu_at, RamAt ram_at,
-                           RateAt rate_at, double* violation_out) {
-  if (count <= 0) {
-    if (violation_out) *violation_out = 0.0;
-    return 0.0;
-  }
-  const double overhead = problem.per_instance_cpu_overhead_cores;
-  const double ram_overhead =
-      static_cast<double>(problem.instance_ram_overhead_bytes);
-  const double wsum =
-      problem.cpu_weight + problem.ram_weight + problem.disk_weight;
-  const sim::EffectiveCapacity& cap = acct.CapacityOfClass(klass);
-
-  const model::DiskResource& disk = acct.Disk(klass);
-  const bool has_disk = disk.active();
-  double disk_cap = 0;
-  if (has_disk) disk_cap = disk.Capacity(ws);
-  const double disk_headroom = disk.headroom();
-
-  const int samples = acct.num_samples();
-  double exp_sum = 0;
-  double violation = 0;
-  for (int t = 0; t < samples; ++t) {
-    const double cpu = cpu_at(t) + overhead;
-    const double ram = ram_at(t) + ram_overhead;
-    const double rate = rate_at(t);
-    const double u_cpu = cpu / cap.cpu_full_cores;
-    const double u_ram = ram / cap.ram_full_bytes;
-    double u_disk = 0;
-    if (has_disk && disk_cap > 0) u_disk = rate / disk_cap;
-
-    double load = (problem.cpu_weight * std::min(u_cpu, 1.5) +
-                   problem.ram_weight * std::min(u_ram, 1.5) +
-                   problem.disk_weight * std::min(u_disk, 1.5)) /
-                  wsum;
-    exp_sum += std::exp(std::min(load, 1.0));
-
-    // Each excess term is max(0, x / c - 1) without the division on a
-    // within-capacity sample, where that term is exactly +0.0: x > c
-    // implies x / c >= 1.0, and a NaN sample adds nothing either way.
-    if (cpu > cap.cpu_cores) violation += cpu / cap.cpu_cores - 1.0;
-    if (ram > cap.ram_bytes) violation += ram / cap.ram_bytes - 1.0;
-    if (has_disk && disk_cap > 0 && rate > disk_headroom * disk_cap) {
-      violation += rate / (disk_headroom * disk_cap) - 1.0;
-    }
-  }
-  violation /= static_cast<double>(samples);
-  if (acct.ClassDrained(klass)) violation += count * kDrainedUnit;
-
-  double cost = kServerCost * acct.ClassWeight(klass) +
-                exp_sum / static_cast<double>(samples);
-  if (violation > 1e-12) cost += kViolationBase + kViolationScale * violation;
-  if (violation_out) *violation_out = violation;
-  return cost;
-}
+                           int count, const AxisSeries& cpu,
+                           const AxisSeries& ram, const AxisSeries& rate,
+                           double* violation_out);
 
 /// Cost + constraint excess of server `j`'s aggregate as `acct` holds it.
 double ServerCost(const ConsolidationProblem& problem,
@@ -125,9 +72,9 @@ double ServerCost(const ConsolidationProblem& problem,
 
 /// Cost + constraint excess of server `j`'s aggregate with `slot` added
 /// (sign +1) or removed (-1), the aggregate itself untouched: the what-if
-/// pricing of a move. Each sample is `server + sign * slot`, the operation
-/// that LoadAccountant::Apply performs, so pricing after an Apply gives the
-/// same bits.
+/// pricing of a move. Each sample is `server + slot` or `server - slot`,
+/// what LoadAccountant::Apply's `server + sign * slot` computes, so pricing
+/// after an Apply gives the same bits.
 double WhatIfServerCost(const ConsolidationProblem& problem,
                         const LoadAccountant& acct, int j, int slot,
                         double sign, double* violation_out);

@@ -176,9 +176,8 @@ double Evaluator::PriceSlots(int klass, const int* slots, int count) const {
     }
     ws += acct_.SlotWs(s);
   }
-  return ServerAggregateCost(
-      problem_, acct_, klass, ws, count, [&](int t) { return cpu[t]; },
-      [&](int t) { return ram[t]; }, [&](int t) { return rate[t]; }, nullptr);
+  return ServerAggregateCost(problem_, acct_, klass, ws, count, {cpu}, {ram},
+                             {rate}, nullptr);
 }
 
 double Evaluator::Evaluate(const std::vector<int>& assignment,

@@ -1070,9 +1070,8 @@ TEST(ServerAggregateCostTest, ExcessTermsMatchTheClampedFormBitwise) {
     for (double ram : samples_around(cap.ram_bytes)) {
       for (double rate : samples_around(disk_limit)) {
         double got = -1.0;
-        ServerAggregateCost(
-            prob, acct, 0, ws, 1, [&](int) { return cpu; },
-            [&](int) { return ram; }, [&](int) { return rate; }, &got);
+        ServerAggregateCost(prob, acct, 0, ws, 1, {&cpu}, {&ram}, {&rate},
+                            &got);
         double want = 0.0;
         want += std::max(0.0, cpu / cap.cpu_cores - 1.0);
         want += std::max(0.0, ram / cap.ram_bytes - 1.0);

@@ -38,6 +38,9 @@ struct ReferenceScore {
   double objective = 0;
   /// Per-server relative excess (capacity and drain), indexed by server.
   std::vector<double> server_violation;
+  /// Per-server term of the objective (server weight, balance and excess
+  /// penalty), indexed by server; 0 for an unused server.
+  std::vector<double> server_cost;
   /// Anti-affinity units: co-located replica pairs plus co-located slots of
   /// each anti-affinity pair.
   double affinity_units = 0;
@@ -77,6 +80,7 @@ inline ReferenceScore Score(const core::ConsolidationProblem& problem,
 
   ReferenceScore score;
   score.server_violation.assign(servers, 0.0);
+  score.server_cost.assign(servers, 0.0);
   const double overhead = problem.per_instance_cpu_overhead_cores;
   const double ram_overhead =
       static_cast<double>(problem.instance_ram_overhead_bytes);
@@ -147,6 +151,7 @@ inline ReferenceScore Score(const core::ConsolidationProblem& problem,
       cost += kViolationBase + kViolationScale * violation;
     }
     score.objective += cost;
+    score.server_cost[j] = cost;
     score.server_violation[j] = violation;
     score.violation += violation;
   }
