@@ -346,8 +346,7 @@ void BM_PricingKernel(benchmark::State& state, core::PricingKernel path,
 
 void RegisterPricingKernelBenchmarks() {
   for (core::PricingKernel path :
-       {core::PricingKernel::kAvx2, core::PricingKernel::kSse2,
-        core::PricingKernel::kPortable}) {
+       {core::PricingKernel::kAvx2, core::PricingKernel::kBaseline}) {
     if (!core::PricingKernelRuns(path)) continue;
     for (int samples : {48, 288, 290}) {
       const std::string name = std::string("BM_PricingKernel/") +

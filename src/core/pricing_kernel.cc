@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
+// The library builds for the target's baseline, which on x86-64 has no FMA;
+// a build for an FMA target could let the compiler fuse the kernel's
+// multiply-adds, which the kernel test would report.
 #if defined(__GNUC__) && defined(__x86_64__)
-#include <immintrin.h>
 #define KAIROS_PRICING_X86 1
-// The AVX2 path's functions. The target enables AVX2 without FMA, so no
-// multiply and add is fused and the path keeps the SSE2 path's roundings.
-// The rest of the library builds for the x86-64 baseline, which has no FMA
-// either; a build for an FMA target could let the compiler fuse the other
-// paths' multiply-adds, which the kernel test would report.
-#define KAIROS_AVX2 __attribute__((target("avx2")))
 #endif
 
 namespace kairos::core {
@@ -94,220 +91,164 @@ PricingSums Fold(const LaneSums& lanes) {
   return sums;
 }
 
-PricingSums PricePortable(const PricingConstants& k, const AxisSeries& cpu,
+// --- The vector paths: one body, in GCC and Clang vector extensions,
+// --- whose operations act lane by lane. A group of four samples is one
+// --- 4-lane vector (the AVX2 build) or two 2-lane vectors, lanes (0, 1) and
+// --- (2, 3) (the baseline build: SSE2 on x86-64); either way each lane
+// --- takes the per-lane function's operations in its order, so both builds
+// --- give that function's bits. The helpers are always inlined and take
+// --- vectors by reference: a 4-lane vector passed or returned by value
+// --- would change the calling convention of the baseline build.
+
+typedef double V2 __attribute__((vector_size(16)));
+typedef double V4 __attribute__((vector_size(32)));
+
+#define KAIROS_LANES inline __attribute__((always_inline))
+
+/// True when any lane of a comparison's result is set.
+template <typename M>
+KAIROS_LANES bool AnyLane(const M& m) {
+  auto any = m[0];
+  for (unsigned i = 1; i < sizeof(M) / sizeof(any); ++i) any |= m[i];
+  return any != 0;
+}
+
+/// *u = std::min(*u, c) lane by lane: (c < u) ? c : u, NaN lanes included.
+template <typename V>
+KAIROS_LANES void Clip(double c, V* u) {
+  *u = (c < *u) ? c : *u;
+}
+
+/// Samples t to t + width - 1 of an axis.
+template <typename V>
+KAIROS_LANES void Load(const AxisSeries& s, int t, V* v) {
+  std::memcpy(v, s.base + t, sizeof(V));
+  V w;
+  if (s.minus != nullptr) {
+    std::memcpy(&w, s.minus + t, sizeof(w));
+    *v = *v - w;
+  }
+  if (s.plus != nullptr) {
+    std::memcpy(&w, s.plus + t, sizeof(w));
+    *v = *v + w;
+  }
+}
+
+/// KernelExp's polynomial lane by lane, for lanes in its domain.
+template <typename V>
+KAIROS_LANES void PolyExp(const V& x, V* p) {
+  const V zero = {};
+  const auto hi = x > kHalfLn2;
+  const V r = (x - (hi ? kLn2Hi : zero)) - (hi ? kLn2Lo : zero);
+  *p = zero + kExpCoeff[kExpDegree];
+  for (int i = kExpDegree - 1; i >= 0; --i) *p = *p * r + kExpCoeff[i];
+  *p = *p * (hi ? 2.0 : zero + 1.0);
+}
+
+/// Prices the samples at `at` into one vector's running sums, and clears
+/// in *in_domain the lanes whose exp argument lies outside the polynomial's
+/// domain. Lanes within every limit add +0.0 to the excess sum, where the
+/// per-lane function adds nothing; with no lane over a limit the divisions
+/// are skipped. `clip` and `one` are kClip and 1.0.
+template <typename V, typename M>
+KAIROS_LANES void PriceVector(const PricingConstants& k, bool disk,
+                              const AxisSeries& cpu_in,
+                              const AxisSeries& ram_in,
+                              const AxisSeries& rate_in, int at, double clip,
+                              double one, V* exp_sum, V* excess_sum,
+                              M* in_domain) {
+  const V zero = {};
+  V cpu, ram, rate = {};
+  Load(cpu_in, at, &cpu);
+  Load(ram_in, at, &ram);
+  if (disk) Load(rate_in, at, &rate);
+  cpu = cpu + k.cpu_overhead;
+  ram = ram + k.ram_overhead;
+  V u_cpu = cpu / k.cpu_full, u_ram = ram / k.ram_full, u_disk = {};
+  if (disk) u_disk = rate / k.disk_full;
+  Clip(clip, &u_cpu);
+  Clip(clip, &u_ram);
+  Clip(clip, &u_disk);
+  V load = (k.cpu_weight * u_cpu + k.ram_weight * u_ram +
+            k.disk_weight * u_disk) /
+           k.weight_sum;
+  Clip(one, &load);
+  V p;
+  PolyExp(load, &p);
+  *exp_sum += p;
+  *in_domain &= load >= kKernelExpLo;
+  const M over_cpu = cpu > k.cpu_limit, over_ram = ram > k.ram_limit;
+  M over_rate = {};
+  if (disk) over_rate = rate > k.disk_limit;
+  if (!AnyLane(over_cpu | over_ram | over_rate)) return;
+  *excess_sum += over_cpu ? cpu / k.cpu_limit - 1.0 : zero;
+  *excess_sum += over_ram ? ram / k.ram_limit - 1.0 : zero;
+  if (disk) *excess_sum += over_rate ? rate / k.disk_limit - 1.0 : zero;
+}
+
+/// Prices the whole groups of four samples as 4 / width vectors of type
+/// V, then the tail through PriceLanes. A block with a lane outside the
+/// polynomial's domain (a negative sample) is priced again by PriceLanes
+/// alone, which gives those lanes std::exp.
+template <typename V>
+KAIROS_LANES PricingSums PriceGroups(const PricingConstants& k,
+                                     const AxisSeries& cpu,
+                                     const AxisSeries& ram,
+                                     const AxisSeries& rate, int samples) {
+  using M = decltype(V{} < V{});
+  constexpr int kWidth = sizeof(V) / sizeof(double);
+  constexpr int kParts = 4 / kWidth;
+  const bool disk = k.disk_full > 0;
+  const int vector_end = samples - samples % 4;
+  // With a constant bound GCC compiles Clip to a compare and a blend; an
+  // opaque one gives a single min instruction.
+  double clip = kClip, one = 1.0;
+  asm("" : "+m"(clip), "+m"(one));
+  V exp_sum[kParts] = {}, excess_sum[kParts] = {};
+  M in_domain = ~M{};
+  for (int t = 0; t < vector_end; t += 4) {
+#pragma GCC unroll 2
+    for (int h = 0; h < kParts; ++h) {
+      PriceVector(k, disk, cpu, ram, rate, t + h * kWidth, clip, one,
+                  &exp_sum[h], &excess_sum[h], &in_domain);
+    }
+  }
+  LaneSums lanes;
+  if (AnyLane(~in_domain)) {
+    PriceLanes(k, cpu, ram, rate, 0, samples, &lanes);
+  } else {
+    std::memcpy(lanes.exp_sum, exp_sum, sizeof(exp_sum));
+    std::memcpy(lanes.excess_sum, excess_sum, sizeof(excess_sum));
+    PriceLanes(k, cpu, ram, rate, vector_end, samples, &lanes);
+  }
+  return Fold(lanes);
+}
+
+/// The body built for the target's baseline: SSE2 on x86-64.
+PricingSums PriceBaseline(const PricingConstants& k, const AxisSeries& cpu,
                           const AxisSeries& ram, const AxisSeries& rate,
                           int samples) {
-  LaneSums lanes;
-  PriceLanes(k, cpu, ram, rate, 0, samples, &lanes);
-  return Fold(lanes);
+  return PriceGroups<V2>(k, cpu, ram, rate, samples);
 }
 
 #ifdef KAIROS_PRICING_X86
-
-// --- SSE2: each group of four samples as two 2-lane halves, lanes (0, 1)
-// --- and (2, 3), with the per-lane function's operations in its order.
-
-__m128d Load2(const AxisSeries& s, int t) {
-  __m128d v = _mm_loadu_pd(s.base + t);
-  if (s.minus != nullptr) v = _mm_sub_pd(v, _mm_loadu_pd(s.minus + t));
-  if (s.plus != nullptr) v = _mm_add_pd(v, _mm_loadu_pd(s.plus + t));
-  return v;
+/// The body built for AVX2. The target enables AVX2 without FMA, so no
+/// multiply and add is fused and the path keeps the baseline's roundings.
+__attribute__((target("avx2"))) PricingSums PriceAvx2(
+    const PricingConstants& k, const AxisSeries& cpu, const AxisSeries& ram,
+    const AxisSeries& rate, int samples) {
+  return PriceGroups<V4>(k, cpu, ram, rate, samples);
 }
-
-// _mm_min_pd(c, u) is (c < u) ? c : u, which is std::min(u, c) for any u,
-// NaN included.
-__m128d Exp2(__m128d x) {
-  const __m128d hi = _mm_cmpgt_pd(x, _mm_set1_pd(kHalfLn2));
-  const __m128d r =
-      _mm_sub_pd(_mm_sub_pd(x, _mm_and_pd(hi, _mm_set1_pd(kLn2Hi))),
-                 _mm_and_pd(hi, _mm_set1_pd(kLn2Lo)));
-  __m128d p = _mm_set1_pd(kExpCoeff[kExpDegree]);
-  for (int i = kExpDegree - 1; i >= 0; --i) {
-    p = _mm_add_pd(_mm_mul_pd(p, r), _mm_set1_pd(kExpCoeff[i]));
-  }
-  const __m128d one = _mm_set1_pd(1.0);
-  p = _mm_mul_pd(p, _mm_add_pd(one, _mm_and_pd(hi, one)));
-  const __m128d in = _mm_cmpge_pd(x, _mm_set1_pd(kKernelExpLo));
-  if (_mm_movemask_pd(in) != 0x3) {
-    alignas(16) double xs[2], ps[2];
-    _mm_store_pd(xs, x);
-    _mm_store_pd(ps, p);
-    for (int i = 0; i < 2; ++i) {
-      if (!(xs[i] >= kKernelExpLo)) ps[i] = std::exp(xs[i]);
-    }
-    p = _mm_load_pd(ps);
-  }
-  return p;
-}
-
-/// Adds max(0, x / limit - 1) for the lanes over `limit`: an AND of the
-/// over-limit mask, so the other lanes add +0.0. With no lane over the
-/// limit the division is skipped.
-__m128d AddExcess2(__m128d excess, __m128d x, double limit) {
-  const __m128d over = _mm_cmpgt_pd(x, _mm_set1_pd(limit));
-  if (_mm_movemask_pd(over) == 0) return excess;
-  return _mm_add_pd(
-      excess,
-      _mm_and_pd(over, _mm_sub_pd(_mm_div_pd(x, _mm_set1_pd(limit)),
-                                  _mm_set1_pd(1.0))));
-}
-
-/// Prices samples t and t + 1 into one half's running sums.
-void PriceHalf2(const PricingConstants& k, bool disk, const AxisSeries& cpu_in,
-                const AxisSeries& ram_in, const AxisSeries& rate_in, int t,
-                __m128d* exp_sum, __m128d* excess_sum) {
-  const __m128d clip = _mm_set1_pd(kClip);
-  const __m128d cpu = _mm_add_pd(Load2(cpu_in, t), _mm_set1_pd(k.cpu_overhead));
-  const __m128d ram = _mm_add_pd(Load2(ram_in, t), _mm_set1_pd(k.ram_overhead));
-  __m128d rate = _mm_setzero_pd();
-  __m128d u_disk = _mm_setzero_pd();
-  if (disk) {
-    rate = Load2(rate_in, t);
-    u_disk = _mm_div_pd(rate, _mm_set1_pd(k.disk_full));
-  }
-  const __m128d u_cpu = _mm_div_pd(cpu, _mm_set1_pd(k.cpu_full));
-  const __m128d u_ram = _mm_div_pd(ram, _mm_set1_pd(k.ram_full));
-  __m128d load = _mm_add_pd(
-      _mm_mul_pd(_mm_set1_pd(k.cpu_weight), _mm_min_pd(clip, u_cpu)),
-      _mm_mul_pd(_mm_set1_pd(k.ram_weight), _mm_min_pd(clip, u_ram)));
-  load = _mm_add_pd(
-      load, _mm_mul_pd(_mm_set1_pd(k.disk_weight), _mm_min_pd(clip, u_disk)));
-  load = _mm_div_pd(load, _mm_set1_pd(k.weight_sum));
-  *exp_sum = _mm_add_pd(*exp_sum, Exp2(_mm_min_pd(_mm_set1_pd(1.0), load)));
-  *excess_sum = AddExcess2(*excess_sum, cpu, k.cpu_limit);
-  *excess_sum = AddExcess2(*excess_sum, ram, k.ram_limit);
-  if (disk) *excess_sum = AddExcess2(*excess_sum, rate, k.disk_limit);
-}
-
-PricingSums PriceSse2(const PricingConstants& k, const AxisSeries& cpu,
-                      const AxisSeries& ram, const AxisSeries& rate,
-                      int samples) {
-  const bool disk = k.disk_full > 0;
-  const int vector_end = samples - samples % 4;
-  __m128d exp01 = _mm_setzero_pd(), exp23 = _mm_setzero_pd();
-  __m128d excess01 = _mm_setzero_pd(), excess23 = _mm_setzero_pd();
-  for (int t = 0; t < vector_end; t += 4) {
-    PriceHalf2(k, disk, cpu, ram, rate, t, &exp01, &excess01);
-    PriceHalf2(k, disk, cpu, ram, rate, t + 2, &exp23, &excess23);
-  }
-  LaneSums lanes;
-  _mm_storeu_pd(lanes.exp_sum, exp01);
-  _mm_storeu_pd(lanes.exp_sum + 2, exp23);
-  _mm_storeu_pd(lanes.excess_sum, excess01);
-  _mm_storeu_pd(lanes.excess_sum + 2, excess23);
-  PriceLanes(k, cpu, ram, rate, vector_end, samples, &lanes);
-  return Fold(lanes);
-}
-
-// --- AVX2: each group of four samples as one 4-lane vector, the same
-// --- operations as the SSE2 path.
-
-KAIROS_AVX2 __m256d Load4(const AxisSeries& s, int t) {
-  __m256d v = _mm256_loadu_pd(s.base + t);
-  if (s.minus != nullptr) v = _mm256_sub_pd(v, _mm256_loadu_pd(s.minus + t));
-  if (s.plus != nullptr) v = _mm256_add_pd(v, _mm256_loadu_pd(s.plus + t));
-  return v;
-}
-
-KAIROS_AVX2 __m256d Exp4(__m256d x) {
-  const __m256d hi = _mm256_cmp_pd(x, _mm256_set1_pd(kHalfLn2), _CMP_GT_OQ);
-  const __m256d r = _mm256_sub_pd(
-      _mm256_sub_pd(x, _mm256_and_pd(hi, _mm256_set1_pd(kLn2Hi))),
-      _mm256_and_pd(hi, _mm256_set1_pd(kLn2Lo)));
-  __m256d p = _mm256_set1_pd(kExpCoeff[kExpDegree]);
-  for (int i = kExpDegree - 1; i >= 0; --i) {
-    p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(kExpCoeff[i]));
-  }
-  const __m256d one = _mm256_set1_pd(1.0);
-  p = _mm256_mul_pd(p, _mm256_add_pd(one, _mm256_and_pd(hi, one)));
-  const __m256d in =
-      _mm256_cmp_pd(x, _mm256_set1_pd(kKernelExpLo), _CMP_GE_OQ);
-  if (_mm256_movemask_pd(in) != 0xF) {
-    alignas(32) double xs[4], ps[4];
-    _mm256_store_pd(xs, x);
-    _mm256_store_pd(ps, p);
-    for (int i = 0; i < 4; ++i) {
-      if (!(xs[i] >= kKernelExpLo)) ps[i] = std::exp(xs[i]);
-    }
-    p = _mm256_load_pd(ps);
-  }
-  return p;
-}
-
-/// AddExcess2 on four lanes.
-KAIROS_AVX2 __m256d AddExcess4(__m256d excess, __m256d x, double limit) {
-  const __m256d over = _mm256_cmp_pd(x, _mm256_set1_pd(limit), _CMP_GT_OQ);
-  if (_mm256_movemask_pd(over) == 0) return excess;
-  return _mm256_add_pd(
-      excess,
-      _mm256_and_pd(over, _mm256_sub_pd(_mm256_div_pd(x, _mm256_set1_pd(limit)),
-                                        _mm256_set1_pd(1.0))));
-}
-
-/// PriceHalf2 on samples t to t + 3.
-KAIROS_AVX2 void PriceGroup4(const PricingConstants& k, bool disk,
-                             const AxisSeries& cpu_in, const AxisSeries& ram_in,
-                             const AxisSeries& rate_in, int t,
-                             __m256d* exp_sum, __m256d* excess_sum) {
-  const __m256d clip = _mm256_set1_pd(kClip);
-  const __m256d cpu =
-      _mm256_add_pd(Load4(cpu_in, t), _mm256_set1_pd(k.cpu_overhead));
-  const __m256d ram =
-      _mm256_add_pd(Load4(ram_in, t), _mm256_set1_pd(k.ram_overhead));
-  __m256d rate = _mm256_setzero_pd();
-  __m256d u_disk = _mm256_setzero_pd();
-  if (disk) {
-    rate = Load4(rate_in, t);
-    u_disk = _mm256_div_pd(rate, _mm256_set1_pd(k.disk_full));
-  }
-  const __m256d u_cpu = _mm256_div_pd(cpu, _mm256_set1_pd(k.cpu_full));
-  const __m256d u_ram = _mm256_div_pd(ram, _mm256_set1_pd(k.ram_full));
-  __m256d load = _mm256_add_pd(
-      _mm256_mul_pd(_mm256_set1_pd(k.cpu_weight), _mm256_min_pd(clip, u_cpu)),
-      _mm256_mul_pd(_mm256_set1_pd(k.ram_weight), _mm256_min_pd(clip, u_ram)));
-  load = _mm256_add_pd(load, _mm256_mul_pd(_mm256_set1_pd(k.disk_weight),
-                                           _mm256_min_pd(clip, u_disk)));
-  load = _mm256_div_pd(load, _mm256_set1_pd(k.weight_sum));
-  *exp_sum =
-      _mm256_add_pd(*exp_sum, Exp4(_mm256_min_pd(_mm256_set1_pd(1.0), load)));
-  *excess_sum = AddExcess4(*excess_sum, cpu, k.cpu_limit);
-  *excess_sum = AddExcess4(*excess_sum, ram, k.ram_limit);
-  if (disk) *excess_sum = AddExcess4(*excess_sum, rate, k.disk_limit);
-}
-
-KAIROS_AVX2 PricingSums PriceAvx2(const PricingConstants& k,
-                                  const AxisSeries& cpu, const AxisSeries& ram,
-                                  const AxisSeries& rate, int samples) {
-  const bool disk = k.disk_full > 0;
-  const int vector_end = samples - samples % 4;
-  __m256d exp_sum = _mm256_setzero_pd();
-  __m256d excess_sum = _mm256_setzero_pd();
-  for (int t = 0; t < vector_end; t += 4) {
-    PriceGroup4(k, disk, cpu, ram, rate, t, &exp_sum, &excess_sum);
-  }
-  LaneSums lanes;
-  _mm256_storeu_pd(lanes.exp_sum, exp_sum);
-  _mm256_storeu_pd(lanes.excess_sum, excess_sum);
-  PriceLanes(k, cpu, ram, rate, vector_end, samples, &lanes);
-  return Fold(lanes);
-}
-
-#endif  // KAIROS_PRICING_X86
+#endif
 
 using KernelFn = PricingSums (*)(const PricingConstants&, const AxisSeries&,
                                  const AxisSeries&, const AxisSeries&, int);
 
 KernelFn KernelOf(PricingKernel kernel) {
-  switch (kernel) {
 #ifdef KAIROS_PRICING_X86
-    case PricingKernel::kAvx2:
-      return PriceAvx2;
-    case PricingKernel::kSse2:
-      return PriceSse2;
+  if (kernel == PricingKernel::kAvx2) return PriceAvx2;
 #endif
-    default:
-      return PricePortable;
-  }
+  return PriceBaseline;
 }
 
 }  // namespace
@@ -325,24 +266,20 @@ PricingKernel ActivePricingKernel() {
   static const PricingKernel kernel = [] {
 #ifdef KAIROS_PRICING_X86
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") ? PricingKernel::kAvx2
-                                          : PricingKernel::kSse2;
-#else
-    return PricingKernel::kPortable;
+    if (__builtin_cpu_supports("avx2")) return PricingKernel::kAvx2;
 #endif
+    return PricingKernel::kBaseline;
   }();
   return kernel;
 }
 
 const char* PricingKernelName(PricingKernel kernel) {
-  switch (kernel) {
-    case PricingKernel::kAvx2:
-      return "avx2";
-    case PricingKernel::kSse2:
-      return "sse2";
-    default:
-      return "portable";
-  }
+  if (kernel == PricingKernel::kAvx2) return "avx2";
+#ifdef KAIROS_PRICING_X86
+  return "sse2";
+#else
+  return "portable";
+#endif
 }
 
 const char* PricingKernelName() {
@@ -350,14 +287,8 @@ const char* PricingKernelName() {
 }
 
 bool PricingKernelRuns(PricingKernel kernel) {
-  switch (kernel) {
-    case PricingKernel::kAvx2:
-      return ActivePricingKernel() == PricingKernel::kAvx2;
-    case PricingKernel::kSse2:
-      return ActivePricingKernel() != PricingKernel::kPortable;
-    default:
-      return true;
-  }
+  return kernel == PricingKernel::kBaseline ||
+         ActivePricingKernel() == PricingKernel::kAvx2;
 }
 
 PricingSums PriceSamples(const PricingConstants& constants,

@@ -16,13 +16,14 @@
 // samples in order, and the lanes fold as (l0 + l1) + (l2 + l3), for the
 // exp sum and the excess sum alike.
 //
-// Three paths compute those sums with the same operations, so they return
-// the same bits: an AVX2 path (4-lane vectors, no FMA), an SSE2 path (the
-// x86-64 baseline; two 2-lane halves in the same lane order) and a plain
-// per-lane C++ function, which also prices the samples % 4 tail of the
-// vector paths and is the whole kernel on other architectures. The active
-// path is chosen once per process: AVX2 when the CPU has it, else SSE2 on
-// x86-64, else the portable one.
+// One body computes those sums over groups of four samples, in vector
+// extensions that act lane by lane, and is built twice: for AVX2 (4-lane
+// vectors, no FMA) and for the target's baseline (on x86-64, SSE2's two
+// 2-lane halves in the same lane order; elsewhere whatever the compiler
+// lowers 4-lane vectors to). Both builds return the bits of a plain
+// per-lane C++ function, which also prices the samples % 4 tail. The
+// active path is chosen once per process: AVX2 when the CPU has it, else
+// the baseline build.
 #ifndef KAIROS_CORE_PRICING_KERNEL_H_
 #define KAIROS_CORE_PRICING_KERNEL_H_
 
@@ -69,17 +70,19 @@ PricingSums PriceSamples(const PricingConstants& constants,
                          const AxisSeries& cpu, const AxisSeries& ram,
                          const AxisSeries& rate, int samples);
 
-/// The kernel's paths.
-enum class PricingKernel { kPortable, kSse2, kAvx2 };
+/// The kernel's paths: the vector body built for the target's baseline,
+/// and built for AVX2.
+enum class PricingKernel { kBaseline, kAvx2 };
 
 /// The path PriceSamples runs in this process.
 PricingKernel ActivePricingKernel();
-/// "portable", "sse2" or "avx2".
+/// "avx2", or for the baseline build "sse2" on x86-64 and "portable"
+/// elsewhere.
 const char* PricingKernelName(PricingKernel kernel);
 /// The active path's name, as bench reports record it.
 const char* PricingKernelName();
-/// True when `kernel` runs on this host: the portable path always, SSE2 on
-/// x86-64, AVX2 when the CPU has it as well.
+/// True when `kernel` runs on this host: the baseline build always, AVX2
+/// when the CPU has it.
 bool PricingKernelRuns(PricingKernel kernel);
 /// PriceSamples on a given path, which must run on this host (the kernel
 /// test and the microbenchmarks compare the paths).
