@@ -266,7 +266,7 @@ void SwapBench(benchmark::State& state, bool commit) {
     while (ev.assignment()[b] == ev.assignment()[a]) {
       b = static_cast<int>(rng.UniformInt(0, ev.num_slots() - 1));
     }
-    const core::SwapQuote quote = ev.QuoteSwap(a, b);
+    const core::MoveQuote quote = ev.QuoteSwap(a, b);
     if (commit) ev.ApplySwap(quote);
     benchmark::DoNotOptimize(quote.delta);
   }

@@ -227,7 +227,7 @@ void ConsolidationEngine::LocalSearch(Evaluator* ev, int max_sweeps, util::Rng* 
       const int sb = ev->assignment()[b];
       if (sa == sb) continue;
       if (drained_server(sa) || drained_server(sb)) continue;
-      const SwapQuote quote = ev->QuoteSwap(a, b);
+      const MoveQuote quote = ev->QuoteSwap(a, b);
       if (quote.delta <= -1e-9) {
         ev->ApplySwap(quote);
         improved = true;

@@ -280,7 +280,7 @@ double Evaluator::MoveDelta(int slot, int to) const {
 MoveQuote Evaluator::PriceMove(int slot, int to) const {
   const int from = assignment_[slot];
   MoveQuote q;
-  q.slot = slot;
+  q.slot[0] = slot;
   q.server[0] = from;
   q.server[1] = to;
   q.epoch = epoch_;
@@ -291,12 +291,16 @@ MoveQuote Evaluator::PriceMove(int slot, int to) const {
                      acct_.AffinityUnits(assignment_, slot, from);
   q.migration_delta =
       acct_.MigrationCost(slot, to) - acct_.MigrationCost(slot, from);
-  double delta = ((q.cost[0] - server_cost_[from]) + q.cost[1]) -
-                 server_cost_[to];
-  delta += q.affinity_units * kAffinityPenalty;
-  delta += q.migration_delta;
-  q.delta = delta;
+  SetQuoteDelta(&q);
   return q;
+}
+
+void Evaluator::SetQuoteDelta(MoveQuote* q) const {
+  double delta = ((q->cost[0] - server_cost_[q->server[0]]) + q->cost[1]) -
+                 server_cost_[q->server[1]];
+  delta += q->affinity_units * kAffinityPenalty;
+  delta += q->migration_delta;
+  q->delta = delta;
 }
 
 double Evaluator::MoveDeltaFloor(int slot, int to) const {
@@ -394,7 +398,7 @@ void Evaluator::ApplyMove(int slot, int to) {
     quote.delta -= kPinPenalty;
     pin_units = -1.0;
   }
-  CommitMove(quote, pin_units);
+  CommitQuote(quote, pin_units);
 }
 
 MoveQuote Evaluator::QuoteMove(int slot, int to) const {
@@ -405,28 +409,37 @@ MoveQuote Evaluator::QuoteMove(int slot, int to) const {
 }
 
 void Evaluator::ApplyMove(const MoveQuote& quote) {
-  assert(quote.epoch == epoch_ && "ApplyMove needs a quote of this state");
+  assert(quote.epoch == epoch_ && quote.slot[1] < 0 &&
+         "ApplyMove needs a relocation quote of this state");
   ++tl_eval_ops.apply_move_ops;
-  CommitMove(quote, 0.0);
+  CommitQuote(quote, 0.0);
 }
 
-void Evaluator::CommitMove(const MoveQuote& quote, double pin_units) {
+void Evaluator::CommitQuote(const MoveQuote& quote, double pin_units) {
   ++epoch_;
-  const int slot = quote.slot;
-  const int from = quote.server[0];
-  const int to = quote.server[1];
-  migration_cost_ += quote.migration_delta;
-  total_violation_ -= server_violation_[from] + server_violation_[to];
-  acct_.Apply(from, slot, -1.0);
-  acct_.Apply(to, slot, +1.0);
-  assignment_[slot] = to;
+  const int a = quote.slot[0];
+  const int b = quote.slot[1];
+  const int s0 = quote.server[0];
+  const int s1 = quote.server[1];
+  // The order the quote priced: a relocation's rows become row - a and
+  // row + a, a swap's (row - a) + b and (row - b) + a.
+  acct_.Apply(s0, a, -1.0);
+  if (b >= 0) {
+    acct_.Apply(s0, b, +1.0);
+    acct_.Apply(s1, b, -1.0);
+    assignment_[b] = s0;
+  }
+  acct_.Apply(s1, a, +1.0);
+  assignment_[a] = s1;
+  total_violation_ -= server_violation_[s0] + server_violation_[s1];
   for (int k = 0; k < 2; ++k) {
     server_cost_[quote.server[k]] = quote.cost[k];
     server_violation_[quote.server[k]] = quote.violation[k];
   }
-  total_violation_ += server_violation_[from] + server_violation_[to];
+  total_violation_ += server_violation_[s0] + server_violation_[s1];
   total_violation_ += quote.affinity_units * kAffinityUnit;
   if (pin_units != 0.0) total_violation_ += pin_units;
+  migration_cost_ += quote.migration_delta;
   current_cost_ += quote.delta;
 }
 
@@ -506,13 +519,13 @@ void Evaluator::UndoPackage() {
   ++epoch_;
 }
 
-SwapQuote Evaluator::QuoteSwap(int a, int b) const {
+MoveQuote Evaluator::QuoteSwap(int a, int b) const {
   ++tl_eval_ops.swap_quotes;
   const int sa = assignment_[a];
   const int sb = assignment_[b];
   assert(acct_.PinOfSlot(a) < 0 && acct_.PinOfSlot(b) < 0);
   assert(sa != sb);
-  SwapQuote q;
+  MoveQuote q;
   q.slot[0] = a;
   q.slot[1] = b;
   q.server[0] = sa;
@@ -537,39 +550,15 @@ SwapQuote Evaluator::QuoteSwap(int a, int b) const {
   q.migration_delta =
       (acct_.MigrationCost(a, sb) - acct_.MigrationCost(a, sa)) +
       (acct_.MigrationCost(b, sa) - acct_.MigrationCost(b, sb));
-  double delta =
-      ((q.cost[0] - server_cost_[sa]) + q.cost[1]) - server_cost_[sb];
-  delta += q.affinity_units * kAffinityPenalty;
-  delta += q.migration_delta;
-  q.delta = delta;
+  SetQuoteDelta(&q);
   return q;
 }
 
-void Evaluator::ApplySwap(const SwapQuote& quote) {
-  assert(quote.epoch == epoch_ && "ApplySwap needs a quote of this state");
+void Evaluator::ApplySwap(const MoveQuote& quote) {
+  assert(quote.epoch == epoch_ && quote.slot[1] >= 0 &&
+         "ApplySwap needs a swap quote of this state");
   ++tl_eval_ops.swap_moves;
-  ++epoch_;
-  const int a = quote.slot[0];
-  const int b = quote.slot[1];
-  const int sa = quote.server[0];
-  const int sb = quote.server[1];
-  // The order SwapServerCost priced: each server's rows become
-  // (row - out) + in.
-  acct_.Apply(sa, a, -1.0);
-  acct_.Apply(sa, b, +1.0);
-  acct_.Apply(sb, b, -1.0);
-  acct_.Apply(sb, a, +1.0);
-  assignment_[a] = sb;
-  assignment_[b] = sa;
-  total_violation_ -= server_violation_[sa] + server_violation_[sb];
-  for (int k = 0; k < 2; ++k) {
-    server_cost_[quote.server[k]] = quote.cost[k];
-    server_violation_[quote.server[k]] = quote.violation[k];
-  }
-  total_violation_ += server_violation_[sa] + server_violation_[sb];
-  total_violation_ += quote.affinity_units * kAffinityUnit;
-  migration_cost_ += quote.migration_delta;
-  current_cost_ += quote.delta;
+  CommitQuote(quote, 0.0);
 }
 
 Evaluator::ServerLoad Evaluator::GetServerLoad(int j) const {

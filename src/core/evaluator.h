@@ -116,12 +116,16 @@ class ServerCostMemo {
   std::vector<uint32_t> index_;  // entry + 1 per bucket, 0 = empty
 };
 
-/// A relocation of one unpinned slot, priced against one state of an
-/// Evaluator (Evaluator::QuoteMove) and committed by
-/// Evaluator::ApplyMove(const MoveQuote&) without a pricing.
+/// A relocation of one unpinned slot (Evaluator::QuoteMove) or a swap of
+/// two unpinned slots' servers (Evaluator::QuoteSwap), priced against one
+/// state of an Evaluator and committed by Evaluator::ApplyMove or
+/// Evaluator::ApplySwap without a pricing.
 struct MoveQuote {
-  int slot = -1;
-  int server[2] = {-1, -1};  ///< The slot's server before and after, from and to.
+  /// The moved slot, and a swap's second slot (-1 for a relocation).
+  int slot[2] = {-1, -1};
+  /// The two servers the quote prices: a relocation's from and to, a
+  /// swap's servers of slot[0] and slot[1] before it.
+  int server[2] = {-1, -1};
   /// Cost and violation of server[k] after the move.
   double cost[2] = {0, 0};
   double violation[2] = {0, 0};
@@ -129,30 +133,10 @@ struct MoveQuote {
   double affinity_units = 0;
   /// Change in the migration penalty.
   double migration_delta = 0;
-  /// Objective change, MoveDelta(slot, to) bit for bit; ApplyMove adds
-  /// exactly this to current_cost().
+  /// Objective change; the commit adds exactly this to current_cost(). A
+  /// relocation's is MoveDelta(slot, to) bit for bit.
   double delta = 0;
-  /// The Evaluator state the quote priced (see ApplyMove).
-  uint64_t epoch = 0;
-};
-
-/// A swap of two unpinned slots' servers, priced against one state of an
-/// Evaluator (Evaluator::QuoteSwap) and committed by Evaluator::ApplySwap
-/// without a pricing.
-struct SwapQuote {
-  int slot[2] = {-1, -1};    ///< The slots a and b.
-  int server[2] = {-1, -1};  ///< Their servers before the swap, sa and sb.
-  /// Cost and violation of server[k] after the swap: sa holding b in place
-  /// of a, sb holding a in place of b.
-  double cost[2] = {0, 0};
-  double violation[2] = {0, 0};
-  /// Change in anti-affinity units.
-  double affinity_units = 0;
-  /// Change in the migration penalty.
-  double migration_delta = 0;
-  /// Objective change; ApplySwap adds exactly this to current_cost().
-  double delta = 0;
-  /// The Evaluator state the quote priced (see ApplySwap).
+  /// The Evaluator state the quote priced.
   uint64_t epoch = 0;
 };
 
@@ -246,14 +230,14 @@ class Evaluator {
   /// change U(a, sb) - U(a, sa) + U(b, sa) - U(b, sb) - 2 r(a, b), where
   /// r(a, b) is 1 for two replicas of one workload plus the multiplicity
   /// of b's workload among the partners of a's, then the migration change.
-  SwapQuote QuoteSwap(int a, int b) const;
+  MoveQuote QuoteSwap(int a, int b) const;
   /// Commits a quote of the current state: the four LoadAccountant::Apply
   /// calls (a off sa, b onto sa, b off sb, a onto sb), then the quoted
   /// costs, violations and totals, without a pricing. The cached costs
   /// then equal a fresh ServerCost of the new rows, bit for bit, and
   /// current_cost() moves by exactly the quoted delta. A quote made stale
   /// by any mutating call since is asserted against in Debug.
-  void ApplySwap(const SwapQuote& quote);
+  void ApplySwap(const MoveQuote& quote);
   /// True when the loaded assignment violates no constraint.
   bool IsFeasible() const { return total_violation_ <= 0.0; }
   /// Migration penalty included in current_cost() (0 when the problem has
@@ -304,9 +288,13 @@ class Evaluator {
   /// QuoteMove's pricing, for any slot and uncounted: MoveDelta, QuoteMove
   /// and ApplyMove share it.
   MoveQuote PriceMove(int slot, int to) const;
-  /// Commits `quote` (its delta already holding any pin penalty change)
-  /// plus `pin_units`, a pinned slot's change in violation units.
-  void CommitMove(const MoveQuote& quote, double pin_units);
+  /// Sets a quote's delta from its costs, affinity and migration terms.
+  void SetQuoteDelta(MoveQuote* quote) const;
+  /// Commits a relocation or swap quote (its delta already holding any pin
+  /// penalty change) plus `pin_units`, a pinned slot's change in violation
+  /// units: the rows in the order the quote priced them, then its costs,
+  /// violations and totals.
+  void CommitQuote(const MoveQuote& quote, double pin_units);
 
   /// Recomputes server `j`'s cached cost + violation from its aggregates.
   void RecomputeServer(int j) {
@@ -326,8 +314,8 @@ class Evaluator {
   double current_cost_ = 0;
   double total_violation_ = 0;
   double migration_cost_ = 0;
-  // Bumped by every mutating call, so a package snapshot or a swap quote
-  // can tell that the state it was taken from has changed.
+  // Bumped by every mutating call, so a package snapshot or a quote can
+  // tell that the state it was taken from has changed.
   uint64_t epoch_ = 1;
 
   // ApplyPackage's one-level undo: the two servers' accountant state

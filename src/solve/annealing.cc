@@ -105,7 +105,7 @@ core::ConsolidationPlan AnnealingSolver::Solve(
                           problem.fleet.DrainedServer(sb))) {
         continue;
       }
-      const core::SwapQuote quote = ev.QuoteSwap(a, b);
+      const core::MoveQuote quote = ev.QuoteSwap(a, b);
       if (quote.delta <= 0) {
         ev.ApplySwap(quote);
         best.Record(ev, it);

@@ -923,7 +923,7 @@ TEST(EvaluatorSwapTest, CommitMovesCostByTheQuoteBitwise) {
       const std::vector<int> placed = ev.assignment();
       const double before = ev.current_cost();
       const double migration_before = ev.migration_cost();
-      const SwapQuote quote = ev.QuoteSwap(a, b);
+      const MoveQuote quote = ev.QuoteSwap(a, b);
       ASSERT_EQ(ev.assignment(), placed);
       ASSERT_EQ(Bits(ev.current_cost()), Bits(before));
 
@@ -980,7 +980,7 @@ TEST(EvaluatorSwapTest, QuoteAndCommitCountTheirOps) {
   Evaluator ev(prob, 5);
   ev.Load({0, 1, 0, 1, 0, 1, 2, 3, 4, 2, 3, 4, 0});
   ResetEvalOps();
-  const SwapQuote rejected = ev.QuoteSwap(0, 1);
+  const MoveQuote rejected = ev.QuoteSwap(0, 1);
   EXPECT_EQ(rejected.server[0], 0);
   EXPECT_EQ(rejected.server[1], 1);
   ev.ApplySwap(ev.QuoteSwap(0, 1));
@@ -997,7 +997,7 @@ TEST(EvaluatorSwapDeathTest, StaleQuoteIsRefused) {
   const ConsolidationProblem prob = SwapProblem(1);
   Evaluator ev(prob, 5);
   ev.Load({0, 1, 0, 1, 0, 1, 2, 3, 4, 2, 3, 4, 0});
-  const SwapQuote quote = ev.QuoteSwap(0, 1);
+  const MoveQuote quote = ev.QuoteSwap(0, 1);
   ev.ApplyMove(12, 1);  // server 1's rows change under the quote
   EXPECT_DEATH(ev.ApplySwap(quote), "quote");
 }
