@@ -521,7 +521,6 @@ ConsolidationPlan FinalizePlan(const ConsolidationProblem& problem,
     if (!load.used) continue;
     ServerSummary summary;
     summary.num_slots = load.num_slots;
-    summary.violation = load.violation;
     util::Accumulator cpu;
     for (double v : load.cpu_cores) cpu.Add(v);
     summary.peak_cpu_cores = cpu.Max();

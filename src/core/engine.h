@@ -49,14 +49,12 @@ struct EngineOptions {
 };
 
 /// What ConsolidationPlan::Render prints of one used server: its slot
-/// count and constraint excess, and the peaks, mean and p95 of its load
-/// series (CPU with the instance overhead, RAM with the instance RAM
-/// overhead). A plan keeps these, not the series: a reader that needs the
-/// series (fig08, fig09) loads an Evaluator with the plan's assignment and
-/// calls GetServerLoad.
+/// count, and the peaks, mean and p95 of its load series (CPU with the
+/// instance overhead, RAM with the instance RAM overhead). A plan keeps
+/// these, not the series: a reader that needs the series (fig08, fig09)
+/// loads an Evaluator with the plan's assignment and calls GetServerLoad.
 struct ServerSummary {
   int num_slots = 0;
-  double violation = 0;
   double peak_cpu_cores = 0;
   double mean_cpu_cores = 0;
   double p95_cpu_cores = 0;
