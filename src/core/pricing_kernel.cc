@@ -134,7 +134,8 @@ KAIROS_LANES void Load(const AxisSeries& s, int t, V* v) {
   }
 }
 
-/// KernelExp's polynomial lane by lane, for lanes in its domain.
+/// KernelExp's polynomial lane by lane, for lanes in its domain. (zero + c
+/// puts c in every lane.)
 template <typename V>
 KAIROS_LANES void PolyExp(const V& x, V* p) {
   const V zero = {};
@@ -207,7 +208,6 @@ KAIROS_LANES PricingSums PriceGroups(const PricingConstants& k,
   V exp_sum[kParts] = {}, excess_sum[kParts] = {};
   M in_domain = ~M{};
   for (int t = 0; t < vector_end; t += 4) {
-#pragma GCC unroll 2
     for (int h = 0; h < kParts; ++h) {
       PriceVector(k, disk, cpu, ram, rate, t + h * kWidth, clip, one,
                   &exp_sum[h], &excess_sum[h], &in_domain);
