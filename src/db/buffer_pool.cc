@@ -64,19 +64,4 @@ double BufferPool::DirtyFraction() const {
   return static_cast<double>(dirty_.size()) / static_cast<double>(capacity_pages_);
 }
 
-double BufferPool::MissRatio() const {
-  if (logical_reads_ == 0) return 0.0;
-  return static_cast<double>(misses_) / static_cast<double>(logical_reads_);
-}
-
-void BufferPool::Reset() {
-  lru_.clear();
-  map_.clear();
-  dirty_.clear();
-  logical_reads_ = 0;
-  misses_ = 0;
-  evictions_ = 0;
-  dirty_evictions_ = 0;
-}
-
 }  // namespace kairos::db

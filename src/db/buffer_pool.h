@@ -66,12 +66,6 @@ class BufferPool {
   uint64_t evictions() const { return evictions_; }
   uint64_t dirty_evictions() const { return dirty_evictions_; }
 
-  /// Buffer pool miss ratio over the whole lifetime (misses / logical reads).
-  double MissRatio() const;
-
-  /// Clears contents and statistics.
-  void Reset();
-
  private:
   struct Node {
     PageId page;

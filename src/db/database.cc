@@ -20,8 +20,8 @@ void DbCounters::Accumulate(const DbCounters& other) {
   latency_weighted_ms += other.latency_weighted_ms;
 }
 
-Database::Database(Dbms* owner, int id, std::string name)
-    : owner_(owner), id_(id), name_(std::move(name)) {}
+Database::Database(Dbms* owner, std::string name)
+    : owner_(owner), name_(std::move(name)) {}
 
 Region* Database::CreateTable(const std::string& table_name, uint64_t initial_pages,
                               uint64_t reserved_pages) {
@@ -48,12 +48,6 @@ void Database::ExtendTable(Region* region, uint64_t pages) {
   region->start = owner_->AllocatePages(new_reserved);
   region->reserved = new_reserved;
   region->pages += pages;
-}
-
-uint64_t Database::TotalPages() const {
-  uint64_t total = 0;
-  for (const auto& t : tables_) total += t.pages;
-  return total;
 }
 
 DbCounters Database::TakeWindow() {

@@ -35,9 +35,8 @@ struct DbCounters {
 /// space plus activity counters.
 class Database {
  public:
-  Database(Dbms* owner, int id, std::string name);
+  Database(Dbms* owner, std::string name);
 
-  int id() const { return id_; }
   const std::string& name() const { return name_; }
   Dbms* owner() const { return owner_; }
 
@@ -50,13 +49,8 @@ class Database {
   /// reservation if exhausted (allocating fresh contiguous space).
   void ExtendTable(Region* region, uint64_t pages);
 
-  /// Total in-use pages across tables.
-  uint64_t TotalPages() const;
-
   /// Counters since creation.
   const DbCounters& lifetime() const { return lifetime_; }
-  /// Counters since the last TakeWindow() call.
-  const DbCounters& window() const { return window_; }
   /// Returns and resets the windowed counters.
   DbCounters TakeWindow();
 
@@ -64,7 +58,6 @@ class Database {
   friend class Dbms;
 
   Dbms* owner_;
-  int id_;
   std::string name_;
   std::list<Region> tables_;  // std::list: stable Region pointers.
   DbCounters lifetime_;

@@ -11,11 +11,10 @@ int64_t InstanceTickReport::TotalCompleted() const {
   return total;
 }
 
-Dbms::Dbms(const DbmsConfig& config, sim::Disk* disk, uint64_t seed, int stream_id)
+Dbms::Dbms(const DbmsConfig& config, sim::Disk* disk, uint64_t seed)
     : config_(config),
       disk_(disk),
       rng_(seed),
-      stream_id_(stream_id),
       pool_(config.buffer_pool_bytes / config.page_bytes),
       log_(config.group_commit_window_ms, config.log_file_bytes),
       flusher_(config.flusher) {
@@ -26,8 +25,7 @@ Dbms::Dbms(const DbmsConfig& config, sim::Disk* disk, uint64_t seed, int stream_
 }
 
 Database* Dbms::CreateDatabase(const std::string& name) {
-  databases_.push_back(std::make_unique<Database>(
-      this, static_cast<int>(databases_.size()), name));
+  databases_.push_back(std::make_unique<Database>(this, name));
   database_ptrs_.push_back(databases_.back().get());
   return databases_.back().get();
 }

@@ -106,9 +106,8 @@ struct InstanceTickReport {
 class Dbms {
  public:
   /// `disk` is borrowed (the hosting machine owns it) and may be shared
-  /// with other instances. `stream_id` distinguishes instances sharing a
-  /// disk for interleaving penalties.
-  Dbms(const DbmsConfig& config, sim::Disk* disk, uint64_t seed, int stream_id = 0);
+  /// with other instances.
+  Dbms(const DbmsConfig& config, sim::Disk* disk, uint64_t seed);
 
   const DbmsConfig& config() const { return config_; }
 
@@ -182,10 +181,7 @@ class Dbms {
 
   BufferPool& buffer_pool() { return pool_; }
   const BufferPool& buffer_pool() const { return pool_; }
-  LogManager& log_manager() { return log_; }
-  os::FileCache* file_cache() { return cache_ ? cache_.get() : nullptr; }
   sim::Disk* disk() { return disk_; }
-  int stream_id() const { return stream_id_; }
 
   /// Cumulative physical I/O (what iostat would charge to this instance).
   uint64_t total_write_bytes() const { return total_write_bytes_; }
@@ -217,7 +213,6 @@ class Dbms {
   DbmsConfig config_;
   sim::Disk* disk_;
   util::Rng rng_;
-  int stream_id_;
 
   BufferPool pool_;
   std::unique_ptr<os::FileCache> cache_;

@@ -41,7 +41,6 @@ class LogManager {
   /// Cumulative totals.
   uint64_t total_bytes() const { return total_bytes_; }
   uint64_t bytes_since_checkpoint() const { return bytes_since_checkpoint_; }
-  double group_commit_window_ms() const { return group_commit_window_ms_; }
 
  private:
   double group_commit_window_ms_;

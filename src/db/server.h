@@ -19,7 +19,6 @@ class Server {
  public:
   Server(const sim::MachineSpec& machine, const DbmsConfig& config, uint64_t seed);
 
-  const sim::MachineSpec& machine() const { return machine_; }
   Dbms& dbms() { return *dbms_; }
   const Dbms& dbms() const { return *dbms_; }
   sim::Disk& disk() { return disk_; }

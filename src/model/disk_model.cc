@@ -90,15 +90,4 @@ double DiskModel::MaxSustainableRate(double working_set_bytes) const {
   return std::max(min_frontier_, frontier_.Eval(working_set_bytes / ws_scale_));
 }
 
-bool DiskModel::IsSustainable(double working_set_bytes, double rows_per_sec,
-                              double headroom) const {
-  return rows_per_sec <= headroom * MaxSustainableRate(working_set_bytes);
-}
-
-double DiskModel::UtilizationFraction(double working_set_bytes,
-                                      double rows_per_sec) const {
-  const double cap = MaxSustainableRate(working_set_bytes);
-  return cap > 0 ? rows_per_sec / cap : 0.0;
-}
-
 }  // namespace kairos::model

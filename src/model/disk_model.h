@@ -42,13 +42,6 @@ class DiskModel {
   /// (the saturation frontier; decreasing in working set size).
   double MaxSustainableRate(double working_set_bytes) const;
 
-  /// True when (ws, rate) is within `headroom` (e.g. 0.9) of saturation.
-  bool IsSustainable(double working_set_bytes, double rows_per_sec,
-                     double headroom = 0.9) const;
-
-  /// Disk "utilization" proxy in [0, inf): rate / max sustainable rate.
-  double UtilizationFraction(double working_set_bytes, double rows_per_sec) const;
-
   /// True once Fit() has produced a usable model.
   bool valid() const { return valid_; }
 

@@ -3,25 +3,10 @@
 #include <memory>
 
 #include "db/server.h"
-#include "util/units.h"
 #include "workload/driver.h"
 #include "workload/micro.h"
 
 namespace kairos::model {
-
-ProfilerConfig ProfilerConfig::Small() {
-  ProfilerConfig c;
-  // Working sets comfortably inside the default 1 GB buffer pool.
-  for (double gb : {0.25, 0.375, 0.5}) {
-    c.working_set_bytes.push_back(gb * static_cast<double>(util::kGiB));
-  }
-  for (double rate : {2000.0, 8000.0, 16000.0}) {
-    c.rows_per_sec.push_back(rate);
-  }
-  c.warmup_seconds = 1.0;
-  c.measure_seconds = 3.0;
-  return c;
-}
 
 DiskModelProfiler::DiskModelProfiler(const sim::MachineSpec& machine,
                                      const db::DbmsConfig& dbms_config,

@@ -26,9 +26,6 @@ struct ProfilerConfig {
   double saturation_ratio = 0.93;
   /// Updates per synthetic transaction (the sweep varies rate, not shape).
   double updates_per_tx = 10.0;
-
-  /// Tiny grid for unit tests.
-  static ProfilerConfig Small();
 };
 
 /// Runs the sweep on a simulated machine and fits a DiskModel.

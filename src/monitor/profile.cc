@@ -115,13 +115,4 @@ ProfileStats SummarizeWindow(WindowView cpu_cores, WindowView ram_bytes,
   return stats;
 }
 
-ProfileStats Summarize(const WorkloadProfile& profile) {
-  const auto view = [](const util::TimeSeries& series) {
-    return WindowView{series.values().data(), 1, 0, series.size()};
-  };
-  return SummarizeWindow(view(profile.cpu_cores), view(profile.ram_bytes),
-                         view(profile.update_rows_per_sec),
-                         profile.working_set_bytes);
-}
-
 }  // namespace kairos::monitor

@@ -78,16 +78,12 @@ struct WindowView {
 /// first largest) and keeps the p95's upper tail in a util::UpperTail.
 /// Windows whose p95 tail is longer than util::kInsertionTail (W >= 142),
 /// or of unequal sizes, are gathered into per-thread scratch for
-/// util::PercentileInPlace instead. The views are only read. Summarize and
-/// the streaming builder's Stats both call it, so the fingerprint has one
-/// definition, byte-identical to sorting each window.
+/// util::PercentileInPlace instead. The views are only read. The streaming
+/// builder's Stats calls it, so the fingerprint has one definition,
+/// byte-identical to sorting each window.
 ProfileStats SummarizeWindow(WindowView cpu_cores, WindowView ram_bytes,
                              WindowView update_rows_per_sec,
                              double working_set_bytes);
-
-/// Computes the summary fingerprint of a profile (SummarizeWindow over
-/// views of its series).
-ProfileStats Summarize(const WorkloadProfile& profile);
 
 }  // namespace kairos::monitor
 

@@ -26,15 +26,6 @@ class Sink {
   TraceSink& trace() { return trace_; }
   const TraceSink& trace() const { return trace_; }
 
-  /// Convenience one-shot point event (interns on every call — fine at
-  /// probe/stage granularity; hot loops should pre-intern and use
-  /// trace().Emit directly).
-  void Point(const std::string& track, const std::string& name, int64_t i0 = 0,
-             int64_t i1 = 0, double d0 = 0, double d1 = 0) {
-    trace_.Emit(trace_.InternTrack(track), trace_.InternName(name),
-                EventKind::kPoint, i0, i1, d0, d1);
-  }
-
   /// Convenience counter bump (interns on every call).
   void Count(const std::string& name, int64_t v = 1) {
     metrics_.counter(name)->Add(v);

@@ -38,7 +38,6 @@ class RollingWindowBank {
   /// every stream was pushed, from a single thread.
   void CommitStep();
 
-  int streams() const { return streams_; }
   size_t size() const { return size_; }
   bool full() const { return size_ == capacity_; }
 

@@ -20,13 +20,6 @@ int StripeMap::AutoStripes(int num_streams) {
   return std::max(1, std::min(stripes, 256));
 }
 
-int StripeMap::StripeOf(int w) const {
-  assert(w >= 0 && w < streams_);
-  const int fat = rem_ * (base_ + 1);  // streams held by the fat stripes
-  if (w < fat) return w / (base_ + 1);
-  return rem_ + (w - fat) / base_;
-}
-
 IngestPlane::IngestPlane(StreamingProfileBuilder* builder,
                          const IngestOptions& options)
     : builder_(builder), map_(builder->num_workloads(), options.stripes) {

@@ -62,9 +62,6 @@ class StripeMap {
   int end(int s) const { return begin(s + 1); }
   int size(int s) const { return end(s) - begin(s); }
 
-  /// Owning stripe of stream `w` (inverse of begin/end).
-  int StripeOf(int w) const;
-
  private:
   int streams_;
   int stripes_;

@@ -53,10 +53,10 @@ monitor::WorkloadProfile StreamingProfileBuilder::Profile(int w) const {
 }
 
 monitor::ProfileStats StreamingProfileBuilder::Stats(int w) const {
-  // One fingerprint definition for the whole system: the kernel behind
-  // monitor::Summarize reads the bank columns in place, oldest first, so
-  // the drift detector compares exactly what Summarize(Profile(w)) would
-  // say, without a copy.
+  // One fingerprint definition for the whole system: SummarizeWindow reads
+  // the bank columns in place, oldest first, so the drift detector compares
+  // exactly what SummarizeWindow over Profile(w)'s series would say,
+  // without a copy.
   return monitor::SummarizeWindow(cpu_.Window(w), ram_.Window(w),
                                   rate_.Window(w), working_set_.value(w));
 }

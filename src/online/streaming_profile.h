@@ -55,8 +55,8 @@ class StreamingProfileBuilder {
 
   /// Window fingerprint of workload `w` (p95/mean/peak over the last W
   /// samples), read from the window banks in place; bit-identical to
-  /// monitor::Summarize(Profile(w)) without building the profile. Safe to
-  /// call concurrently.
+  /// monitor::SummarizeWindow over Profile(w)'s series without building the
+  /// profile. Safe to call concurrently.
   monitor::ProfileStats Stats(int w) const;
 
  private:

@@ -52,36 +52,6 @@ ReplayFeed ReplayFeed::FromProfiles(
   return ReplayFeed(std::move(names), std::move(steps));
 }
 
-ReplayFeed ReplayFeed::FromRun(const workload::RunResult& run,
-                               const std::vector<double>& working_set_bytes) {
-  assert(working_set_bytes.size() == run.workloads.size());
-  std::vector<std::string> names;
-  size_t horizon = run.server.cpu_cores.size();
-  for (const auto& w : run.workloads) {
-    names.push_back(w.name);
-    horizon = std::min({horizon, w.tps.size(), w.update_rows_per_sec.size()});
-  }
-
-  std::vector<std::vector<TelemetrySample>> steps;
-  steps.reserve(horizon);
-  for (size_t t = 0; t < horizon; ++t) {
-    double total_tps = 0;
-    for (const auto& w : run.workloads) total_tps += w.tps.at(t);
-    std::vector<TelemetrySample> step(run.workloads.size());
-    for (size_t w = 0; w < run.workloads.size(); ++w) {
-      const double share =
-          total_tps > 0 ? run.workloads[w].tps.at(t) / total_tps
-                        : 1.0 / static_cast<double>(run.workloads.size());
-      step[w].cpu_cores = run.server.cpu_cores.at(t) * share;
-      step[w].ram_bytes = working_set_bytes[w];
-      step[w].update_rows_per_sec = run.workloads[w].update_rows_per_sec.at(t);
-      step[w].working_set_bytes = working_set_bytes[w];
-    }
-    steps.push_back(std::move(step));
-  }
-  return ReplayFeed(std::move(names), std::move(steps));
-}
-
 bool ReplayFeed::Next(std::vector<TelemetrySample>* out) {
   if (cursor_ >= steps_.size()) return false;
   // assign() reuses the caller's buffer: after the first step the loop

@@ -1,8 +1,7 @@
 // Telemetry ingestion for the online consolidation controller: one
 // TelemetrySample per workload per monitoring step, pulled from a
 // ReplayFeed. A feed replays historical rrdtool-style series
-// (trace::Dataset / trace::MakeScenario profiles) or re-shapes a live
-// workload::Driver run into per-workload samples.
+// (trace::Dataset / trace::MakeScenario profiles).
 #ifndef KAIROS_ONLINE_TELEMETRY_H_
 #define KAIROS_ONLINE_TELEMETRY_H_
 
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "monitor/profile.h"
-#include "workload/driver.h"
 
 namespace kairos::obs {
 class Counter;
@@ -37,14 +35,6 @@ class ReplayFeed {
 
   /// One step per series sample (the shortest series bounds the horizon).
   static ReplayFeed FromProfiles(const std::vector<monitor::WorkloadProfile>& profiles);
-
-  /// Re-shapes a workload::Driver run: the server's measured CPU demand is
-  /// apportioned to workloads by their per-window throughput share, the
-  /// row-modification rates are taken per workload, and RAM is the caller's
-  /// per-workload working set (the driver's server is shared, so per-tenant
-  /// RAM is not directly observable).
-  static ReplayFeed FromRun(const workload::RunResult& run,
-                            const std::vector<double>& working_set_bytes);
 
   int num_workloads() const { return static_cast<int>(names_.size()); }
   std::string workload_name(int w) const { return names_[w]; }

@@ -38,11 +38,4 @@ void FileCache::Erase(PageId page) {
   map_.erase(it);
 }
 
-void FileCache::Reset() {
-  lru_.clear();
-  map_.clear();
-  hits_ = 0;
-  misses_ = 0;
-}
-
 }  // namespace kairos::os

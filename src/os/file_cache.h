@@ -40,9 +40,6 @@ class FileCache {
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
 
-  /// Clears contents and statistics.
-  void Reset();
-
  private:
   uint64_t capacity_pages_;
   std::list<PageId> lru_;  // front = MRU

@@ -92,13 +92,6 @@ bool FleetSpec::AnyDrained() const {
   return false;
 }
 
-bool FleetSpec::AnyClassDisk() const {
-  for (const auto& c : classes) {
-    if (c.disk_model) return true;
-  }
-  return false;
-}
-
 std::vector<int> FleetSpec::PlacableServers(int num_servers) const {
   std::vector<int> out;
   out.reserve(std::max(0, num_servers));

@@ -97,9 +97,6 @@ struct FleetSpec {
 
   bool AnyDrained() const;
 
-  /// True when any class carries its own disk model.
-  bool AnyClassDisk() const;
-
   /// Effective disk model of class `c`: the class's own model when set,
   /// else the caller's shared legacy model (may be null).
   const model::DiskModel* EffectiveDiskModel(

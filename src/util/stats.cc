@@ -68,25 +68,6 @@ double Rmse(const std::vector<double>& a, const std::vector<double>& b) {
   return std::sqrt(s / static_cast<double>(a.size()));
 }
 
-double MeanAbsError(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.empty() || a.size() != b.size()) return 0.0;
-  double s = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) s += std::fabs(a[i] - b[i]);
-  return s / static_cast<double>(a.size());
-}
-
-std::vector<CdfPoint> EmpiricalCdf(std::vector<double> values) {
-  std::vector<CdfPoint> cdf;
-  if (values.empty()) return cdf;
-  std::sort(values.begin(), values.end());
-  cdf.reserve(values.size());
-  const double n = static_cast<double>(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    cdf.push_back({values[i], static_cast<double>(i + 1) / n});
-  }
-  return cdf;
-}
-
 BoxPlot MakeBoxPlot(std::vector<double> values) {
   BoxPlot box;
   if (values.empty()) return box;

@@ -18,8 +18,6 @@ class Accumulator {
 
   /// Number of observations added.
   size_t count() const { return count_; }
-  /// Sum of observations (0 when empty).
-  double sum() const { return sum_; }
   /// Arithmetic mean (0 when empty).
   double Mean() const;
   /// Population variance (0 with < 2 observations).
@@ -139,18 +137,6 @@ double Percentile(std::vector<double> values, double p);
 
 /// Root-mean-squared error between two equally sized series.
 double Rmse(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Mean absolute error between two equally sized series.
-double MeanAbsError(const std::vector<double>& a, const std::vector<double>& b);
-
-/// One point of an empirical CDF.
-struct CdfPoint {
-  double value;     ///< Observation value.
-  double fraction;  ///< Fraction of observations <= value, in (0, 1].
-};
-
-/// Builds the empirical CDF of `values` (sorted ascending).
-std::vector<CdfPoint> EmpiricalCdf(std::vector<double> values);
 
 /// Five-number box-plot summary plus outliers, using the paper's Tukey-style
 /// fences [q1 - 1.5(q3-q1), q3 + 1.5(q3-q1)].

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "util/stats.h"
 
@@ -64,32 +63,10 @@ void TimeSeries::AccumulateInPlace(const TimeSeries& other) {
   for (size_t i = 0; i < other.values_.size(); ++i) values_[i] += other.values_[i];
 }
 
-TimeSeries TimeSeries::Resampled(double new_interval) const {
-  if (empty() || new_interval == interval_seconds_) return *this;
-  assert(new_interval > interval_seconds_);
-  const size_t bucket = static_cast<size_t>(std::llround(new_interval / interval_seconds_));
-  assert(bucket >= 1);
-  std::vector<double> out;
-  out.reserve(values_.size() / bucket + 1);
-  for (size_t i = 0; i < values_.size(); i += bucket) {
-    double s = 0.0;
-    size_t n = 0;
-    for (size_t j = i; j < std::min(i + bucket, values_.size()); ++j, ++n) s += values_[j];
-    out.push_back(s / static_cast<double>(n));
-  }
-  return TimeSeries(new_interval, std::move(out));
-}
-
 TimeSeries TimeSeries::Map(const std::function<double(double)>& fn) const {
   TimeSeries out = *this;
   for (double& v : out.values_) v = fn(v);
   return out;
-}
-
-TimeSeries SumSeries(const std::vector<TimeSeries>& series) {
-  TimeSeries acc;
-  for (const auto& s : series) acc.AccumulateInPlace(s);
-  return acc;
 }
 
 }  // namespace kairos::util

@@ -56,10 +56,6 @@ class TimeSeries {
   /// Adds `other` element-wise into this series, extending if needed.
   void AccumulateInPlace(const TimeSeries& other);
 
-  /// Returns a series resampled to `new_interval` by averaging whole buckets.
-  /// `new_interval` must be a multiple of the current interval.
-  TimeSeries Resampled(double new_interval) const;
-
   /// Applies `fn` to every sample and returns the result.
   TimeSeries Map(const std::function<double(double)>& fn) const;
 
@@ -67,10 +63,6 @@ class TimeSeries {
   double interval_seconds_ = 0.0;
   std::vector<double> values_;
 };
-
-/// Sums a set of series element-wise (all must share the interval; the
-/// result length is the max length, missing samples treated as 0).
-TimeSeries SumSeries(const std::vector<TimeSeries>& series);
 
 }  // namespace kairos::util
 

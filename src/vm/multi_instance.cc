@@ -32,7 +32,7 @@ MultiInstanceServer::MultiInstanceServer(const MultiInstanceConfig& config,
         db::DbmsConfig c = config_.dbms;
         c.buffer_pool_bytes = pool_bytes_per_instance_;
         instances_.push_back(
-            std::make_unique<db::Dbms>(c, &disk_, seed + 100 + i, /*stream_id=*/i));
+            std::make_unique<db::Dbms>(c, &disk_, seed + 100 + i));
         databases_.push_back(instances_.back()->CreateDatabase(
             "db" + std::to_string(i)));
       }
@@ -48,7 +48,7 @@ MultiInstanceServer::MultiInstanceServer(const MultiInstanceConfig& config,
         db::DbmsConfig c = config_.dbms;
         c.buffer_pool_bytes = pool_bytes_per_instance_;
         instances_.push_back(
-            std::make_unique<db::Dbms>(c, &disk_, seed + 100 + i, /*stream_id=*/i));
+            std::make_unique<db::Dbms>(c, &disk_, seed + 100 + i));
         databases_.push_back(instances_.back()->CreateDatabase(
             "db" + std::to_string(i)));
       }
@@ -60,7 +60,7 @@ MultiInstanceServer::MultiInstanceServer(const MultiInstanceConfig& config,
           pool_of(machine_ram, dbms_overhead + os_overhead);
       db::DbmsConfig c = config_.dbms;
       c.buffer_pool_bytes = pool_bytes_per_instance_;
-      instances_.push_back(std::make_unique<db::Dbms>(c, &disk_, seed + 100, 0));
+      instances_.push_back(std::make_unique<db::Dbms>(c, &disk_, seed + 100));
       for (int i = 0; i < n; ++i) {
         databases_.push_back(
             instances_[0]->CreateDatabase("db" + std::to_string(i)));

@@ -61,9 +61,7 @@ class Driver {
   /// `sample_window_s`.
   RunResult Run(double seconds, double sample_window_s = 1.0);
 
-  double tick_seconds() const { return tick_seconds_; }
   db::Server* server() { return server_; }
-  util::Rng& rng() { return rng_; }
 
  private:
   db::Server* server_;

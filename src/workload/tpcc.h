@@ -33,8 +33,6 @@ class TpccWorkload : public Workload {
   uint64_t DataSizeBytes() const override;
   void Warm() override;
 
-  int warehouses() const { return warehouses_; }
-
   /// The aggregate transaction profile (public so benches can reuse it).
   static db::TxProfile Profile();
 

@@ -25,8 +25,6 @@ class HotSetSampler : public db::PageSampler {
   db::PageId SampleRead(util::Rng& rng) override;
   db::PageId SampleUpdate(util::Rng& rng) override;
 
-  uint64_t hot_pages() const { return hot_pages_; }
-
  private:
   db::PageId Sample(util::Rng& rng);
   const db::Region* region_;

@@ -102,15 +102,6 @@ TEST(BufferPoolTest, CapacityRespected) {
   EXPECT_EQ(pool.evictions(), 900u);
 }
 
-TEST(BufferPoolTest, MissRatio) {
-  BufferPool pool(10);
-  pool.Touch(1, false);
-  pool.Touch(1, false);
-  pool.Touch(1, false);
-  pool.Touch(2, false);
-  EXPECT_DOUBLE_EQ(pool.MissRatio(), 0.5);
-}
-
 TEST(BufferPoolTest, DirtyFraction) {
   BufferPool pool(4);
   pool.Touch(1, true);

@@ -34,6 +34,21 @@ std::vector<ProfilePoint> SyntheticPoints() {
   return points;
 }
 
+// A 3x3 grid with short runs, small enough for a unit test.
+ProfilerConfig SmallProfilerConfig() {
+  ProfilerConfig c;
+  // Working sets comfortably inside the default 1 GB buffer pool.
+  for (double gb : {0.25, 0.375, 0.5}) {
+    c.working_set_bytes.push_back(gb * static_cast<double>(util::kGiB));
+  }
+  for (double rate : {2000.0, 8000.0, 16000.0}) {
+    c.rows_per_sec.push_back(rate);
+  }
+  c.warmup_seconds = 1.0;
+  c.measure_seconds = 3.0;
+  return c;
+}
+
 TEST(DiskModelTest, InvalidWhenTooFewPoints) {
   EXPECT_FALSE(DiskModel::Fit({}).valid());
   std::vector<ProfilePoint> three(3);
@@ -69,17 +84,9 @@ TEST(DiskModelTest, FrontierDecreasesWithWorkingSet) {
   EXPECT_NEAR(m.MaxSustainableRate(3000e6), 26000, 4000);
 }
 
-TEST(DiskModelTest, SustainabilityChecks) {
-  const DiskModel m = DiskModel::Fit(SyntheticPoints());
-  EXPECT_TRUE(m.IsSustainable(1000e6, 1000, 0.9));
-  EXPECT_FALSE(m.IsSustainable(1000e6, 1e6, 0.9));
-  EXPECT_GT(m.UtilizationFraction(1000e6, 20000),
-            m.UtilizationFraction(1000e6, 10000));
-}
-
 TEST(ProfilerTest, SmallGridProducesSanePoints) {
   DiskModelProfiler profiler(sim::MachineSpec::Server1(), db::DbmsConfig{},
-                             ProfilerConfig::Small());
+                             SmallProfilerConfig());
   const auto points = profiler.CollectPoints(11);
   ASSERT_EQ(points.size(), 9u);
   for (const auto& p : points) {
@@ -91,7 +98,7 @@ TEST(ProfilerTest, SmallGridProducesSanePoints) {
 
 TEST(ProfilerTest, WriteThroughputGrowsWithRate) {
   DiskModelProfiler profiler(sim::MachineSpec::Server1(), db::DbmsConfig{},
-                             ProfilerConfig::Small());
+                             SmallProfilerConfig());
   const auto slow = profiler.MeasurePoint(util::kGiB, 2000, 11);
   const auto fast = profiler.MeasurePoint(util::kGiB, 12000, 11);
   EXPECT_GT(fast.write_bytes_per_sec, slow.write_bytes_per_sec);
@@ -100,7 +107,7 @@ TEST(ProfilerTest, WriteThroughputGrowsWithRate) {
 TEST(ProfilerTest, SublinearIoGrowth) {
   // Update coalescing: 6x the rate should yield well under 6x the I/O.
   // Long enough measurement to pass the flush-pacing transient.
-  ProfilerConfig pc = ProfilerConfig::Small();
+  ProfilerConfig pc = SmallProfilerConfig();
   pc.warmup_seconds = 4.0;
   pc.measure_seconds = 12.0;
   DiskModelProfiler profiler(sim::MachineSpec::Server1(), db::DbmsConfig{}, pc);
@@ -117,7 +124,7 @@ TEST(ProfilerTest, LargerWorkingSetMoreIo) {
   db::DbmsConfig cfg;
   cfg.buffer_pool_bytes = 4 * util::kGiB;
   DiskModelProfiler profiler(sim::MachineSpec::Server1(), cfg,
-                             ProfilerConfig::Small());
+                             SmallProfilerConfig());
   const auto small = profiler.MeasurePoint(256 * util::kMiB, 8000, 17);
   const auto large = profiler.MeasurePoint(2048ULL * util::kMiB, 8000, 17);
   EXPECT_GT(large.write_bytes_per_sec, small.write_bytes_per_sec * 1.1);

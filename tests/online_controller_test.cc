@@ -86,29 +86,6 @@ TEST(TelemetryTest, ReplayFeedStepsThroughProfiles) {
   EXPECT_FALSE(feed.Next(&samples));
 }
 
-TEST(TelemetryTest, ReplayFeedFromDriverRunApportionsCpuByTps) {
-  workload::RunResult run;
-  workload::WorkloadRunStats a, b;
-  a.name = "a";
-  a.tps = util::TimeSeries(1.0, {30.0, 10.0});
-  a.update_rows_per_sec = util::TimeSeries(1.0, {3.0, 1.0});
-  b.name = "b";
-  b.tps = util::TimeSeries(1.0, {10.0, 30.0});
-  b.update_rows_per_sec = util::TimeSeries(1.0, {1.0, 3.0});
-  run.workloads = {a, b};
-  run.server.cpu_cores = util::TimeSeries(1.0, {4.0, 8.0});
-
-  ReplayFeed feed = ReplayFeed::FromRun(run, {1e9, 2e9});
-  std::vector<TelemetrySample> samples;
-  ASSERT_TRUE(feed.Next(&samples));
-  EXPECT_DOUBLE_EQ(samples[0].cpu_cores, 3.0);  // 4 cores * 30/40
-  EXPECT_DOUBLE_EQ(samples[1].cpu_cores, 1.0);
-  EXPECT_DOUBLE_EQ(samples[1].ram_bytes, 2e9);
-  ASSERT_TRUE(feed.Next(&samples));
-  EXPECT_DOUBLE_EQ(samples[0].cpu_cores, 2.0);  // 8 cores * 10/40
-  EXPECT_FALSE(feed.Next(&samples));
-}
-
 // ---------------------------------------------------------------------------
 // Drift detection
 // ---------------------------------------------------------------------------

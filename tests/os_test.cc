@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "os/file_cache.h"
-#include "os/os_stats.h"
 
 namespace kairos::os {
 namespace {
@@ -65,37 +64,6 @@ TEST(FileCacheTest, Erase) {
   c.Erase(1);
   EXPECT_FALSE(c.Lookup(1));
   c.Erase(99);  // no-op
-}
-
-TEST(FileCacheTest, Reset) {
-  FileCache c(4);
-  c.Insert(1);
-  c.Lookup(1);
-  c.Reset();
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.hits(), 0u);
-}
-
-TEST(StatsCollectorTest, RatesOverWindow) {
-  StatsCollector sc;
-  sc.RecordTick(0.5, 0.25, 1000, 800, 500, 1500, 2);
-  sc.RecordTick(0.5, 0.25, 2000, 1600, 500, 500, 2);
-  const ProcessStats s = sc.Snapshot();
-  EXPECT_NEAR(s.cpu_percent, 50.0, 1e-9);  // 0.5 core-s over 1 s
-  EXPECT_EQ(s.rss_bytes, 2000u);           // latest
-  EXPECT_EQ(s.active_bytes, 1600u);
-  EXPECT_NEAR(s.read_bytes_per_sec, 1000.0, 1e-9);
-  EXPECT_NEAR(s.write_bytes_per_sec, 2000.0, 1e-9);
-  EXPECT_NEAR(s.page_reads_per_sec, 4.0, 1e-9);
-}
-
-TEST(StatsCollectorTest, SnapshotResetsWindow) {
-  StatsCollector sc;
-  sc.RecordTick(1.0, 1.0, 100, 100, 100, 100, 1);
-  sc.Snapshot();
-  const ProcessStats s = sc.Snapshot();
-  EXPECT_DOUBLE_EQ(s.cpu_percent, 0.0);
-  EXPECT_EQ(s.rss_bytes, 100u);  // gauge values persist
 }
 
 }  // namespace

@@ -286,7 +286,7 @@ TEST(RaidVsSpindleTest, UpdateHeavyWorkloadsLandOnRaidClass) {
       trace::FleetScenarioKind::kRaidVsSpindle, config);
   ASSERT_EQ(scenario.raid_class, 1);
   ASSERT_FALSE(scenario.update_heavy.empty());
-  ASSERT_TRUE(scenario.fleet.AnyClassDisk());
+  ASSERT_NE(scenario.fleet.classes[scenario.raid_class].disk_model, nullptr);
 
   solve::PortfolioOptions options;
   options.budget = SmallBudget();

@@ -80,21 +80,6 @@ TEST(RmseTest, Basics) {
   EXPECT_DOUBLE_EQ(Rmse({1}, {1, 2}), 0.0);  // size mismatch -> 0
 }
 
-TEST(MeanAbsErrorTest, Basics) {
-  EXPECT_DOUBLE_EQ(MeanAbsError({1, 2}, {2, 4}), 1.5);
-}
-
-TEST(CdfTest, SortedAndNormalized) {
-  const auto cdf = EmpiricalCdf({3, 1, 2, 2});
-  ASSERT_EQ(cdf.size(), 4u);
-  EXPECT_DOUBLE_EQ(cdf.front().value, 1);
-  EXPECT_DOUBLE_EQ(cdf.back().value, 3);
-  EXPECT_DOUBLE_EQ(cdf.back().fraction, 1.0);
-  EXPECT_DOUBLE_EQ(cdf.front().fraction, 0.25);
-}
-
-TEST(CdfTest, Empty) { EXPECT_TRUE(EmpiricalCdf({}).empty()); }
-
 TEST(BoxPlotTest, NoOutliers) {
   std::vector<double> v;
   for (int i = 1; i <= 11; ++i) v.push_back(i);

@@ -63,15 +63,6 @@ TEST(TimeSeriesTest, AccumulateIntoEmpty) {
   EXPECT_DOUBLE_EQ(a.interval_seconds(), 2.0);
 }
 
-TEST(TimeSeriesTest, ResampleAverages) {
-  TimeSeries s(1.0, {1, 3, 5, 7, 9});
-  const TimeSeries r = s.Resampled(2.0);
-  ASSERT_EQ(r.size(), 3u);
-  EXPECT_DOUBLE_EQ(r.at(0), 2);
-  EXPECT_DOUBLE_EQ(r.at(1), 6);
-  EXPECT_DOUBLE_EQ(r.at(2), 9);  // trailing partial bucket
-}
-
 TEST(TimeSeriesTest, PercentileOfSamples) {
   TimeSeries s(1.0, {0, 10, 20, 30, 40});
   EXPECT_DOUBLE_EQ(s.Percentile(50), 20);
@@ -81,14 +72,6 @@ TEST(TimeSeriesTest, MapApplies) {
   TimeSeries s(1.0, {1, 2});
   const TimeSeries t = s.Map([](double v) { return v * v; });
   EXPECT_DOUBLE_EQ(t.at(1), 4);
-}
-
-TEST(TimeSeriesTest, SumSeries) {
-  const TimeSeries sum =
-      SumSeries({TimeSeries(1.0, {1, 1}), TimeSeries(1.0, {2, 2, 2})});
-  ASSERT_EQ(sum.size(), 3u);
-  EXPECT_DOUBLE_EQ(sum.at(0), 3);
-  EXPECT_DOUBLE_EQ(sum.at(2), 2);
 }
 
 }  // namespace
