@@ -171,6 +171,26 @@ sim::EffectiveCapacity LoadAccountant::BestClass() const {
   return best;
 }
 
+double LoadAccountant::SlotPeakScore(int slot) const {
+  const sim::EffectiveCapacity best = BestClass();
+  const double* cpu = SlotSeries(Axis::kCpu, slot);
+  const double* ram = SlotSeries(Axis::kRam, slot);
+  double peak_cpu = 0.0, peak_ram = 0.0;
+  for (int t = 0; t < num_samples_; ++t) {
+    peak_cpu = std::max(peak_cpu, cpu[t]);
+    peak_ram = std::max(peak_ram, ram[t]);
+  }
+  return (best.cpu_cores > 0 ? peak_cpu / best.cpu_cores : 0.0) +
+         (best.ram_bytes > 0 ? peak_ram / best.ram_bytes : 0.0);
+}
+
+double LoadAccountant::ClassCapacityScore(int c) const {
+  const sim::EffectiveCapacity best = BestClass();
+  const sim::EffectiveCapacity& cc = class_caps_[c];
+  return (best.cpu_cores > 0 ? cc.cpu_cores / best.cpu_cores : 0.0) +
+         (best.ram_bytes > 0 ? cc.ram_bytes / best.ram_bytes : 0.0);
+}
+
 bool LoadAccountant::AnyDiskActive() const {
   for (const auto& disk : class_disk_) {
     if (disk.active()) return true;

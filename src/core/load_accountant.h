@@ -165,6 +165,14 @@ class LoadAccountant {
   /// machine for difficulty ordering and the fractional bound).
   sim::EffectiveCapacity BestClass() const;
 
+  /// A slot's peak CPU plus its peak RAM, each in units of BestClass()'s
+  /// capacity (an axis the best class lacks adds 0): the demand weight of
+  /// the shard router and the exact solver's branching order.
+  double SlotPeakScore(int slot) const;
+
+  /// Class `c`'s CPU plus RAM capacity in the units of SlotPeakScore.
+  double ClassCapacityScore(int c) const;
+
   /// True when any machine class carries an active disk axis.
   bool AnyDiskActive() const;
 

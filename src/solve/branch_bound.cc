@@ -24,22 +24,8 @@ std::vector<int> BranchSlotOrder(const core::LoadAccountant& acct, int cap) {
     const int pin = acct.PinOfSlot(s);
     (pin >= 0 && pin < cap ? pinned : free_slots).push_back(s);
   }
-  const sim::EffectiveCapacity best = acct.BestClass();
-  const int samples = acct.num_samples();
   std::vector<double> difficulty(num_slots, 0.0);
-  for (int s : free_slots) {
-    const double* cpu = acct.SlotSeries(core::Axis::kCpu, s);
-    const double* ram = acct.SlotSeries(core::Axis::kRam, s);
-    double peak_cpu = 0, peak_ram = 0;
-    for (int t = 0; t < samples; ++t) {
-      peak_cpu = std::max(peak_cpu, cpu[t]);
-      peak_ram = std::max(peak_ram, ram[t]);
-    }
-    double d = 0;
-    if (best.cpu_cores > 0) d += peak_cpu / best.cpu_cores;
-    if (best.ram_bytes > 0) d += peak_ram / best.ram_bytes;
-    difficulty[s] = d;
-  }
+  for (int s : free_slots) difficulty[s] = acct.SlotPeakScore(s);
   std::stable_sort(free_slots.begin(), free_slots.end(),
                    [&](int a, int b) { return difficulty[a] > difficulty[b]; });
   pinned.insert(pinned.end(), free_slots.begin(), free_slots.end());

@@ -115,20 +115,9 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
   // constraint index supplies the slot layout, pairs, incumbent and move
   // costs.
   const core::LoadAccountant acct(problem_, cap_, /*track_server_load=*/false);
-  const sim::EffectiveCapacity best = acct.BestClass();
   std::vector<double> workload_score(num_workloads, 0.0);
   for (int s = 0; s < acct.num_slots(); ++s) {
-    const double* cpu = acct.SlotSeries(core::Axis::kCpu, s);
-    const double* ram = acct.SlotSeries(core::Axis::kRam, s);
-    double peak_cpu = 0.0, peak_ram = 0.0;
-    for (int t = 0; t < acct.num_samples(); ++t) {
-      peak_cpu = std::max(peak_cpu, cpu[t]);
-      peak_ram = std::max(peak_ram, ram[t]);
-    }
-    const double score =
-        (best.cpu_cores > 0 ? peak_cpu / best.cpu_cores : 0.0) +
-        (best.ram_bytes > 0 ? peak_ram / best.ram_bytes : 0.0);
-    workload_score[acct.WorkloadOfSlot(s)] += score;
+    workload_score[acct.WorkloadOfSlot(s)] += acct.SlotPeakScore(s);
   }
 
   // Anti-affinity groups (atomic routing units).
@@ -175,10 +164,7 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
   for (int v = 0; v < static_cast<int>(vclasses_.size()); ++v) {
     const int klass = vclasses_[v].klass;
     const bool drained = acct.ClassDrained(klass);
-    const sim::EffectiveCapacity& cc = acct.CapacityOfClass(klass);
-    const double unit =
-        (best.cpu_cores > 0 ? cc.cpu_cores / best.cpu_cores : 0.0) +
-        (best.ram_bytes > 0 ? cc.ram_bytes / best.ram_bytes : 0.0);
+    const double unit = acct.ClassCapacityScore(klass);
     for (int s = 0; s < S; ++s) {
       const int share = ShareOf(v, s);
       total_count[s] += share;
@@ -205,7 +191,7 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
         placable_count[shard] > 0 ? placable_count[shard] : total_count[shard];
     return have >= g.max_replicas;
   };
-  auto fallback_shard = [&](const Group& g) {
+  auto fallback_shard = [&]() {
     // No shard fits the replica count: largest placable pool, lowest id.
     int pick = 0;
     for (int s = 1; s < S; ++s) {
@@ -215,7 +201,6 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
           placable_count[s] > 0 ? placable_count[s] : total_count[s];
       if (have_s > have_p) pick = s;
     }
-    (void)g;
     return pick;
   };
   for (int gi = 0; gi < static_cast<int>(groups.size()); ++gi) {
@@ -225,7 +210,7 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
   for (int gi = 0; gi < static_cast<int>(groups.size()); ++gi) {
     if (routed[gi] || groups[gi].current_server < 0) continue;
     const int shard = ShardOfServer(groups[gi].current_server);
-    route(gi, fits(shard, groups[gi]) ? shard : fallback_shard(groups[gi]));
+    route(gi, fits(shard, groups[gi]) ? shard : fallback_shard());
   }
   std::vector<int> rest;
   for (int gi = 0; gi < static_cast<int>(groups.size()); ++gi) {
@@ -256,7 +241,7 @@ std::vector<FleetShard> ShardPartitioner::Partition(uint64_t master_seed) const 
         if (pick < 0 || load[s] < load[pick]) pick = s;
       }
     }
-    route(gi, pick >= 0 ? pick : fallback_shard(groups[gi]));
+    route(gi, pick >= 0 ? pick : fallback_shard());
   }
 
   // Materialize the shard subproblems.
@@ -392,28 +377,14 @@ int RebalanceAcrossShards(const std::vector<FleetShard>& shards,
     }
   }
 
-  const sim::EffectiveCapacity best = acct.BestClass();
   std::vector<double> slot_score(num_slots, 0.0);
-  for (int s = 0; s < num_slots; ++s) {
-    const double* cpu = acct.SlotSeries(core::Axis::kCpu, s);
-    const double* ram = acct.SlotSeries(core::Axis::kRam, s);
-    double peak_cpu = 0.0, peak_ram = 0.0;
-    for (int t = 0; t < acct.num_samples(); ++t) {
-      peak_cpu = std::max(peak_cpu, cpu[t]);
-      peak_ram = std::max(peak_ram, ram[t]);
-    }
-    slot_score[s] = (best.cpu_cores > 0 ? peak_cpu / best.cpu_cores : 0.0) +
-                    (best.ram_bytes > 0 ? peak_ram / best.ram_bytes : 0.0);
-  }
+  for (int s = 0; s < num_slots; ++s) slot_score[s] = acct.SlotPeakScore(s);
   std::vector<double> cap_score(S, 0.0);
   for (const FleetShard& shard : shards) {
     for (int j : shard.servers) {
       const int c = acct.ClassOfServer(j);
       if (acct.ClassDrained(c)) continue;
-      const sim::EffectiveCapacity& cc = acct.CapacityOfClass(c);
-      cap_score[shard.id] +=
-          (best.cpu_cores > 0 ? cc.cpu_cores / best.cpu_cores : 0.0) +
-          (best.ram_bytes > 0 ? cc.ram_bytes / best.ram_bytes : 0.0);
+      cap_score[shard.id] += acct.ClassCapacityScore(c);
     }
   }
 
