@@ -40,10 +40,11 @@ BENCHMARK(BM_BufferPoolTouchHit);
 
 void BM_BufferPoolTouchMissEvict(benchmark::State& state) {
   db::BufferPool pool(1 << 12);
-  util::Rng rng(1);
   db::PageId next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Touch(next++, (next & 3) == 0));
+    const bool dirty = (next & 3) == 0;
+    benchmark::DoNotOptimize(pool.Touch(next, dirty));
+    ++next;
   }
 }
 BENCHMARK(BM_BufferPoolTouchMissEvict);

@@ -114,7 +114,7 @@ TEST(BufferPoolTest, WorkingSetStaysResidentUnderScans) {
   // slack; this is the property buffer pool gauging relies on.
   BufferPool pool(100);
   for (PageId p = 0; p < 50; ++p) pool.Touch(p, false);  // hot set
-  for (int round = 0; round < 10; ++round) {
+  for (PageId round = 0; round < 10; ++round) {
     for (PageId p = 0; p < 50; ++p) pool.Touch(p, false);
     // 40 cold pages per round fit in the slack.
     for (PageId p = 1000 + round * 40; p < 1040 + round * 40; ++p) {

@@ -169,8 +169,7 @@ core::ConsolidationProblem InterleavedProblem(trace::FleetScenario* scenario_out
 /// and each class's servers first (dense within and after). The cheapest
 /// fractional-cover prefix across these is everything that search could
 /// ever probe — the floor the knapsack has to beat.
-double CheapestPrefixCoverCost(const core::ConsolidationProblem& problem,
-                               const core::LoadAccountant& acct,
+double CheapestPrefixCoverCost(const core::LoadAccountant& acct,
                                const core::LoadAccountant::AggregateDemand& demand) {
   std::vector<std::vector<int>> orders;
   const std::vector<int> dense = core::DenseServerOrder(acct);
@@ -228,7 +227,7 @@ TEST(CostBudgetDimensioningTest, KnapsackReachesInterleavedMixPrefixesMiss) {
   // ...and costs strictly less than the cheapest coverage prefix of ANY
   // candidate purchase order: the retired enumeration provably never
   // probed a subset this cheap.
-  const double prefix_floor = CheapestPrefixCoverCost(problem, acct, demand);
+  const double prefix_floor = CheapestPrefixCoverCost(acct, demand);
   ASSERT_TRUE(std::isfinite(prefix_floor));
   EXPECT_LT(best.cost, prefix_floor - 1e-9);
 

@@ -46,7 +46,9 @@ TEST(StripeMapTest, ContiguousDisjointRangesCoverEveryStream) {
   for (int s = 0; s < map.num_stripes(); ++s) {
     EXPECT_GE(map.size(s), 37 / 5);
     EXPECT_LE(map.size(s), 37 / 5 + 1);
-    if (s > 0) EXPECT_LE(map.size(s), map.size(s - 1));
+    if (s > 0) {
+      EXPECT_LE(map.size(s), map.size(s - 1));
+    }
   }
 }
 

@@ -50,13 +50,6 @@ std::shared_ptr<const model::DiskModel> SpindleModel() {
   return model;
 }
 
-std::shared_ptr<const model::DiskModel> RaidModel() {
-  static const auto model = std::make_shared<const model::DiskModel>(
-      model::BuildAnalyticModel(sim::DiskSpec::Raid10(), model::AnalyticConfig{},
-                                120e9, 20000.0));
-  return model;
-}
-
 solve::SolveBudget SmallBudget() {
   solve::SolveBudget budget;
   budget.max_iterations = 4000;
